@@ -7,7 +7,7 @@
 // filters with covering and perfect merging (filter), the location
 // substrate with movement graphs and ploc (location), location-dependent
 // filter templates and widening schedules (locfilter), routing tables
-// with a predicate-counting match index, the routing-strategy ladder, and
+// with an access-predicate match index, the routing-strategy ladder, and
 // the incremental cover/merge control plane (routing), the protocol
 // messages shared by all layers (wire), the bounded-queue flow-control
 // primitive behind every mailbox and send window (flow), in-process and

@@ -238,9 +238,8 @@ type outbox struct {
 }
 
 // pubScratch replaces the per-publish seen-hop/seen-subscription map
-// allocations with epoch-stamped entries (the same trick as the routing
-// index's counting arrays): bumping the epoch invalidates every entry in
-// O(1), so the maps are reused across all publishes of a batch — and
+// allocations with epoch-stamped entries: bumping the epoch invalidates
+// every entry in O(1), so the maps are reused across all publishes of a batch — and
 // across batches — without clearing.
 type pubScratch struct {
 	epoch uint64

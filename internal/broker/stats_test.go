@@ -16,7 +16,7 @@ func TestBrokerStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := b1.Subscribe(wire.Subscription{
-		Filter: filter.MustParse(`k = "v"`), Client: "c", ID: "s",
+		Filter: filter.MustParse(`k = "v" && k exists`), Client: "c", ID: "s",
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -37,6 +37,8 @@ func TestBrokerStats(t *testing.T) {
 	if s2.SubEntries != 1 {
 		t.Errorf("b2 SubEntries = %d, want 1", s2.SubEntries)
 	}
+	// Two constraints, one posting: a row is posted under its access
+	// constraint only.
 	if s2.SubIndex.Entries != 1 || s2.SubIndex.Attrs != 1 || s2.SubIndex.Postings != 1 {
 		t.Errorf("b2 SubIndex = %+v, want 1 entry/attr/posting", s2.SubIndex)
 	}

@@ -198,7 +198,13 @@ func (c Constraint) Validate() error {
 
 // Matches reports whether the constraint accepts the notification. A
 // constraint on an absent attribute never matches.
-func (c Constraint) Matches(n message.Notification) bool {
+func (c Constraint) Matches(n message.Notification) bool { return c.matches(n) }
+
+// matches is Matches behind a pointer receiver: a Constraint is 192 bytes,
+// and the match path (Filter.Matches, Filter.MatchesExcept) evaluates
+// constraints in place in the filter's backing array instead of copying
+// one per call.
+func (c *Constraint) matches(n message.Notification) bool {
 	v, ok := n.Get(c.Attr)
 	if !ok {
 		return false
@@ -206,7 +212,7 @@ func (c Constraint) Matches(n message.Notification) bool {
 	return c.matchesValue(v)
 }
 
-func (c Constraint) matchesValue(v message.Value) bool {
+func (c *Constraint) matchesValue(v message.Value) bool {
 	switch c.Op {
 	case OpEQ:
 		return v.Equal(c.Value)
@@ -309,12 +315,6 @@ func (c Constraint) String() string {
 	b.WriteByte(')')
 	return b.String()
 }
-
-// MatchesValue reports whether the constraint accepts the given value of
-// its attribute — the value-test half of Matches, split out so callers that
-// already resolved the attribute (the routing match index looks each
-// attribute up once per notification) need not pay a second lookup.
-func (c Constraint) MatchesValue(v message.Value) bool { return c.matchesValue(v) }
 
 // key returns a canonical identity string for the constraint.
 func (c Constraint) key() string {

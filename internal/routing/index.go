@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math"
 	"sync"
 
 	"repro/internal/filter"
@@ -8,13 +9,24 @@ import (
 	"repro/internal/wire"
 )
 
-// matchIndex is a predicate-counting index over the table's entries: the
-// constraints of every filter are grouped by (attribute, operator class)
-// into typed posting lists, and matching a notification counts, per entry,
-// how many of its constraints are satisfied. An entry matches exactly when
-// its count reaches its constraint total — the classic counting algorithm —
-// so the per-notification cost is driven by the number of satisfied
-// predicates, not by the number of table entries.
+// matchIndex is an access-predicate index over the table's entries. Every
+// row is posted under exactly one of its filter's constraints — its access
+// predicate, the one the index estimates fewest notifications satisfy (see
+// selectivity) — in a typed posting list keyed by (attribute, operator
+// class). Matching a notification probes the posting lists of the
+// attributes it carries; each hit is a candidate row whose access
+// constraint the probe has just proved, and — unless one word of
+// equality bits already rules the row out (see needs) — the rest of its
+// filter is evaluated directly against the notification
+// (filter.MatchesExcept, the reference semantics). The per-notification cost is therefore the number
+// of rows whose most selective constraint is satisfied, not the number of
+// satisfied constraints and not the table size.
+//
+// The result does not depend on which constraint was chosen: a row is
+// reported exactly when its access constraint and every other constraint
+// hold, i.e. when Filter.Matches does. The choice only moves cost. It is
+// made once, at insert, from what the index knows then, recorded in the
+// row, and made afresh by rebuild().
 //
 // Storage is struct-of-arrays, sized for 10⁶ entries: rows live in a paged
 // vector indexed by int32 slot, hops and owner identities are interned
@@ -31,7 +43,7 @@ import (
 //   - string prefix:         per-length hash lookup (see prefixTable)
 //   - exists:                a flat list, satisfied by attribute presence
 //   - everything else (!=, suffix, contains): a per-attribute scan list
-//     evaluated directly against the attribute value
+//     whose rows are evaluated whole against the notification
 //
 // Removal is logical-first: freeing a row bumps its generation, which
 // invalidates its postings everywhere at once; posting storage is
@@ -43,12 +55,21 @@ type matchIndex struct {
 	// epoch is the copy-on-write ownership stamp: bumped by share(), so
 	// the first write to any container after a snapshot copies what the
 	// snapshot can see. Starts at 1 so zero-valued stamps are never owned.
-	epoch    uint64
-	rows     pvec[row]
+	epoch uint64
+	rows  pvec[row]
+	// needs is parallel to rows: one bit per residual equality constraint
+	// of the row's filter (see eqBit). A notification whose own bits lack
+	// one of them cannot match, which a candidate check reads here, eight
+	// rows to a cache line, without touching the filter's constraints —
+	// most candidates of a row posted under a range fail on a residual
+	// equality, and a constraint is a cache miss or two away. A vector of
+	// its own because a ninth word in the row would push a row page off
+	// its allocator size class (see pvec.go).
+	needs    pvec[uint64]
 	free     cowslice[int32]
 	matchAll postlist
 	attrs    cowslice[attrRef] // per-attribute indexes, sorted by name
-	postings int               // live posting-list entries (one per constraint)
+	postings int               // live match-plane postings (see IndexStats.Postings)
 	liveRows int
 
 	// Mutation-plane state: written in place under the table lock and
@@ -76,14 +97,13 @@ type matchIndex struct {
 	pool *sync.Pool // *scratch; shared with snapshots (pools must not be copied)
 }
 
-// row is one table entry in SoA form: ~80 B plus its postings, versus the
-// pointer-heavy idxEntry + cached key strings of the old layout. The
-// counting fields lead so the match hot path touches the first cache line.
+// row is one table entry in SoA form: 80 B plus its one posting, versus
+// the pointer-heavy idxEntry + cached key strings of the old layout.
 type row struct {
 	hash    uint64 // entryIdentHash of the entry
 	hopID   int32  // intern id; -1 marks a freed row
 	identID int32
-	total   int32 // constraint count
+	access  int32 // index in f of the posted constraint; -1 for a match-all row
 	gen     uint32
 	f       filter.Filter
 }
@@ -106,16 +126,24 @@ type attrRef struct {
 }
 
 type attrIndex struct {
-	stamp     uint64 // copy-on-write ownership stamp (see attrW)
-	live      int32  // live constraints under this attribute
-	eq        valTable
-	prefixes  prefixTable
-	exists    postlist
-	anyString postlist // empty-prefix constraints: every string value matches
-	scan      scanlist
-	ivI       ivlist[int64]
-	ivF       ivlist[float64]
-	ivS       ivlist[string]
+	stamp uint64 // copy-on-write ownership stamp (see attrW)
+	// live counts the live constraints that mention this attribute, posted
+	// or not: the directory entry, and the estimator state on it, exist
+	// while it is positive.
+	live int32
+	// Estimator state, fed by every constraint on the attribute, posted or
+	// not (see observe): the hull of the closed-range bounds per numeric
+	// kind, and sketches of the distinct equality and prefix operands.
+	spanI, spanF       span
+	eqSeen, prefixSeen sketch
+	eq                 valTable
+	prefixes           prefixTable
+	exists             postlist
+	anyString          postlist // empty-prefix constraints: every string value matches
+	scan               postlist // rows posted under a constraint no container can prove
+	ivI                ivlist[int64]
+	ivF                ivlist[float64]
+	ivS                ivlist[string]
 }
 
 func newMatchIndex() *matchIndex {
@@ -253,10 +281,11 @@ func (x *matchIndex) insertEntry(e Entry) bool {
 		*fs = (*fs)[:len(*fs)-1]
 	} else {
 		slot = x.rows.grow(x.epoch)
+		x.needs.grow(x.epoch)
 	}
 	r := x.rows.w(slot, x.epoch)
 	gen := r.gen // survives free/reuse; postings carry it
-	*r = row{hash: h, hopID: hopID, identID: identID, total: int32(e.Filter.Len()), gen: gen, f: e.Filter}
+	*r = row{hash: h, hopID: hopID, identID: identID, access: -1, gen: gen, f: e.Filter}
 	x.liveRows++
 	sg := slotGen{slot: slot, gen: gen}
 	x.hopPosts[hopID].add(sg)
@@ -268,23 +297,67 @@ func (x *matchIndex) insertEntry(e Entry) bool {
 	if e.Filter.Len() == 0 {
 		x.matchAll.add(x, sg)
 	} else {
-		for ci := 0; ci < e.Filter.Len(); ci++ {
-			c := e.Filter.At(ci)
-			i, ok := x.findAttr(c.Attr)
-			if !ok {
-				as := x.attrs.own(x.epoch)
-				*as = append(*as, attrRef{})
-				copy((*as)[i+1:], (*as)[i:])
-				(*as)[i] = attrRef{name: c.Attr, ai: &attrIndex{stamp: x.epoch}}
-			}
-			ai := x.attrW(i)
-			ai.live++
-			ai.insert(x, sg, c)
-			x.postings++
-		}
+		access, need := x.postRow(sg, e.Filter)
+		r.access = access
+		*x.needs.w(slot, x.epoch) = need
 	}
 	x.ident.insert(x, h, slot)
 	return true
+}
+
+// postRow registers every constraint of f with its attribute's directory
+// entry and posts the row under the one estimated most selective,
+// returning that constraint's index and the equality bits of the others.
+// Ties go to the lower operator code, which puts the hash-probed classes
+// (=, prefix, in) before intervals.
+func (x *matchIndex) postRow(sg slotGen, f filter.Filter) (int32, uint64) {
+	var (
+		need      uint64 // equality bits of the residual constraints
+		access    = -1
+		accessBit uint64
+		best      float64
+		bestOp    filter.Op
+		accessA   *attrIndex
+	)
+	for ci := 0; ci < f.Len(); ci++ {
+		c := f.At(ci)
+		i, ok := x.findAttr(c.Attr)
+		if !ok {
+			as := x.attrs.own(x.epoch)
+			*as = append(*as, attrRef{})
+			copy((*as)[i+1:], (*as)[i:])
+			(*as)[i] = attrRef{name: c.Attr, ai: &attrIndex{stamp: x.epoch}}
+		}
+		ai := x.attrW(i)
+		ai.live++
+		ai.observe(&c)
+		if f.Len() == 1 { // nothing to choose, no residual to summarise
+			access, accessA = 0, ai
+			break
+		}
+		var bit uint64
+		if c.Op == filter.OpEQ && !isNaNValue(c.Value) {
+			bit = eqBit(c.Attr, c.Value)
+		}
+		if sel := ai.selectivity(&c); access < 0 || sel < best || (sel == best && c.Op < bestOp) {
+			access, best, bestOp, accessA = ci, sel, c.Op, ai
+			bit, accessBit = accessBit, bit // the probe proves the access constraint
+		}
+		need |= bit
+	}
+	// accessA is still the writable index of its attribute: no snapshot is
+	// taken inside an insert, and directory shifts move refs, not indexes.
+	c := f.At(access)
+	x.postings += accessA.insert(x, sg, &c)
+	return int32(access), need
+}
+
+// eqBit maps "attribute attr equals v" to one of 64 bits. A row ORs the
+// bits of its equality constraints into row.need, a match ORs the bits of
+// the notification's attributes (scratch.carried); Equal values share a
+// payload, hence a bit, so a missing bit proves a failing constraint.
+func eqBit(attr string, v message.Value) uint64 {
+	return 1 << (hashStr(hashOperand(v), attr) & 63)
 }
 
 // removeEntry deletes the exact entry, reporting whether it was present.
@@ -308,12 +381,13 @@ func (x *matchIndex) removeSlot(slot int32) {
 	// already owned at the current epoch.
 	hopID := rd.hopID
 	identID := rd.identID
+	access := int(rd.access)
 	x.ident.remove(hash, slot)
 	rw := x.rows.w(slot, x.epoch)
 	rw.gen++
 	rw.hopID = -1
 	rw.identID = -1
-	rw.total = 0
+	rw.access = -1
 	rw.hash = 0
 	rw.f = filter.Filter{} // release the filter's backing storage
 	x.liveRows--
@@ -333,8 +407,9 @@ func (x *matchIndex) removeSlot(slot int32) {
 			if i, ok := x.findAttr(c.Attr); ok {
 				ai := x.attrW(i)
 				ai.live--
-				ai.remove(x, c)
-				x.postings--
+				if ci == access {
+					x.postings -= ai.remove(x, &c)
+				}
 				if ai.live == 0 {
 					as := x.attrs.own(x.epoch)
 					*as = append((*as)[:i], (*as)[i+1:]...)
@@ -371,7 +446,7 @@ func isNaNValue(v message.Value) bool {
 // orderedBoundNaN reports whether an ordered constraint carries a NaN
 // bound; such constraints are evaluated on the scan list instead of the
 // interval runs so they keep Constraint.Matches' exact semantics.
-func orderedBoundNaN(c filter.Constraint) bool {
+func orderedBoundNaN(c *filter.Constraint) bool {
 	if c.Op == filter.OpRange {
 		return isNaNValue(c.Lo) || isNaNValue(c.Hi)
 	}
@@ -380,16 +455,16 @@ func orderedBoundNaN(c filter.Constraint) bool {
 
 // eachIndexableInMember visits the members of an in-constraint that get eq
 // postings: NaN members (which can never match) and duplicates (which would
-// double-count a single constraint) are skipped. Insert and remove share
+// make the row a candidate twice) are skipped. Insert and remove share
 // this walk so their posting sets cannot diverge.
-func eachIndexableInMember(c filter.Constraint, fn func(v message.Value)) {
+func eachIndexableInMember(c *filter.Constraint, fn func(v message.Value)) {
 	for i, v := range c.Values {
 		if isNaNValue(v) {
 			continue
 		}
 		dup := false
 		for j := 0; j < i; j++ {
-			if c.Values[j] == v {
+			if c.Values[j].Equal(v) { // match equivalence: the eq buckets' own
 				dup = true
 				break
 			}
@@ -404,7 +479,7 @@ func eachIndexableInMember(c filter.Constraint, fn func(v message.Value)) {
 // under, or KindInvalid when it must fall back to the scan list (non-
 // orderable operand kinds, or a range whose bounds disagree on kind — the
 // scan list reproduces Constraint.Matches exactly for those).
-func orderedKind(c filter.Constraint) message.Kind {
+func orderedKind(c *filter.Constraint) message.Kind {
 	if c.Op == filter.OpRange {
 		k := c.Lo.Kind()
 		if k != c.Hi.Kind() {
@@ -424,7 +499,7 @@ func orderedKind(c filter.Constraint) message.Kind {
 }
 
 // ordFlagsBounds extracts the interval form of an ordered constraint.
-func ordFlags(c filter.Constraint) uint8 {
+func ordFlags(c *filter.Constraint) uint8 {
 	switch c.Op {
 	case filter.OpLT:
 		return ivHasHi
@@ -439,7 +514,7 @@ func ordFlags(c filter.Constraint) uint8 {
 	}
 }
 
-func ordBounds(c filter.Constraint) (lo, hi message.Value) {
+func ordBounds(c *filter.Constraint) (lo, hi message.Value) {
 	if c.Op == filter.OpRange {
 		return c.Lo, c.Hi
 	}
@@ -451,27 +526,174 @@ func ordBounds(c filter.Constraint) (lo, hi message.Value) {
 	}
 }
 
-func (ai *attrIndex) insert(x *matchIndex, sg slotGen, c filter.Constraint) {
+// span is the hull of the closed-range bounds seen on one attribute for one
+// numeric kind, from posted and unposted constraints alike. It only grows;
+// it goes when the attribute's directory entry does.
+type span struct {
+	lo, hi float64
+	seen   bool
+}
+
+func (sp *span) widen(lo, hi float64) {
+	if !sp.seen {
+		sp.lo, sp.hi, sp.seen = lo, hi, true
+		return
+	}
+	sp.lo, sp.hi = min(sp.lo, lo), max(sp.hi, hi)
+}
+
+// fraction estimates the share of the span a range [lo, hi] admits; 1 when
+// the span is the range itself or a single point.
+func (sp *span) fraction(lo, hi float64) float64 {
+	if w := sp.hi - sp.lo; w > 0 {
+		return min(1, (hi-lo)/w)
+	}
+	return 1
+}
+
+// rangeSpan returns the span a closed numeric range belongs to and its
+// bounds as floats, or false for anything else (NaN bounds included): only
+// those feed and use the span estimate.
+func (ai *attrIndex) rangeSpan(c *filter.Constraint) (sp *span, lo, hi float64, ok bool) {
+	if c.Op != filter.OpRange || orderedBoundNaN(c) {
+		return nil, 0, 0, false
+	}
+	switch orderedKind(c) {
+	case message.KindInt:
+		return &ai.spanI, float64(c.Lo.IntVal()), float64(c.Hi.IntVal()), true
+	case message.KindFloat:
+		return &ai.spanF, c.Lo.FloatVal(), c.Hi.FloatVal(), true
+	}
+	return nil, 0, 0, false
+}
+
+// sketch estimates how many distinct operands an attribute has seen, by
+// linear counting over 256 bits: each operand's hash sets one bit, and the
+// share of bits still clear gives the count. Like span it only grows and
+// goes with the directory entry. It reads true up to a few hundred
+// distinct operands and saturates near 1 400 — beyond that the posting
+// table's own bucket count takes over (see selectivity).
+type sketch struct {
+	bits     [4]uint64
+	set      int     // bits set
+	distinct float64 // the estimate, recomputed when a bit is newly set
+}
+
+func (k *sketch) add(h uint64) {
+	w, m := &k.bits[h>>6&3], uint64(1)<<(h&63)
+	if *w&m == 0 {
+		*w |= m
+		k.set++
+		k.distinct = -256 * math.Log(float64(max(256-k.set, 1))/256)
+	}
+}
+
+// observe feeds a constraint on this attribute, posted or not, to the
+// estimator. Unposted constraints must count: an estimate drawn only from
+// what was posted feeds on its own choices — an attribute that lost the
+// first few of them never learns how selective it is and never wins one,
+// and an unlucky first few rows decide every row after them.
+func (ai *attrIndex) observe(c *filter.Constraint) {
+	switch c.Op {
+	case filter.OpEQ:
+		if !isNaNValue(c.Value) {
+			ai.eqSeen.add(hashOperand(c.Value))
+		}
+	case filter.OpIn:
+		eachIndexableInMember(c, func(v message.Value) { ai.eqSeen.add(hashOperand(v)) })
+	case filter.OpPrefix:
+		ai.prefixSeen.add(hashOperand(c.Value))
+	case filter.OpRange:
+		if sp, lo, hi, ok := ai.rangeSpan(c); ok {
+			sp.widen(lo, hi)
+		}
+	}
+}
+
+func hashOperand(v message.Value) uint64 {
+	bits, str := eqPayload(v)
+	return hashValKey(v.Kind(), bits, str)
+}
+
+// Selectivity ranks outside (0, 1], for the constraints the index holds no
+// estimate for. selNever marks a constraint no value satisfies: it is the
+// best access predicate there is, since it posts nothing and the row is
+// never a candidate.
+const (
+	selNever    = -1.0
+	selHalfOpen = 2.0 // one-sided bounds and string ranges: interval-probed, but wide
+	selScan     = 3.0 // evaluated per posting
+	selAlways   = 4.0 // satisfied by presence (exists, empty prefix)
+)
+
+// selectivity estimates the share of notifications carrying this attribute
+// that satisfy c. An equality or prefix is taken to be one of the distinct
+// operands the attribute has seen — the sketch's count, or the posting
+// table's bucket count where that is larger (it is exact for what is
+// posted, and does not saturate); a range is its width over the
+// attribute's observed span. Lower is more selective. It is an estimate of
+// where the subscriptions are, not of where the notifications will be.
+func (ai *attrIndex) selectivity(c *filter.Constraint) float64 {
 	switch c.Op {
 	case filter.OpEQ:
 		if isNaNValue(c.Value) {
-			return // never matches; no posting keeps the entry incompletable
+			return selNever
+		}
+		return 1 / max(ai.eqSeen.distinct, float64(ai.eq.used))
+	case filter.OpIn:
+		k := 0
+		eachIndexableInMember(c, func(message.Value) { k++ })
+		if k == 0 {
+			return selNever
+		}
+		return min(1, float64(k)/max(ai.eqSeen.distinct, float64(ai.eq.used)))
+	case filter.OpPrefix:
+		if c.Value.Str() == "" {
+			return selAlways
+		}
+		return 1 / max(ai.prefixSeen.distinct, float64(ai.prefixes.tab.used))
+	case filter.OpLT, filter.OpLE, filter.OpGT, filter.OpGE, filter.OpRange:
+		if sp, lo, hi, ok := ai.rangeSpan(c); ok {
+			return sp.fraction(lo, hi)
+		}
+		if orderedBoundNaN(c) || orderedKind(c) == message.KindInvalid {
+			return selScan
+		}
+		return selHalfOpen
+	case filter.OpExists:
+		return selAlways
+	default:
+		return selScan
+	}
+}
+
+// insert posts the row under c, returning the number of postings made: one,
+// except none for a constraint nothing satisfies and one per distinct
+// member of an in-set.
+func (ai *attrIndex) insert(x *matchIndex, sg slotGen, c *filter.Constraint) int {
+	switch c.Op {
+	case filter.OpEQ:
+		if isNaNValue(c.Value) {
+			return 0 // never matches: unposted, the row is never a candidate
 		}
 		bits, str := eqPayload(c.Value)
 		ai.eq.add(x, c.Value.Kind(), bits, str, sg)
 	case filter.OpIn:
 		// One posting per distinct set member; a notification value equals
-		// at most one member, so the constraint still counts at most once.
+		// at most one member, so the row is a candidate at most once.
+		k := 0
 		eachIndexableInMember(c, func(v message.Value) {
 			bits, str := eqPayload(v)
 			ai.eq.add(x, v.Kind(), bits, str, sg)
+			k++
 		})
+		return k
 	case filter.OpExists:
 		ai.exists.add(x, sg)
 	case filter.OpLT, filter.OpLE, filter.OpGT, filter.OpGE, filter.OpRange:
 		if orderedBoundNaN(c) {
-			ai.scan.add(x, sg, c)
-			return
+			ai.scan.add(x, sg)
+			break
 		}
 		lo, hi := ordBounds(c)
 		switch orderedKind(c) {
@@ -482,7 +704,7 @@ func (ai *attrIndex) insert(x *matchIndex, sg slotGen, c filter.Constraint) {
 		case message.KindString:
 			ai.ivS.insert(x, ivEntry[string]{lo: lo.Str(), hi: hi.Str(), flags: ordFlags(c), sg: sg})
 		default:
-			ai.scan.add(x, sg, c)
+			ai.scan.add(x, sg)
 		}
 	case filter.OpPrefix:
 		p := c.Value.Str()
@@ -493,30 +715,35 @@ func (ai *attrIndex) insert(x *matchIndex, sg slotGen, c filter.Constraint) {
 		}
 	default:
 		// !=, suffix, contains, and malformed operators: evaluated directly.
-		ai.scan.add(x, sg, c)
+		ai.scan.add(x, sg)
 	}
+	return 1
 }
 
 // remove mirrors insert's routing so every container's live/dead
-// accounting matches what insert registered. The row generation was
-// already bumped, so this is bookkeeping plus amortized compaction.
-func (ai *attrIndex) remove(x *matchIndex, c filter.Constraint) {
+// accounting matches what insert registered, and returns the same count.
+// The row generation was already bumped, so this is bookkeeping plus
+// amortized compaction.
+func (ai *attrIndex) remove(x *matchIndex, c *filter.Constraint) int {
 	switch c.Op {
 	case filter.OpEQ:
 		if isNaNValue(c.Value) {
-			return // mirrored skip: insert registered nothing
+			return 0 // mirrored skip: insert registered nothing
 		}
 		ai.eq.removeLazy(x)
 	case filter.OpIn:
+		k := 0
 		eachIndexableInMember(c, func(message.Value) {
 			ai.eq.removeLazy(x)
+			k++
 		})
+		return k
 	case filter.OpExists:
 		ai.exists.removeLazy(x)
 	case filter.OpLT, filter.OpLE, filter.OpGT, filter.OpGE, filter.OpRange:
 		if orderedBoundNaN(c) {
 			ai.scan.removeLazy(x)
-			return
+			break
 		}
 		switch orderedKind(c) {
 		case message.KindInt:
@@ -537,6 +764,7 @@ func (ai *attrIndex) remove(x *matchIndex, c filter.Constraint) {
 	default:
 		ai.scan.removeLazy(x)
 	}
+	return 1
 }
 
 // ---------------------------------------------------------------------------
@@ -577,46 +805,7 @@ func (p *postlist) removeLazy(x *matchIndex) {
 
 func (p *postlist) probe(s *scratch, x *matchIndex) {
 	for _, sg := range p.s.s {
-		s.bump(sg, x)
-	}
-}
-
-type scanPosting struct {
-	c  filter.Constraint
-	sg slotGen
-}
-
-type scanlist struct {
-	s    cowslice[scanPosting]
-	dead int32
-}
-
-func (p *scanlist) add(x *matchIndex, sg slotGen, c filter.Constraint) {
-	ps := p.s.own(x.epoch)
-	*ps = append(*ps, scanPosting{c: c, sg: sg})
-}
-
-func (p *scanlist) removeLazy(x *matchIndex) {
-	p.dead++
-	if int(p.dead) > len(p.s.s)-int(p.dead) && p.dead > 8 {
-		ps := p.s.own(x.epoch)
-		kept := (*ps)[:0]
-		for _, sp := range *ps {
-			if x.rowLive(sp.sg) {
-				kept = append(kept, sp)
-			}
-		}
-		*ps = kept
-		p.dead = 0
-	}
-}
-
-func (p *scanlist) probe(v message.Value, s *scratch, x *matchIndex) {
-	for i := range p.s.s {
-		sp := &p.s.s[i]
-		if sp.c.MatchesValue(v) {
-			s.bump(sp.sg, x)
-		}
+		s.candidate(sg, x)
 	}
 }
 
@@ -624,13 +813,13 @@ func (p *scanlist) probe(v message.Value, s *scratch, x *matchIndex) {
 // Matching.
 // ---------------------------------------------------------------------------
 
-// scratch holds the per-match counting state. stamp/epoch versioning makes
-// reuse O(1): a slot's count is only trusted when its stamp equals the
-// current epoch, so the arrays never need clearing between matches.
+// scratch holds the per-match state: the notification being matched, the
+// matched row slots and the hop-deduplication buffers, pooled so a match
+// allocates nothing.
 type scratch struct {
-	counts  []int32
-	stamp   []uint32
-	epoch   uint32
+	n       message.Notification
+	carry   uint64 // eqBit of every attribute of n, once carryOK
+	carryOK bool
 	matched []int32 // row slots
 	hopSeen map[int32]struct{}
 	hopOut  []hopRef
@@ -647,35 +836,51 @@ func (x *matchIndex) getScratch() *scratch {
 	if s == nil {
 		s = &scratch{hopSeen: make(map[int32]struct{})}
 	}
-	if n := x.rows.len(); len(s.counts) < n {
-		s.counts = make([]int32, n)
-		s.stamp = make([]uint32, n)
-	}
-	s.epoch++
-	if s.epoch == 0 { // wrapped: stale stamps could collide, reset them
-		clear(s.stamp)
-		s.epoch = 1
-	}
 	s.matched = s.matched[:0]
 	return s
 }
 
-func (x *matchIndex) putScratch(s *scratch) { x.pool.Put(s) }
+func (x *matchIndex) putScratch(s *scratch) {
+	s.n = message.Notification{} // the pool must not keep the notification alive
+	x.pool.Put(s)
+}
 
-func (s *scratch) bump(sg slotGen, x *matchIndex) {
+// candidate takes a probe hit: a live row whose access constraint the
+// posting's container has just proved for s.n. The row matches exactly when
+// the rest of its filter accepts the notification too. A row has one
+// posted constraint and a value hits at most one posting of it, so no row
+// is a candidate twice in one match and matched needs no deduplication.
+func (s *scratch) candidate(sg slotGen, x *matchIndex) {
 	r := x.rows.at(sg.slot)
 	if r.gen != sg.gen {
 		return // posting of a removed row; reclaimed by compaction later
 	}
-	slot := sg.slot
-	if s.stamp[slot] != s.epoch {
-		s.stamp[slot] = s.epoch
-		s.counts[slot] = 1
-	} else {
-		s.counts[slot]++
+	if need := *x.needs.at(sg.slot); need != 0 && need&^s.carried() != 0 {
+		return // an equality of the row names a value the notification does not carry
 	}
-	if s.counts[slot] == r.total {
-		s.matched = append(s.matched, slot)
+	if r.f.MatchesExcept(s.n, int(r.access)) {
+		s.matched = append(s.matched, sg.slot)
+	}
+}
+
+// carried returns the equality bits of the notification being matched,
+// computed when the first candidate with equalities asks.
+func (s *scratch) carried() uint64 {
+	if !s.carryOK {
+		s.carry, s.carryOK = 0, true
+		for i := 0; i < s.n.Len(); i++ {
+			a := s.n.At(i)
+			s.carry |= eqBit(a.Name, a.Value)
+		}
+	}
+	return s.carry
+}
+
+// scanned takes a scan-list posting: nothing has been proved about the row,
+// so its whole filter is evaluated.
+func (s *scratch) scanned(sg slotGen, x *matchIndex) {
+	if r := x.rows.at(sg.slot); r.gen == sg.gen && r.f.Matches(s.n) {
+		s.matched = append(s.matched, sg.slot)
 	}
 }
 
@@ -690,6 +895,7 @@ func (s *scratch) bump(sg slotGen, x *matchIndex) {
 // the large one is cheaper than walking the large side, so the walk
 // switches shape on a size ratio.
 func (x *matchIndex) match(n message.Notification, s *scratch) []int32 {
+	s.n, s.carryOK = n, false
 	for _, sg := range x.matchAll.s.s {
 		if x.rowLive(sg) {
 			s.matched = append(s.matched, sg.slot)
@@ -757,7 +963,9 @@ func (ai *attrIndex) probe(v message.Value, s *scratch, x *matchIndex) {
 			ai.prefixes.probe(str, s, x)
 		}
 	}
-	ai.scan.probe(v, s, x)
+	for _, sg := range ai.scan.s.s {
+		s.scanned(sg, x)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -839,9 +1047,13 @@ func (x *matchIndex) eachMatching(n message.Notification, from wire.Hop, visit f
 
 // IndexStats describes the predicate index backing a Table.
 type IndexStats struct {
-	Entries  int // table rows
-	Attrs    int // distinct indexed attributes
-	Postings int // posting-list entries across all buckets
+	Entries int // table rows
+	Attrs   int // distinct attributes any live row constrains
+	// Postings counts match-plane postings: every row with constraints is
+	// posted under one of them, which makes one posting — one per distinct
+	// member when that constraint is an in-set, none when nothing can
+	// satisfy it. Match-all rows are counted by MatchAll instead.
+	Postings int
 	MatchAll int // rows whose filter matches every notification
 	// IdentPostings / HopPostings count the live slot postings of the
 	// mutation-plane enumeration lists that serve the O(k) relocation

@@ -28,7 +28,7 @@ import (
 //     the tree descent skips every subtree whose maximum upper bound is
 //     below v.
 //
-// Deletes are logical: the row-generation check at bump time invalidates
+// Deletes are logical: the row-generation check at probe time invalidates
 // postings of removed rows, and run merges/compactions drop them
 // physically. Runs are immutable once built, so snapshots share them by
 // pointer; only the run directory and the pending buffer need the
@@ -179,7 +179,7 @@ func (r *ivRun[T]) descend(node, nlo, nhi, ub int, v T, s *scratch, x *matchInde
 	if nhi-nlo == 1 {
 		e := r.entry(nlo)
 		if e.match(v) {
-			s.bump(e.sg, x)
+			s.candidate(e.sg, x)
 		}
 		return
 	}
@@ -318,7 +318,7 @@ func (l *ivlist[T]) probe(v T, s *scratch, x *matchIndex) {
 	for i := range l.pend.s {
 		e := &l.pend.s[i]
 		if e.match(v) {
-			s.bump(e.sg, x)
+			s.candidate(e.sg, x)
 		}
 	}
 }
@@ -329,14 +329,14 @@ func (l *ivlist[T]) probeInclusive(s *scratch, x *matchIndex) {
 		for i := range r.sg {
 			e := r.entry(i)
 			if e.matchInclusive() {
-				s.bump(e.sg, x)
+				s.candidate(e.sg, x)
 			}
 		}
 	}
 	for i := range l.pend.s {
 		e := &l.pend.s[i]
 		if e.matchInclusive() {
-			s.bump(e.sg, x)
+			s.candidate(e.sg, x)
 		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 // Snapshot is an immutable, point-in-time view of a Table's match state.
 // Any number of goroutines may match against a snapshot concurrently and
 // lock-free: nothing in it is ever mutated after construction (the
-// per-match counting scratch comes from a shared pool). The broker's
+// per-match scratch comes from a shared pool). The broker's
 // parallel publish pipeline hands one snapshot to its matching workers per
 // publish run; control messages that mutate the table invalidate the
 // cached snapshot, so the next run observes a fresh one.

@@ -8,10 +8,14 @@
 // relocation protocol of Section 4 can find and redirect the client's old
 // delivery path at every broker.
 //
-// The forwarding decision — MatchingHops / MatchingEntries — is served by a
-// predicate-counting match index (see index.go) rather than a linear scan
-// over the entries, so its cost scales with the number of satisfied
-// predicates instead of the table size.
+// The forwarding decision — MatchingHops / MatchingEntries — is served by an
+// access-predicate match index (see index.go) rather than a linear scan
+// over the entries: every entry is posted under the one constraint of its
+// filter estimated most selective, a notification probes the postings of
+// the attributes it carries, and the rest of each hit's filter is then
+// evaluated directly. The cost scales with the number of entries whose
+// most selective constraint is satisfied, not with the table size; the
+// result is Filter.Matches' whichever constraint was posted.
 package routing
 
 import (
@@ -56,7 +60,7 @@ func (e Entry) key() string {
 	return b.String()
 }
 
-// Table is a concurrency-safe routing table backed by a predicate-counting
+// Table is a concurrency-safe routing table backed by an access-predicate
 // match index. The index owns all entry storage (SoA rows, interned hops
 // and owners, content-hash identity — see index.go); the table adds
 // locking and the copy-on-write snapshot plane.
@@ -188,51 +192,6 @@ func (t *Table) EachMatchingEntry(n message.Notification, from wire.Hop, visit f
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	t.idx.eachMatching(n, from, visit)
-}
-
-// MatchingHopsLinear is the pre-index reference implementation of
-// MatchingHops: a full scan evaluating every filter. It is retained for the
-// parity property test and as the baseline of the BenchmarkMatchIndex*
-// micro-benchmarks, and must stay behaviorally identical to MatchingHops.
-func (t *Table) MatchingHopsLinear(n message.Notification, from wire.Hop) []wire.Hop {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	seen := make(map[string]bool)
-	var out []wire.Hop
-	t.idx.forEachLiveSlot(func(slot int32, r *row) {
-		e := t.idx.entryAt(slot)
-		if e.Hop == from {
-			return
-		}
-		hk := t.idx.hops[r.hopID].key
-		if seen[hk] {
-			return
-		}
-		if e.Filter.Matches(n) {
-			seen[hk] = true
-			out = append(out, e.Hop)
-		}
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
-	return out
-}
-
-// MatchingEntriesLinear is the pre-index reference implementation of
-// MatchingEntries, retained for parity testing and benchmarking. It sorts
-// with the same canonical comparator as the index path so results compare
-// structurally equal.
-func (t *Table) MatchingEntriesLinear(n message.Notification, from wire.Hop) []Entry {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var out []Entry
-	t.idx.forEachLiveSlot(func(slot int32, _ *row) {
-		e := t.idx.entryAt(slot)
-		if e.Hop != from && e.Filter.Matches(n) {
-			out = append(out, e)
-		}
-	})
-	sortEntriesCanonical(out)
-	return out
 }
 
 // ClientEntries returns the entries owned by the given client

@@ -255,7 +255,7 @@ func entryIdentHash(e Entry) uint64 {
 // cmpEntryContent is the canonical tie-break order for rows whose hashes
 // collide: filter, then hop, then owner. Combined with the hash it yields
 // the deterministic row order every matching and enumeration API sorts by;
-// the *Linear reference implementations use the same comparator so parity
+// the tests' linear-scan reference uses the same comparator so parity
 // tests can compare results structurally.
 func cmpEntryContent(a, b Entry) int {
 	if c := cmpFilterIdent(a.Filter, b.Filter); c != 0 {
@@ -435,17 +435,17 @@ func (t *valTable) rehash(x *matchIndex, newCap int32) {
 	}
 }
 
-// probe bumps every live posting under the key.
+// probe reports every posting under the key as a candidate.
 func (t *valTable) probe(kind message.Kind, bits uint64, str string, s *scratch, x *matchIndex) {
 	i := t.lookup(hashValKey(kind, bits, str), kind, bits, str)
 	if i < 0 {
 		return
 	}
 	sl := t.slots.at(i)
-	s.bump(sl.first, x)
+	s.candidate(sl.first, x)
 	for ni := sl.more; ni >= 0; {
 		nd := t.arena.at(ni)
-		s.bump(nd.sg, x)
+		s.candidate(nd.sg, x)
 		ni = nd.next
 	}
 }
