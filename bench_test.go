@@ -676,12 +676,8 @@ func BenchmarkMatchIndex1M(b *testing.B) { benchMatchIndexScale(b, 1_000_000) }
 
 // coverBenchFilters builds n distinct filters with heavy covering
 // structure for the cover-index scale benchmark: shards of one umbrella
-// price range plus ~99 narrow windows on a per-shard topic. The price
-// attribute name cycles so attribute fingerprints split the shards into
-// many signature buckets (one giant bucket would make every add scan the
-// whole index), and the umbrella's zero lower bound makes it sort first
-// within its bucket, so covered-witness searches terminate after a
-// handful of candidates.
+// price range plus ~99 narrow windows on a per-shard topic, the price
+// attribute name cycling over 256 names.
 func coverBenchFilters(n int) []filter.Filter {
 	fs := make([]filter.Filter, 0, n)
 	for shard := 0; len(fs) < n; shard++ {
@@ -751,7 +747,8 @@ func BenchmarkCoverIndex100k(b *testing.B) {
 // churnBenchFilters builds n overlapping subscription filters with a
 // realistic shape mix — per-topic price windows, wide umbrella ranges,
 // path prefixes, and region sets — so the covering poset has both heavy
-// cover chains (umbrellas over windows) and disjoint signature buckets.
+// cover chains (umbrellas over windows) and filters on disjoint
+// attributes.
 func churnBenchFilters(n int) []filter.Filter {
 	fs := make([]filter.Filter, n)
 	for i := 0; i < n; i++ {
@@ -771,7 +768,7 @@ func churnBenchFilters(n int) []filter.Filter {
 			fs[i] = filter.MustNew(
 				filter.EQ("topic", message.String(topic)),
 				filter.Range("price", message.Int(lo), message.Int(lo+300)))
-		case 2: // path prefix (separate signature bucket)
+		case 2: // path prefix (disjoint attributes)
 			fs[i] = filter.MustNew(filter.Prefix("path", fmt.Sprintf("/svc%d/", i%32)))
 		default: // region membership + presence (third bucket)
 			fs[i] = filter.MustNew(
@@ -904,7 +901,7 @@ func BenchmarkSubscriptionChurnBroker(b *testing.B) {
 	b.StopTimer()
 	stats := hub.Stats()
 	b.ReportMetric(float64(stats.ControlSubsSent-base.ControlSubsSent)/float64(b.N), "ctrl-subs/op")
-	b.ReportMetric(float64(stats.CoverChecksSaved-base.CoverChecksSaved)/float64(b.N), "cover-checks-saved/op")
+	b.ReportMetric(float64(stats.Forwarder.CoverChecks-base.Forwarder.CoverChecks)/float64(b.N), "cover-checks/op")
 }
 
 func BenchmarkWireCodecRoundTrip(b *testing.B) {

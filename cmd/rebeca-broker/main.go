@@ -283,9 +283,9 @@ func run(args []string) error {
 			subs, advs := b.TableSizes()
 			log.Printf("broker %s: %d subscription entries, %d advertisement entries", cfg.id, subs, advs)
 			st := b.Stats()
-			log.Printf("broker %s: control plane: %d tracked, %d forwarded, admin sent %d sub / %d unsub, cover checks saved %d, merges active %d (covering %d subs), unmerges %d",
+			log.Printf("broker %s: control plane: %d tracked, %d forwarded, admin sent %d sub / %d unsub, cover checks %d, merges active %d (covering %d subs), unmerges %d",
 				cfg.id, st.Forwarder.TrackedFilters, st.Forwarder.ForwardedFilters,
-				st.ControlSubsSent, st.ControlUnsubsSent, st.CoverChecksSaved,
+				st.ControlSubsSent, st.ControlUnsubsSent, st.Forwarder.CoverChecks,
 				st.Forwarder.MergesActive, st.Forwarder.MergeCovered, st.Forwarder.Unmerges)
 			log.Printf("broker %s: mobility: relocations %d started / %d completed / %d expired, replay %d batches (mean %.1f, max %d items), buffer drops %d",
 				cfg.id, st.RelocationsStarted, st.RelocationsCompleted, st.RelocationsExpired,

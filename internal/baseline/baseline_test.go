@@ -84,8 +84,10 @@ func TestNaiveRoamerLosesInterimNotifications(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The roamer never sees what was published while it was "between"
-	// brokers in the unsubscribe/subscribe window. Publishing after the
-	// handoff works again.
+	// brokers in the unsubscribe/subscribe window. Once the new
+	// subscription has propagated, publishing works again; without the
+	// settle the publish could still race it.
+	net.Settle()
 	if err := producer.Publish(quote("X")); err != nil {
 		t.Fatal(err)
 	}

@@ -338,15 +338,11 @@ type Stats struct {
 	// ControlSubsSent and ControlUnsubsSent count the administrative
 	// subscribe/unsubscribe messages this broker's forwarding strategy
 	// sent to neighbors — the per-strategy admin traffic Figure 9
-	// compares. CoverChecksSaved is the number of pairwise cover tests
-	// the incremental control plane's signature buckets avoided
-	// (Forwarder carries the full breakdown).
+	// compares.
 	ControlSubsSent   uint64
 	ControlUnsubsSent uint64
-	CoverChecksSaved  uint64
 	// Forwarder describes the subscription-forwarding control plane:
-	// strategy, incrementality, tracked/forwarded filter counts, and
-	// cover-check work.
+	// strategy, tracked/forwarded filter counts, and cover-check work.
 	Forwarder routing.ForwarderStats
 	// Mailbox is the flow-control snapshot of the broker mailbox:
 	// configured capacity and policy, depth high-water mark, credit
@@ -1007,7 +1003,6 @@ func (b *Broker) Stats() Stats {
 		s.ControlSubsSent = b.ctrlSubsSent
 		s.ControlUnsubsSent = b.ctrlUnsubsSent
 		s.Forwarder = b.fwd.Stats()
-		s.CoverChecksSaved = s.Forwarder.CoverChecksSaved
 		s.Mailbox = b.box.flowStats()
 		s.FlushMaxBurst = int(b.flushDepth.Max())
 		s.FlushMeanBurst = b.flushDepth.Mean()

@@ -47,8 +47,8 @@ func TestControlPlaneStats(t *testing.T) {
 		t.Errorf("ControlUnsubsSent = %d, want 1 (narrow retracted)", st.ControlUnsubsSent)
 	}
 	fs := st.Forwarder
-	if fs.Strategy != routing.Covering || !fs.Incremental {
-		t.Errorf("Forwarder stats = %+v, want incremental covering", fs)
+	if fs.Strategy != routing.Covering {
+		t.Errorf("Forwarder stats = %+v, want covering", fs)
 	}
 	if fs.TrackedFilters != 2 || fs.ForwardedFilters != 1 {
 		t.Errorf("tracked/forwarded = %d/%d, want 2/1", fs.TrackedFilters, fs.ForwardedFilters)

@@ -8,9 +8,8 @@ import (
 
 // This file implements the precomputed cover signature: a compact,
 // construction-time fingerprint of a filter that lets Covers reject most
-// non-covering pairs without walking constraint lists, and that the routing
-// layer's cover index buckets candidates by. The signature is a sound
-// rejector only — when it cannot prove "f does not cover g" the full
+// non-covering pairs without walking constraint lists. The signature is a
+// sound rejector only — when it cannot prove "f does not cover g" the full
 // constraint walk decides — so it never changes the result of Covers, it
 // only makes the common negative case O(1).
 //
@@ -161,10 +160,3 @@ func (s sig) canCover(t sig) bool {
 	}
 	return true
 }
-
-// CoverBloom returns the filter's attribute fingerprint: one bit per
-// constrained attribute name. f.Covers(g) requires
-// f.CoverBloom() &^ g.CoverBloom() == 0, which the routing cover index
-// uses to bucket candidates and skip whole groups without any pairwise
-// work. The empty filter's bloom is 0.
-func (f Filter) CoverBloom() uint64 { return f.sig.bloom }

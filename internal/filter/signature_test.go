@@ -109,20 +109,23 @@ func TestSignatureCells(t *testing.T) {
 	}
 }
 
-func TestCoverBloom(t *testing.T) {
-	if MatchAll().CoverBloom() != 0 {
+// TestSignatureBloom pins the attribute fingerprint canCover rejects on
+// first: one bit per constrained attribute, a subset for a subset of
+// attributes, and recomputed by Without.
+func TestSignatureBloom(t *testing.T) {
+	if MatchAll().sig.bloom != 0 {
 		t.Error("match-all bloom must be 0")
 	}
 	f := MustNew(EQ("a", message.Int(1)))
 	g := MustNew(EQ("a", message.Int(2)), LT("b", message.Int(3)))
-	if f.CoverBloom()&^g.CoverBloom() != 0 {
+	if f.sig.bloom&^g.sig.bloom != 0 {
 		t.Error("attrs(f) ⊆ attrs(g) must imply bloom subset")
 	}
-	if g.CoverBloom()&^f.CoverBloom() == 0 {
+	if g.sig.bloom&^f.sig.bloom == 0 {
 		t.Error("b's bit should not appear in f's bloom")
 	}
 	// Without recomputes the signature.
-	if got := g.Without("b").CoverBloom(); got != f.CoverBloom() {
-		t.Errorf("Without bloom = %#x, want %#x", got, f.CoverBloom())
+	if got := g.Without("b").sig.bloom; got != f.sig.bloom {
+		t.Errorf("Without bloom = %#x, want %#x", got, f.sig.bloom)
 	}
 }

@@ -14,8 +14,9 @@ import (
 
 // churnFilterPool builds a structured filter family with heavy covering
 // and merging material: nested and adjacent ranges, point subscriptions,
-// equivalence classes (EQ vs singleton IN), presence constraints, and a
-// second attribute dimension so signature buckets split.
+// equivalence classes (EQ vs singleton IN), presence constraints, a second
+// attribute dimension, and the cover index's edge shapes
+// (coverEdgeFilters).
 func churnFilterPool() []filter.Filter {
 	var pool []filter.Filter
 	add := func(src string) { pool = append(pool, filter.MustParse(src)) }
@@ -34,7 +35,7 @@ func churnFilterPool() []filter.Filter {
 	}
 	add(`cost exists`)
 	add(`p >= 0`)
-	return pool
+	return append(pool, coverEdgeFilters()...)
 }
 
 // refInputs is the authoritative per-hop input multiset the test
@@ -138,6 +139,7 @@ func TestForwarderIncrementalMatchesBatch(t *testing.T) {
 					apply(fwd.AddFilter(to, f))
 				}
 
+				checkPlaneIndexes(t, fwd, false)
 				for _, h := range hops {
 					want := sortedIDs(canonicalReduce(strat, ref[h.String()]))
 					got := sortedIDs(fwd.Forwarded(h))
@@ -155,7 +157,43 @@ func TestForwarderIncrementalMatchesBatch(t *testing.T) {
 					}
 				}
 			}
+			// Every input leaves: the forwarded sets empty out and the
+			// cover indexes keep no witness, dependent or posting behind.
+			for _, h := range hops {
+				for _, f := range append([]filter.Filter(nil), ref[h.String()]...) {
+					ref.remove(h.String(), f)
+					apply(fwd.RemoveFilter(h, f))
+				}
+				if got := fwd.Forwarded(h); len(got) != 0 || len(remote[h.String()]) != 0 {
+					t.Fatalf("hop %s after drain: forwarded %v, remote %v", h, idsOf(got), remote[h.String()])
+				}
+			}
+			checkPlaneIndexes(t, fwd, true)
 		})
+	}
+}
+
+// checkPlaneIndexes checks the witness bookkeeping of every cover index
+// behind the forwarder's planes and, when drained is set, that they hold
+// nothing.
+func checkPlaneIndexes(t *testing.T, fwd *Forwarder, drained bool) {
+	t.Helper()
+	fwd.mu.Lock()
+	defer fwd.mu.Unlock()
+	for _, p := range fwd.planes {
+		var idx *CoverIndex
+		switch p := p.(type) {
+		case *coverPlane:
+			idx = p.idx
+		case *mergePlane:
+			idx = p.idx
+		default:
+			continue
+		}
+		checkCoverInvariants(t, idx)
+		if drained {
+			checkCoverDrained(t, idx)
+		}
 	}
 }
 

@@ -1,9 +1,14 @@
 package routing
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/filter"
+	"repro/internal/message"
 )
 
 func idsOf(fs []filter.Filter) []string {
@@ -128,10 +133,12 @@ func TestCoverIndexMutualCoverTieBreak(t *testing.T) {
 	}
 }
 
-func TestCoverIndexSignatureBuckets(t *testing.T) {
+// TestCoverIndexChecksOnlyProbeCandidates pins what the two posting planes
+// save: filters on values or attributes no other filter can cover cost no
+// Covers evaluation at all, while a real cover relation is still found and
+// checked.
+func TestCoverIndexChecksOnlyProbeCandidates(t *testing.T) {
 	x := NewCoverIndex()
-	// Disjoint attribute sets land in different buckets; adding across
-	// them must save pairwise checks.
 	for _, src := range []string{`a = 1`, `a = 2`, `b = 1`, `b = 2`, `c < 9`} {
 		x.Add(mkFilter(src))
 	}
@@ -139,10 +146,338 @@ func TestCoverIndexSignatureBuckets(t *testing.T) {
 	if s.Items != 5 || s.Forwarded != 5 {
 		t.Fatalf("stats = %+v", s)
 	}
-	if s.CoverChecksSaved == 0 {
-		t.Error("bucketed lookup saved no checks across disjoint attr sets")
+	if s.CoverChecks != 0 {
+		t.Errorf("CoverChecks = %d: no filter here can cover another, so no probe may report a candidate", s.CoverChecks)
 	}
-	if s.CoverChecks == 0 {
-		t.Error("same-bucket pairs must still be checked")
+	// c < 9 contains c < 5: the witness probe finds it (one check each way
+	// settles the strict cover), and c < 5 contains no forwarded filter.
+	if d := x.Add(mkFilter(`c < 5`)); !d.Empty() {
+		t.Fatalf("covered add must be silent: %+v", d)
+	}
+	if got := x.Stats().CoverChecks; got != 2 {
+		t.Errorf("CoverChecks = %d after a covered add, want 2", got)
+	}
+	checkCoverInvariants(t, x)
+}
+
+// coverEdgeFilters is the alphabet of shapes the cover index's probes must
+// get exactly right: the empty filter, nested, equal and touching
+// intervals, half-open bounds on either side, x = 5 / x in {5} /
+// x in [5, 5] and a float 5 that equals none of them, !=, exists, NaN as
+// a bound, a value and an in member, prefixes extending each other and
+// the empty prefix, string and bool intervals, two constraints on one
+// attribute, and filters lacking the other side's probe attribute.
+func coverEdgeFilters() []filter.Filter {
+	i, fl, s := message.Int, message.Float, message.String
+	nan := fl(math.NaN())
+	shapes := [][]filter.Constraint{
+		{},
+		{filter.Range("x", i(0), i(10))},
+		{filter.Range("x", i(0), i(5))},
+		{filter.Range("x", i(5), i(10))},
+		{filter.Range("x", i(5), i(5))},
+		{filter.GE("x", i(0))},
+		{filter.GT("x", i(0))},
+		{filter.LE("x", i(10))},
+		{filter.LT("x", i(10))},
+		{filter.GT("x", i(5))},
+		{filter.LT("x", i(5))},
+		{filter.EQ("x", i(5))},
+		{filter.In("x", i(5))},
+		{filter.In("x", i(5), i(7))},
+		{filter.EQ("x", fl(5))},
+		{filter.Range("x", fl(4.5), fl(5.5))},
+		{filter.LE("x", fl(6))},
+		{filter.NE("x", i(5))},
+		{filter.NE("x", i(20))},
+		{filter.Exists("x")},
+		{filter.Range("x", nan, fl(5))},
+		{filter.GE("x", nan)},
+		{filter.LT("x", nan)},
+		{filter.EQ("x", nan)},
+		{filter.In("x", nan, fl(5))},
+		{filter.GE("x", i(2)), filter.LE("x", i(8))},
+		{filter.Prefix("s", "")},
+		{filter.Prefix("s", "a")},
+		{filter.Prefix("s", "ab")},
+		{filter.Prefix("s", "abc")},
+		{filter.EQ("s", s("abc"))},
+		{filter.In("s", s("ab"), s("abd"))},
+		{filter.Range("s", s("a"), s("b"))},
+		{filter.Suffix("s", "c")},
+		{filter.Contains("s", "b")},
+		{filter.Exists("s")},
+		{filter.Range("x", i(0), i(10)), filter.EQ("s", s("abc"))},
+		{filter.Range("x", i(2), i(3)), filter.Prefix("s", "ab")},
+		{filter.EQ("x", i(5)), filter.Exists("s")},
+		{filter.EQ("b", message.Bool(true))},
+		{filter.Range("b", message.Bool(false), message.Bool(true))},
+		{filter.NE("b", message.Bool(false))},
+	}
+	out := make([]filter.Filter, len(shapes))
+	for k, cs := range shapes {
+		out[k] = filter.MustNew(cs...)
+	}
+	return out
+}
+
+// coverOracle drives a CoverIndex and checks every step against the batch
+// removeCovered over the distinct tracked filters.
+type coverOracle struct {
+	t    testing.TB
+	x    *CoverIndex
+	refs map[string]int
+	fs   map[string]filter.Filter
+	fwd  []string // forwarded IDs before the step, sorted
+}
+
+func newCoverOracle(t testing.TB) *coverOracle {
+	return &coverOracle{t: t, x: NewCoverIndex(), refs: make(map[string]int), fs: make(map[string]filter.Filter)}
+}
+
+func (o *coverOracle) add(f filter.Filter) {
+	o.refs[f.ID()]++
+	o.fs[f.ID()] = f
+	o.check("add "+f.String(), o.x.Add(f))
+}
+
+func (o *coverOracle) remove(f filter.Filter) {
+	if o.refs[f.ID()]--; o.refs[f.ID()] <= 0 {
+		delete(o.refs, f.ID())
+		delete(o.fs, f.ID())
+	}
+	o.check("remove "+f.String(), o.x.Remove(f))
+}
+
+func (o *coverOracle) check(op string, d CoverDelta) {
+	o.t.Helper()
+	distinct := make([]filter.Filter, 0, len(o.fs))
+	for _, f := range o.fs {
+		distinct = append(distinct, f)
+	}
+	want := sortedIDs(removeCovered(distinct))
+	got := idsOf(o.x.Forwarded())
+	if !reflect.DeepEqual(got, want) {
+		o.t.Fatalf("%s: forwarded\n got  %v\n want %v", op, got, want)
+	}
+	wantFwd, wantRet := setDiff(want, o.fwd), setDiff(o.fwd, want)
+	if gf, gr := idsOf(d.Forward), idsOf(d.Retract); !reflect.DeepEqual(gf, wantFwd) || !reflect.DeepEqual(gr, wantRet) {
+		o.t.Fatalf("%s: delta +%v -%v, want +%v -%v", op, gf, gr, wantFwd, wantRet)
+	}
+	o.fwd = want
+	checkCoverInvariants(o.t, o.x)
+}
+
+// drain removes every tracked reference, in ID order, and checks nothing
+// is left behind.
+func (o *coverOracle) drain() {
+	ids := make([]string, 0, len(o.refs))
+	for id := range o.refs {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		for n := o.refs[id]; n > 0; n-- {
+			o.remove(o.fs[id])
+		}
+	}
+	checkCoverDrained(o.t, o.x)
+}
+
+// setDiff returns the sorted IDs in a but not in b.
+func setDiff(a, b []string) []string {
+	out := []string{}
+	for _, id := range a {
+		if !slices.Contains(b, id) {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// checkCoverInvariants verifies the witness bookkeeping against its
+// definition: every covered item's recorded witness is tracked and drops
+// it, every dependent list points back at its entries, and the dependents
+// are exactly the covered items.
+func checkCoverInvariants(t testing.TB, x *CoverIndex) {
+	t.Helper()
+	deps, fwd := 0, 0
+	for i := range x.items {
+		it := &x.items[i]
+		if it.refs == 0 {
+			continue
+		}
+		for o, prev := it.firstDep, int32(-1); o >= 0; prev, o = o, x.items[o].nextDep {
+			if oi := &x.items[o]; oi.refs == 0 || oi.witness != int32(i) || oi.prevDep != prev {
+				t.Fatalf("%s lists dependent slot %d, which points at witness %d (prev %d, want %d)",
+					it.f, o, oi.witness, oi.prevDep, prev)
+			}
+			if deps++; deps > len(x.items) {
+				t.Fatal("dependent lists cycle")
+			}
+		}
+		if it.witness < 0 {
+			fwd++
+			continue
+		}
+		w := &x.items[it.witness]
+		if w.refs == 0 || !w.f.Covers(it.f) || (it.f.Covers(w.f) && w.f.ID() > it.f.ID()) {
+			t.Fatalf("%s records witness %s, which does not drop it", it.f, w.f)
+		}
+	}
+	if fwd != x.forwarded || deps != len(x.ids)-fwd {
+		t.Fatalf("%d forwarded (counter %d), %d dependents for %d covered", fwd, x.forwarded, deps, len(x.ids)-fwd)
+	}
+}
+
+// checkCoverDrained asserts an index whose every filter was removed holds
+// no item, dependent, attribute entry or match-all slot.
+func checkCoverDrained(t testing.TB, x *CoverIndex) {
+	t.Helper()
+	if len(x.ids) != 0 || x.forwarded != 0 || x.wit.all != -1 || len(x.wit.attrs) != 0 || len(x.fwd.attrs) != 0 {
+		t.Fatalf("not drained: %d ids, %d forwarded, all=%d, %d witness attrs, %d displacement attrs",
+			len(x.ids), x.forwarded, x.wit.all, len(x.wit.attrs), len(x.fwd.attrs))
+	}
+	for i := range x.items {
+		if it := &x.items[i]; it.refs != 0 || it.firstDep != 0 {
+			t.Fatalf("slot %d not freed: %+v", i, it)
+		}
+	}
+}
+
+// TestCoverIndexOracle runs random add/remove churn over the edge-shape
+// alphabet, with refcounts, checking the forwarded set, every delta and the
+// witness bookkeeping after each step, then drains the index.
+func TestCoverIndexOracle(t *testing.T) {
+	pool := coverEdgeFilters()
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		o := newCoverOracle(t)
+		for step := 0; step < 600; step++ {
+			f := pool[rng.Intn(len(pool))]
+			if rng.Intn(5) < 3 {
+				o.add(f)
+			} else {
+				o.remove(f) // also exercises removing an untracked filter
+			}
+		}
+		o.drain()
+	}
+}
+
+// FuzzCoverIndexOracle decodes bytes into an add/remove sequence over the
+// edge-shape alphabet: the low bit of a byte picks the operation, the rest
+// the filter.
+func FuzzCoverIndexOracle(f *testing.F) {
+	f.Add([]byte{0, 2, 4, 6, 8, 1, 3})
+	f.Add([]byte{40, 42, 44, 46, 48, 50, 41, 43})
+	f.Add([]byte{2, 4, 8, 22, 24, 3, 2, 5, 9})
+	pool := coverEdgeFilters()
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		o := newCoverOracle(t)
+		for _, b := range ops {
+			fl := pool[int(b>>1)%len(pool)]
+			if b&1 == 0 {
+				o.add(fl)
+			} else {
+				o.remove(fl)
+			}
+		}
+		o.drain()
+	})
+}
+
+// testOwner is a postOwner over a bare generation vector, for probing the
+// posting containers directly.
+type testOwner struct{ gen []uint32 }
+
+func (o *testOwner) cowEpoch() uint64        { return 1 }
+func (o *testOwner) rowLive(sg slotGen) bool { return o.gen[sg.slot] == sg.gen }
+
+// collectSink gathers the live slots a probe reports.
+type collectSink struct {
+	o   *testOwner
+	got []int32
+}
+
+func (s *collectSink) candidate(sg slotGen) {
+	if s.o.rowLive(sg) {
+		s.got = append(s.got, sg.slot)
+	}
+}
+func (s *collectSink) scanned(sg slotGen) { s.candidate(sg) }
+
+// TestIvlistContainmentProbes checks probeContaining and probeContainedIn
+// against a brute-force scan of the live intervals, through enough inserts
+// and lazy deletes to build, merge and compact sorted runs. The domain is
+// small so equal bounds, points and every open/closed combination meet.
+func TestIvlistContainmentProbes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	randIv := func() ivEntry[int64] {
+		var e ivEntry[int64]
+		e.lo, e.hi = int64(rng.Intn(30)), int64(rng.Intn(30))
+		if e.lo > e.hi {
+			e.lo, e.hi = e.hi, e.lo
+		}
+		if rng.Intn(5) > 0 {
+			e.flags |= ivHasLo
+			if rng.Intn(2) == 0 {
+				e.flags |= ivLoInc
+			}
+		}
+		if rng.Intn(5) > 0 {
+			e.flags |= ivHasHi
+			if rng.Intn(2) == 0 {
+				e.flags |= ivHiInc
+			}
+		}
+		return e
+	}
+	own := &testOwner{}
+	var l ivlist[int64]
+	var live []ivEntry[int64]
+	for step := 0; step < 3000; step++ {
+		if len(live) > 0 && rng.Intn(3) == 0 {
+			k := rng.Intn(len(live))
+			own.gen[live[k].sg.slot]++
+			l.removeLazy(own)
+			live = slices.Delete(live, k, k+1)
+		} else {
+			e := randIv()
+			e.sg = slotGen{slot: int32(len(own.gen))}
+			own.gen = append(own.gen, 0)
+			l.insert(own, e)
+			live = append(live, e)
+		}
+		if step%10 != 0 {
+			continue
+		}
+		q := randIv()
+		var wantIn, wantOut []int32
+		for k := range live {
+			if live[k].contains(&q) {
+				wantIn = append(wantIn, live[k].sg.slot)
+			}
+			if q.contains(&live[k]) {
+				wantOut = append(wantOut, live[k].sg.slot)
+			}
+		}
+		for _, c := range []struct {
+			name  string
+			probe func(ivEntry[int64], candSink)
+			want  []int32
+		}{{"containing", l.probeContaining, wantIn}, {"contained-in", l.probeContainedIn, wantOut}} {
+			s := &collectSink{o: own}
+			c.probe(q, s)
+			slices.Sort(s.got)
+			slices.Sort(c.want)
+			if !slices.Equal(s.got, c.want) {
+				t.Fatalf("step %d: %s %+v over %d runs + %d pending:\n got  %v\n want %v",
+					step, c.name, q, len(l.runs.s), len(l.pend.s), s.got, c.want)
+			}
+		}
+	}
+	if len(l.runs.s) == 0 {
+		t.Fatal("no sorted run was built: the test exercised only the pending buffer")
 	}
 }

@@ -141,9 +141,7 @@ type attrIndex struct {
 	exists             postlist
 	anyString          postlist // empty-prefix constraints: every string value matches
 	scan               postlist // rows posted under a constraint no container can prove
-	ivI                ivlist[int64]
-	ivF                ivlist[float64]
-	ivS                ivlist[string]
+	iv                 ivSet
 }
 
 func newMatchIndex() *matchIndex {
@@ -170,6 +168,8 @@ func (x *matchIndex) share() *matchIndex {
 func (x *matchIndex) rowLive(sg slotGen) bool {
 	return x.rows.at(sg.slot).gen == sg.gen
 }
+
+func (x *matchIndex) cowEpoch() uint64 { return x.epoch }
 
 func (x *matchIndex) fillEntry(slot int32, e *Entry) {
 	r := x.rows.at(slot)
@@ -209,6 +209,32 @@ func (x *matchIndex) findAttr(name string) (int, bool) {
 		}
 	}
 	return lo, lo < len(attrs) && attrs[lo].name == name
+}
+
+// attrFor, attrAt and attrDrop make the sorted attribute list an attrDir.
+func (x *matchIndex) attrFor(name string) *attrIndex {
+	i, ok := x.findAttr(name)
+	if !ok {
+		as := x.attrs.own(x.epoch)
+		*as = append(*as, attrRef{})
+		copy((*as)[i+1:], (*as)[i:])
+		(*as)[i] = attrRef{name: name, ai: &attrIndex{stamp: x.epoch}}
+	}
+	return x.attrW(i)
+}
+
+func (x *matchIndex) attrAt(name string) *attrIndex {
+	if i, ok := x.findAttr(name); ok {
+		return x.attrW(i)
+	}
+	return nil
+}
+
+func (x *matchIndex) attrDrop(name string) {
+	if i, ok := x.findAttr(name); ok {
+		as := x.attrs.own(x.epoch)
+		*as = append((*as)[:i], (*as)[i+1:]...)
+	}
 }
 
 // attrW returns the attribute index at position i ready for mutation,
@@ -297,20 +323,32 @@ func (x *matchIndex) insertEntry(e Entry) bool {
 	if e.Filter.Len() == 0 {
 		x.matchAll.add(x, sg)
 	} else {
-		access, need := x.postRow(sg, e.Filter)
+		access, need, n := postRow(x, sg, e.Filter)
 		r.access = access
+		x.postings += n
 		*x.needs.w(slot, x.epoch) = need
 	}
 	x.ident.insert(x, h, slot)
 	return true
 }
 
+// attrDir is a directory of per-attribute indexes, the shape postRow and
+// unpostRow maintain. The match index keeps its attributes in a sorted
+// copy-on-write list (the match walk merges it with a notification's
+// attributes); the cover index's witness plane keeps a map.
+type attrDir interface {
+	postOwner
+	attrFor(name string) *attrIndex // the writable index, created on first use
+	attrAt(name string) *attrIndex  // the writable index, or nil
+	attrDrop(name string)           // its last constraint is gone
+}
+
 // postRow registers every constraint of f with its attribute's directory
-// entry and posts the row under the one estimated most selective,
-// returning that constraint's index and the equality bits of the others.
-// Ties go to the lower operator code, which puts the hash-probed classes
-// (=, prefix, in) before intervals.
-func (x *matchIndex) postRow(sg slotGen, f filter.Filter) (int32, uint64) {
+// entry in d and posts sg under the one estimated most selective,
+// returning that constraint's index, the equality bits of the others and
+// the number of postings made. Ties go to the lower operator code, which
+// puts the hash-probed classes (=, prefix, in) before intervals.
+func postRow(d attrDir, sg slotGen, f filter.Filter) (int32, uint64, int) {
 	var (
 		need      uint64 // equality bits of the residual constraints
 		access    = -1
@@ -321,14 +359,7 @@ func (x *matchIndex) postRow(sg slotGen, f filter.Filter) (int32, uint64) {
 	)
 	for ci := 0; ci < f.Len(); ci++ {
 		c := f.At(ci)
-		i, ok := x.findAttr(c.Attr)
-		if !ok {
-			as := x.attrs.own(x.epoch)
-			*as = append(*as, attrRef{})
-			copy((*as)[i+1:], (*as)[i:])
-			(*as)[i] = attrRef{name: c.Attr, ai: &attrIndex{stamp: x.epoch}}
-		}
-		ai := x.attrW(i)
+		ai := d.attrFor(c.Attr)
 		ai.live++
 		ai.observe(&c)
 		if f.Len() == 1 { // nothing to choose, no residual to summarise
@@ -348,8 +379,29 @@ func (x *matchIndex) postRow(sg slotGen, f filter.Filter) (int32, uint64) {
 	// accessA is still the writable index of its attribute: no snapshot is
 	// taken inside an insert, and directory shifts move refs, not indexes.
 	c := f.At(access)
-	x.postings += accessA.insert(x, sg, &c)
-	return int32(access), need
+	return int32(access), need, accessA.insert(d, sg, &c)
+}
+
+// unpostRow undoes postRow for a row whose generation has already moved
+// on, returning the number of postings it accounts as removed. An
+// attribute's directory entry goes with its last constraint.
+func unpostRow(d attrDir, f filter.Filter, access int) int {
+	n := 0
+	for ci := 0; ci < f.Len(); ci++ {
+		c := f.At(ci)
+		ai := d.attrAt(c.Attr)
+		if ai == nil {
+			continue
+		}
+		ai.live--
+		if ci == access {
+			n = ai.remove(d, &c)
+		}
+		if ai.live == 0 {
+			d.attrDrop(c.Attr)
+		}
+	}
+	return n
 }
 
 // eqBit maps "attribute attr equals v" to one of 64 bits. A row ORs the
@@ -402,20 +454,7 @@ func (x *matchIndex) removeSlot(slot int32) {
 	if f.Len() == 0 {
 		x.matchAll.removeLazy(x)
 	} else {
-		for ci := 0; ci < f.Len(); ci++ {
-			c := f.At(ci)
-			if i, ok := x.findAttr(c.Attr); ok {
-				ai := x.attrW(i)
-				ai.live--
-				if ci == access {
-					x.postings -= ai.remove(x, &c)
-				}
-				if ai.live == 0 {
-					as := x.attrs.own(x.epoch)
-					*as = append((*as)[:i], (*as)[i+1:]...)
-				}
-			}
-		}
+		x.postings -= unpostRow(x, f, access)
 	}
 	fs := x.free.own(x.epoch)
 	*fs = append(*fs, slot)
@@ -670,7 +709,7 @@ func (ai *attrIndex) selectivity(c *filter.Constraint) float64 {
 // insert posts the row under c, returning the number of postings made: one,
 // except none for a constraint nothing satisfies and one per distinct
 // member of an in-set.
-func (ai *attrIndex) insert(x *matchIndex, sg slotGen, c *filter.Constraint) int {
+func (ai *attrIndex) insert(x postOwner, sg slotGen, c *filter.Constraint) int {
 	switch c.Op {
 	case filter.OpEQ:
 		if isNaNValue(c.Value) {
@@ -691,19 +730,9 @@ func (ai *attrIndex) insert(x *matchIndex, sg slotGen, c *filter.Constraint) int
 	case filter.OpExists:
 		ai.exists.add(x, sg)
 	case filter.OpLT, filter.OpLE, filter.OpGT, filter.OpGE, filter.OpRange:
-		if orderedBoundNaN(c) {
-			ai.scan.add(x, sg)
-			break
-		}
-		lo, hi := ordBounds(c)
-		switch orderedKind(c) {
-		case message.KindInt:
-			ai.ivI.insert(x, ivEntry[int64]{lo: lo.IntVal(), hi: hi.IntVal(), flags: ordFlags(c), sg: sg})
-		case message.KindFloat:
-			ai.ivF.insert(x, ivEntry[float64]{lo: lo.FloatVal(), hi: hi.FloatVal(), flags: ordFlags(c), sg: sg})
-		case message.KindString:
-			ai.ivS.insert(x, ivEntry[string]{lo: lo.Str(), hi: hi.Str(), flags: ordFlags(c), sg: sg})
-		default:
+		if q, ok := ordShape(c); ok {
+			ai.iv.insert(x, q, sg)
+		} else {
 			ai.scan.add(x, sg)
 		}
 	case filter.OpPrefix:
@@ -724,7 +753,7 @@ func (ai *attrIndex) insert(x *matchIndex, sg slotGen, c *filter.Constraint) int
 // accounting matches what insert registered, and returns the same count.
 // The row generation was already bumped, so this is bookkeeping plus
 // amortized compaction.
-func (ai *attrIndex) remove(x *matchIndex, c *filter.Constraint) int {
+func (ai *attrIndex) remove(x postOwner, c *filter.Constraint) int {
 	switch c.Op {
 	case filter.OpEQ:
 		if isNaNValue(c.Value) {
@@ -741,18 +770,9 @@ func (ai *attrIndex) remove(x *matchIndex, c *filter.Constraint) int {
 	case filter.OpExists:
 		ai.exists.removeLazy(x)
 	case filter.OpLT, filter.OpLE, filter.OpGT, filter.OpGE, filter.OpRange:
-		if orderedBoundNaN(c) {
-			ai.scan.removeLazy(x)
-			break
-		}
-		switch orderedKind(c) {
-		case message.KindInt:
-			ai.ivI.removeLazy(x)
-		case message.KindFloat:
-			ai.ivF.removeLazy(x)
-		case message.KindString:
-			ai.ivS.removeLazy(x)
-		default:
+		if q, ok := ordShape(c); ok {
+			ai.iv.removeLazy(x, q.kind)
+		} else {
 			ai.scan.removeLazy(x)
 		}
 	case filter.OpPrefix:
@@ -773,14 +793,16 @@ func (ai *attrIndex) remove(x *matchIndex, c *filter.Constraint) int {
 
 // postlist is a flat slotGen list with lazy deletion: removals only count,
 // generation checks reject stale postings at probe time, and compaction
-// rewrites the list once dead postings dominate.
+// rewrites the list once dead postings dominate. Compaction lowers dead by
+// what it drops, which may be more than has been counted so far (see
+// valTable.rehash), so the live count stays exact.
 type postlist struct {
 	s    cowslice[slotGen]
 	dead int32
 }
 
-func (p *postlist) add(x *matchIndex, sg slotGen) {
-	ps := p.s.own(x.epoch)
+func (p *postlist) add(x postOwner, sg slotGen) {
+	ps := p.s.own(x.cowEpoch())
 	*ps = append(*ps, sg)
 }
 
@@ -788,24 +810,24 @@ func (p *postlist) liveCount() int {
 	return len(p.s.s) - int(p.dead)
 }
 
-func (p *postlist) removeLazy(x *matchIndex) {
+func (p *postlist) removeLazy(x postOwner) {
 	p.dead++
 	if int(p.dead) > p.liveCount() && p.dead > 8 {
-		ps := p.s.own(x.epoch)
+		ps := p.s.own(x.cowEpoch())
 		kept := (*ps)[:0]
 		for _, sg := range *ps {
 			if x.rowLive(sg) {
 				kept = append(kept, sg)
 			}
 		}
+		p.dead -= int32(len(*ps) - len(kept))
 		*ps = kept
-		p.dead = 0
 	}
 }
 
-func (p *postlist) probe(s *scratch, x *matchIndex) {
+func (p *postlist) probe(s candSink) {
 	for _, sg := range p.s.s {
-		s.candidate(sg, x)
+		s.candidate(sg)
 	}
 }
 
@@ -817,6 +839,7 @@ func (p *postlist) probe(s *scratch, x *matchIndex) {
 // matched row slots and the hop-deduplication buffers, pooled so a match
 // allocates nothing.
 type scratch struct {
+	x       *matchIndex // the index (or snapshot) being matched
 	n       message.Notification
 	carry   uint64 // eqBit of every attribute of n, once carryOK
 	carryOK bool
@@ -841,7 +864,7 @@ func (x *matchIndex) getScratch() *scratch {
 }
 
 func (x *matchIndex) putScratch(s *scratch) {
-	s.n = message.Notification{} // the pool must not keep the notification alive
+	s.n, s.x = message.Notification{}, nil // the pool must not keep either alive
 	x.pool.Put(s)
 }
 
@@ -850,7 +873,8 @@ func (x *matchIndex) putScratch(s *scratch) {
 // the rest of its filter accepts the notification too. A row has one
 // posted constraint and a value hits at most one posting of it, so no row
 // is a candidate twice in one match and matched needs no deduplication.
-func (s *scratch) candidate(sg slotGen, x *matchIndex) {
+func (s *scratch) candidate(sg slotGen) {
+	x := s.x
 	r := x.rows.at(sg.slot)
 	if r.gen != sg.gen {
 		return // posting of a removed row; reclaimed by compaction later
@@ -878,8 +902,8 @@ func (s *scratch) carried() uint64 {
 
 // scanned takes a scan-list posting: nothing has been proved about the row,
 // so its whole filter is evaluated.
-func (s *scratch) scanned(sg slotGen, x *matchIndex) {
-	if r := x.rows.at(sg.slot); r.gen == sg.gen && r.f.Matches(s.n) {
+func (s *scratch) scanned(sg slotGen) {
+	if r := s.x.rows.at(sg.slot); r.gen == sg.gen && r.f.Matches(s.n) {
 		s.matched = append(s.matched, sg.slot)
 	}
 }
@@ -895,7 +919,7 @@ func (s *scratch) scanned(sg slotGen, x *matchIndex) {
 // the large one is cheaper than walking the large side, so the walk
 // switches shape on a size ratio.
 func (x *matchIndex) match(n message.Notification, s *scratch) []int32 {
-	s.n, s.carryOK = n, false
+	s.x, s.n, s.carryOK = x, n, false
 	for _, sg := range x.matchAll.s.s {
 		if x.rowLive(sg) {
 			s.matched = append(s.matched, sg.slot)
@@ -915,7 +939,7 @@ func (x *matchIndex) match(n message.Notification, s *scratch) []int32 {
 			case attrs[i].name > a.Name:
 				j++
 			default:
-				attrs[i].ai.probe(a.Value, s, x)
+				attrs[i].ai.probe(a.Value, s)
 				i++
 				j++
 			}
@@ -924,47 +948,49 @@ func (x *matchIndex) match(n message.Notification, s *scratch) []int32 {
 		for j := 0; j < ln; j++ {
 			a := n.At(j)
 			if i, ok := x.findAttr(a.Name); ok {
-				attrs[i].ai.probe(a.Value, s, x)
+				attrs[i].ai.probe(a.Value, s)
 			}
 		}
 	default:
 		for i := range attrs {
 			if v, ok := n.Get(attrs[i].name); ok {
-				attrs[i].ai.probe(v, s, x)
+				attrs[i].ai.probe(v, s)
 			}
 		}
 	}
 	return s.matched
 }
 
-func (ai *attrIndex) probe(v message.Value, s *scratch, x *matchIndex) {
-	ai.exists.probe(s, x)
+// probe reports the rows posted under a constraint v satisfies as
+// candidates, and the scan list's rows as scanned.
+func (ai *attrIndex) probe(v message.Value, s candSink) {
+	ai.exists.probe(s)
 	nan := isNaNValue(v)
 	if !nan && ai.eq.live > 0 {
 		bits, str := eqPayload(v)
-		ai.eq.probe(v.Kind(), bits, str, s, x)
+		ai.eq.probe(v.Kind(), bits, str, s)
 	}
 	switch v.Kind() {
 	case message.KindInt:
-		ai.ivI.probe(v.IntVal(), s, x)
+		ai.iv.i.probe(v.IntVal(), s)
 	case message.KindFloat:
 		if nan {
 			// Value.Compare orders NaN equal to everything, so NaN is
 			// admitted exactly by the inclusive bounds.
-			ai.ivF.probeInclusive(s, x)
+			ai.iv.f.probeInclusive(s)
 		} else {
-			ai.ivF.probe(v.FloatVal(), s, x)
+			ai.iv.f.probe(v.FloatVal(), s)
 		}
 	case message.KindString:
 		str := v.Str()
-		ai.ivS.probe(str, s, x)
-		ai.anyString.probe(s, x)
+		ai.iv.s.probe(str, s)
+		ai.anyString.probe(s)
 		if str != "" {
-			ai.prefixes.probe(str, s, x)
+			ai.prefixes.probe(str, s)
 		}
 	}
 	for _, sg := range ai.scan.s.s {
-		s.scanned(sg, x)
+		s.scanned(sg)
 	}
 }
 

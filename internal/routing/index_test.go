@@ -199,6 +199,35 @@ func TestIndexDuplicateInMembers(t *testing.T) {
 	}
 }
 
+// TestIndexCompactionMidRemoval: a row posted under a k-member in-set has
+// k postings in one equality table, and removing it accounts them one by
+// one after the generation bump. Compaction triggered by the first of
+// those drops all k at once; the live count must still end exact, or a
+// surviving row's bucket reads empty and its matches are lost.
+func TestIndexCompactionMidRemoval(t *testing.T) {
+	tbl := NewTable()
+	in := filter.MustNew(filter.In("k", message.String("a"), message.String("b"), message.String("c")))
+	entry := func(i int) Entry {
+		return Entry{Filter: in, Hop: wire.BrokerHop("up"), Client: "c", SubID: wire.SubID(fmt.Sprint(i))}
+	}
+	const rows = 60
+	for i := 0; i < rows; i++ {
+		tbl.Add(entry(i))
+	}
+	n := message.New(map[string]message.Value{"k": message.String("b")})
+	for i := 0; i < rows-1; i++ {
+		tbl.Remove(entry(i))
+		if got := len(tbl.MatchingEntries(n, wire.Hop{})); got != rows-1-i {
+			t.Fatalf("after %d removals: %d matches, want %d", i+1, got, rows-1-i)
+		}
+		if a, ok := tbl.idx.findAttr("k"); ok {
+			if eq := &tbl.idx.attrs.s[a].ai.eq; int(eq.live) != 3*(rows-1-i) {
+				t.Fatalf("after %d removals: equality table counts %d live postings, holds %d", i+1, eq.live, 3*(rows-1-i))
+			}
+		}
+	}
+}
+
 // TestIndexNaNOperands: NaN never equals anything (so eq postings on NaN
 // would be dead weight and, because NaN != NaN as a map key, unremovable),
 // and Value.Compare treats NaN as equal to everything (breaking interval

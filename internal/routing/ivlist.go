@@ -3,6 +3,9 @@ package routing
 import (
 	"slices"
 	"sort"
+
+	"repro/internal/filter"
+	"repro/internal/message"
 )
 
 // Sublinear interval store for ordered constraints (<, <=, >, >=, range).
@@ -156,20 +159,20 @@ func (r *ivRun[T]) entry(i int) ivEntry[T] {
 	return ivEntry[T]{lo: r.lo[i], hi: r.hi[i], flags: r.flags[i], sg: r.sg[i]}
 }
 
-func (r *ivRun[T]) probe(v T, s *scratch, x *matchIndex) {
+func (r *ivRun[T]) probe(v T, s candSink) {
 	// Prefix of candidates: every interval whose lower bound admits v sits
 	// before the first entry with lo > v (unbounded-below entries first).
 	ub := sort.Search(len(r.sg), func(i int) bool {
 		return r.flags[i]&ivHasLo != 0 && r.lo[i] > v
 	})
 	if ub > 0 {
-		r.descend(1, 0, r.treeW, ub, v, s, x)
+		r.descend(1, 0, r.treeW, ub, v, s)
 	}
 }
 
 // descend reports every interval in [0, ub) whose upper bound admits v,
 // pruning subtrees whose maximum upper bound is below v.
-func (r *ivRun[T]) descend(node, nlo, nhi, ub int, v T, s *scratch, x *matchIndex) {
+func (r *ivRun[T]) descend(node, nlo, nhi, ub int, v T, s candSink) {
 	if nlo >= ub {
 		return
 	}
@@ -179,19 +182,19 @@ func (r *ivRun[T]) descend(node, nlo, nhi, ub int, v T, s *scratch, x *matchInde
 	if nhi-nlo == 1 {
 		e := r.entry(nlo)
 		if e.match(v) {
-			s.candidate(e.sg, x)
+			s.candidate(e.sg)
 		}
 		return
 	}
 	mid := (nlo + nhi) / 2
-	r.descend(2*node, nlo, mid, ub, v, s, x)
+	r.descend(2*node, nlo, mid, ub, v, s)
 	if ub > mid {
-		r.descend(2*node+1, mid, nhi, ub, v, s, x)
+		r.descend(2*node+1, mid, nhi, ub, v, s)
 	}
 }
 
-func (l *ivlist[T]) insert(x *matchIndex, e ivEntry[T]) {
-	pd := l.pend.own(x.epoch)
+func (l *ivlist[T]) insert(x postOwner, e ivEntry[T]) {
+	pd := l.pend.own(x.cowEpoch())
 	*pd = append(*pd, e)
 	l.live++
 	if len(*pd) >= ivPendCap {
@@ -202,7 +205,7 @@ func (l *ivlist[T]) insert(x *matchIndex, e ivEntry[T]) {
 // removeLazy records a deletion; the row-generation bump invalidates the
 // posting wherever it sits. A full compaction reclaims space when dead
 // entries outnumber live ones.
-func (l *ivlist[T]) removeLazy(x *matchIndex) {
+func (l *ivlist[T]) removeLazy(x postOwner) {
 	l.live--
 	l.dead++
 	if l.dead > l.live && l.dead > 32 {
@@ -212,8 +215,8 @@ func (l *ivlist[T]) removeLazy(x *matchIndex) {
 
 // promote turns the pending buffer into a run and merges runs of
 // comparable size (the logarithmic method's amortization step).
-func (l *ivlist[T]) promote(x *matchIndex) {
-	pd := l.pend.own(x.epoch)
+func (l *ivlist[T]) promote(x postOwner) {
+	pd := l.pend.own(x.cowEpoch())
 	ents := make([]ivEntry[T], 0, len(*pd))
 	for i := range *pd {
 		if x.rowLive((*pd)[i].sg) {
@@ -235,7 +238,7 @@ func (l *ivlist[T]) promote(x *matchIndex) {
 		return 0
 	})
 	run := buildRun(ents)
-	rs := l.runs.own(x.epoch)
+	rs := l.runs.own(x.cowEpoch())
 	for len(*rs) > 0 && len((*rs)[len(*rs)-1].sg) <= 2*len(run.sg) {
 		run = l.mergeRuns(x, (*rs)[len(*rs)-1], run)
 		*rs = (*rs)[:len(*rs)-1]
@@ -248,7 +251,7 @@ func (l *ivlist[T]) promote(x *matchIndex) {
 
 // mergeRuns linearly merges two sorted runs, dropping generation-stale
 // entries (the physical half of lazy deletion).
-func (l *ivlist[T]) mergeRuns(x *matchIndex, a, b *ivRun[T]) *ivRun[T] {
+func (l *ivlist[T]) mergeRuns(x postOwner, a, b *ivRun[T]) *ivRun[T] {
 	ents := make([]ivEntry[T], 0, len(a.sg)+len(b.sg))
 	i, j := 0, 0
 	for i < len(a.sg) || j < len(b.sg) {
@@ -276,11 +279,18 @@ func (l *ivlist[T]) mergeRuns(x *matchIndex, a, b *ivRun[T]) *ivRun[T] {
 }
 
 // compact merges everything (runs and pending) into a single run.
-func (l *ivlist[T]) compact(x *matchIndex) {
-	rs := l.runs.own(x.epoch)
-	pd := l.pend.own(x.epoch)
+//
+// Like every drop of stale entries here it lowers dead by what it drops
+// and leaves live alone: a row with several entries in one list has all of
+// them dropped by the first compaction its removal triggers, and the rest
+// of its removals still arrive to be counted (dead is negative meanwhile).
+func (l *ivlist[T]) compact(x postOwner) {
+	rs := l.runs.own(x.cowEpoch())
+	pd := l.pend.own(x.cowEpoch())
 	var ents []ivEntry[T]
+	total := len(*pd)
 	for _, r := range *rs {
+		total += len(r.sg)
 		for i := range r.sg {
 			if x.rowLive(r.sg[i]) {
 				ents = append(ents, r.entry(i))
@@ -294,8 +304,7 @@ func (l *ivlist[T]) compact(x *matchIndex) {
 	}
 	*rs = (*rs)[:0]
 	*pd = (*pd)[:0]
-	l.dead = 0
-	l.live = len(ents)
+	l.dead -= total - len(ents)
 	if len(ents) == 0 {
 		return
 	}
@@ -311,32 +320,237 @@ func (l *ivlist[T]) compact(x *matchIndex) {
 	*rs = append(*rs, buildRun(ents))
 }
 
-func (l *ivlist[T]) probe(v T, s *scratch, x *matchIndex) {
+func (l *ivlist[T]) probe(v T, s candSink) {
 	for _, r := range l.runs.s {
-		r.probe(v, s, x)
+		r.probe(v, s)
 	}
 	for i := range l.pend.s {
 		e := &l.pend.s[i]
 		if e.match(v) {
-			s.candidate(e.sg, x)
+			s.candidate(e.sg)
 		}
 	}
 }
 
 // probeInclusive implements the NaN probe value path (see matchInclusive).
-func (l *ivlist[T]) probeInclusive(s *scratch, x *matchIndex) {
+func (l *ivlist[T]) probeInclusive(s candSink) {
 	for _, r := range l.runs.s {
 		for i := range r.sg {
 			e := r.entry(i)
 			if e.matchInclusive() {
-				s.candidate(e.sg, x)
+				s.candidate(e.sg)
 			}
 		}
 	}
 	for i := range l.pend.s {
 		e := &l.pend.s[i]
 		if e.matchInclusive() {
-			s.candidate(e.sg, x)
+			s.candidate(e.sg)
 		}
+	}
+}
+
+// each reports every entry, the probe for a query no bound comparison can
+// settle (a NaN bound, which Value.Compare orders equal to everything).
+func (l *ivlist[T]) each(s candSink) {
+	for _, r := range l.runs.s {
+		for _, sg := range r.sg {
+			s.candidate(sg)
+		}
+	}
+	for i := range l.pend.s {
+		s.candidate(l.pend.s[i].sg)
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Containment: the cover index's two interval queries.
+// ---------------------------------------------------------------------------
+
+// contains reports whether interval e accepts every value interval q does,
+// with filter.Constraint.Covers' bound rules: a bound of e needs a bound of
+// q at least as tight, and equal bounds need e inclusive or q open.
+func (e *ivEntry[T]) contains(q *ivEntry[T]) bool {
+	if e.flags&ivHasLo != 0 {
+		if q.flags&ivHasLo == 0 || e.lo > q.lo ||
+			(e.lo == q.lo && e.flags&ivLoInc == 0 && q.flags&ivLoInc != 0) {
+			return false
+		}
+	}
+	if e.flags&ivHasHi != 0 {
+		if q.flags&ivHasHi == 0 || e.hi < q.hi ||
+			(e.hi == q.hi && e.flags&ivHiInc == 0 && q.flags&ivHiInc != 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// probeContaining reports every entry that contains q: the stabbing
+// descent, cut at q's lower bound instead of at a value and pruned at its
+// upper bound.
+func (l *ivlist[T]) probeContaining(q ivEntry[T], s candSink) {
+	for _, r := range l.runs.s {
+		// Only entries whose lower bound is at or below q's can contain it;
+		// they form a prefix of the run (unbounded-below entries first).
+		ub := sort.Search(len(r.sg), func(i int) bool {
+			return r.flags[i]&ivHasLo != 0 && (q.flags&ivHasLo == 0 || r.lo[i] > q.lo)
+		})
+		if ub > 0 {
+			r.descendContaining(1, 0, r.treeW, ub, &q, s)
+		}
+	}
+	for i := range l.pend.s {
+		if e := &l.pend.s[i]; e.contains(&q) {
+			s.candidate(e.sg)
+		}
+	}
+}
+
+// descendContaining is descend for probeContaining: a subtree is pruned
+// when no interval in it reaches q's upper bound (or, for a q unbounded
+// above, when every interval in it has an upper bound).
+func (r *ivRun[T]) descendContaining(node, nlo, nhi, ub int, q *ivEntry[T], s candSink) {
+	if nlo >= ub {
+		return
+	}
+	if !r.infBit(node) && (q.flags&ivHasHi == 0 || r.tree[node] < q.hi) {
+		return
+	}
+	if nhi-nlo == 1 {
+		if e := r.entry(nlo); e.contains(q) {
+			s.candidate(e.sg)
+		}
+		return
+	}
+	mid := (nlo + nhi) / 2
+	r.descendContaining(2*node, nlo, mid, ub, q, s)
+	if ub > mid {
+		r.descendContaining(2*node+1, mid, nhi, ub, q, s)
+	}
+}
+
+// probeContainedIn reports every entry q contains: a scan of the entries
+// whose lower bound lies within q, each kept when its upper bound does too.
+func (l *ivlist[T]) probeContainedIn(q ivEntry[T], s candSink) {
+	for _, r := range l.runs.s {
+		from := 0
+		if q.flags&ivHasLo != 0 {
+			from = sort.Search(len(r.sg), func(i int) bool {
+				return r.flags[i]&ivHasLo != 0 && r.lo[i] >= q.lo
+			})
+		}
+		for i := from; i < len(r.sg); i++ {
+			if q.flags&ivHasHi != 0 && r.flags[i]&ivHasLo != 0 && r.lo[i] > q.hi {
+				break
+			}
+			if e := r.entry(i); q.contains(&e) {
+				s.candidate(e.sg)
+			}
+		}
+	}
+	for i := range l.pend.s {
+		if e := &l.pend.s[i]; q.contains(e) {
+			s.candidate(e.sg)
+		}
+	}
+}
+
+// ---------------------------------------------------------------------------
+// ivSet: one attribute's interval lists, one per orderable operand kind.
+// ---------------------------------------------------------------------------
+
+// ivSet holds an attribute's interval postings in one list per operand
+// kind: values of different kinds never compare, so a probe only ever
+// needs the list of its own kind.
+type ivSet struct {
+	i ivlist[int64]
+	f ivlist[float64]
+	s ivlist[string]
+}
+
+// ivShape is an interval in constraint terms: the operand kind, the bounds
+// (zero Values where absent) and the ivHasLo… flags.
+type ivShape struct {
+	kind   message.Kind
+	lo, hi message.Value
+	flags  uint8
+}
+
+// ordShape returns the interval an ordered constraint accepts, or false
+// when the lists cannot hold it: a NaN bound (Value.Compare orders NaN
+// equal to everything, which native order cannot), or operand kinds
+// without a list.
+func ordShape(c *filter.Constraint) (ivShape, bool) {
+	k := orderedKind(c)
+	if k == message.KindInvalid || orderedBoundNaN(c) {
+		return ivShape{}, false
+	}
+	lo, hi := ordBounds(c)
+	return ivShape{kind: k, lo: lo, hi: hi, flags: ordFlags(c)}, true
+}
+
+// pointShape returns the closed interval [v, v], or false for a value the
+// lists cannot hold (NaN, bool).
+func pointShape(v message.Value) (ivShape, bool) {
+	switch v.Kind() {
+	case message.KindInt, message.KindString:
+	case message.KindFloat:
+		if isNaNValue(v) {
+			return ivShape{}, false
+		}
+	default:
+		return ivShape{}, false
+	}
+	return ivShape{kind: v.Kind(), lo: v, hi: v, flags: ivHasLo | ivLoInc | ivHasHi | ivHiInc}, true
+}
+
+func ivOf[T ivOrd](lo, hi T, q *ivShape, sg slotGen) ivEntry[T] {
+	return ivEntry[T]{lo: lo, hi: hi, flags: q.flags, sg: sg}
+}
+
+func (v *ivSet) insert(x postOwner, q ivShape, sg slotGen) {
+	switch q.kind {
+	case message.KindInt:
+		v.i.insert(x, ivOf(q.lo.IntVal(), q.hi.IntVal(), &q, sg))
+	case message.KindFloat:
+		v.f.insert(x, ivOf(q.lo.FloatVal(), q.hi.FloatVal(), &q, sg))
+	default:
+		v.s.insert(x, ivOf(q.lo.Str(), q.hi.Str(), &q, sg))
+	}
+}
+
+func (v *ivSet) removeLazy(x postOwner, kind message.Kind) {
+	switch kind {
+	case message.KindInt:
+		v.i.removeLazy(x)
+	case message.KindFloat:
+		v.f.removeLazy(x)
+	default:
+		v.s.removeLazy(x)
+	}
+}
+
+// probeContaining reports the intervals of q's kind that contain q.
+func (v *ivSet) probeContaining(q ivShape, s candSink) {
+	switch q.kind {
+	case message.KindInt:
+		v.i.probeContaining(ivOf(q.lo.IntVal(), q.hi.IntVal(), &q, slotGen{}), s)
+	case message.KindFloat:
+		v.f.probeContaining(ivOf(q.lo.FloatVal(), q.hi.FloatVal(), &q, slotGen{}), s)
+	default:
+		v.s.probeContaining(ivOf(q.lo.Str(), q.hi.Str(), &q, slotGen{}), s)
+	}
+}
+
+// probeContainedIn reports the intervals of q's kind that q contains.
+func (v *ivSet) probeContainedIn(q ivShape, s candSink) {
+	switch q.kind {
+	case message.KindInt:
+		v.i.probeContainedIn(ivOf(q.lo.IntVal(), q.hi.IntVal(), &q, slotGen{}), s)
+	case message.KindFloat:
+		v.f.probeContainedIn(ivOf(q.lo.FloatVal(), q.hi.FloatVal(), &q, slotGen{}), s)
+	default:
+		v.s.probeContainedIn(ivOf(q.lo.Str(), q.hi.Str(), &q, slotGen{}), s)
 	}
 }

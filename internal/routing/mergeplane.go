@@ -250,10 +250,10 @@ func newMergePlane() *mergePlane {
 	}
 }
 
-func (p *mergePlane) add(f filter.Filter) (CoverDelta, bool) {
+func (p *mergePlane) add(f filter.Filter) CoverDelta {
 	id := f.ID()
 	if p.refs[id]++; p.refs[id] > 1 {
-		return CoverDelta{}, true // distinct input set unchanged
+		return CoverDelta{} // distinct input set unchanged
 	}
 	p.fs[id] = f
 	cattr, key := mergeGroupKey(f)
@@ -270,16 +270,16 @@ func (p *mergePlane) add(f filter.Filter) (CoverDelta, bool) {
 	g.members[id] = f
 	net := make(map[string]netEnt)
 	p.refreshGroup(key, g, net)
-	return netDelta(net), true
+	return netDelta(net)
 }
 
-func (p *mergePlane) remove(f filter.Filter) (CoverDelta, bool) {
+func (p *mergePlane) remove(f filter.Filter) CoverDelta {
 	id := f.ID()
 	if p.refs[id] == 0 {
-		return CoverDelta{}, true
+		return CoverDelta{}
 	}
 	if p.refs[id]--; p.refs[id] > 0 {
-		return CoverDelta{}, true
+		return CoverDelta{}
 	}
 	delete(p.refs, id)
 	delete(p.fs, id)
@@ -291,7 +291,7 @@ func (p *mergePlane) remove(f filter.Filter) (CoverDelta, bool) {
 	if p.refreshGroup(key, g, net) > 0 {
 		p.unmerges++ // narrower filters had to be re-forwarded
 	}
-	return netDelta(net), true
+	return netDelta(net)
 }
 
 // refreshGroup recomputes one group's emissions after a membership change
@@ -359,10 +359,9 @@ func (p *mergePlane) refreshGroup(key string, g *mergeGroup, net map[string]netE
 }
 
 func (p *mergePlane) reset(inputs []filter.Filter) {
-	checks, saved := p.idx.checks, p.idx.saved
-	unmerges := p.unmerges
+	checks, unmerges := p.idx.checks, p.unmerges
 	*p = *newMergePlane()
-	p.idx.checks, p.idx.saved = checks, saved // counters survive reseeds
+	p.idx.checks = checks // counters survive reseeds
 	p.unmerges = unmerges
 	for _, f := range inputs {
 		p.add(f)
@@ -371,7 +370,7 @@ func (p *mergePlane) reset(inputs []filter.Filter) {
 
 func (p *mergePlane) desired() []filter.Filter { return p.idx.Forwarded() }
 func (p *mergePlane) size() int                { return len(p.fs) }
-func (p *mergePlane) stats() (uint64, uint64)  { return p.idx.checks, p.idx.saved }
+func (p *mergePlane) coverChecks() uint64      { return p.idx.checks }
 
 // mergeStats reports the plane's merge shape: groups currently
 // suppressing members, members so suppressed, and cumulative unmerges.

@@ -181,12 +181,13 @@ func (u Update) Empty() bool { return len(u.Subscribe) == 0 && len(u.Unsubscribe
 //
 // The primary API is the delta one — AddFilter/RemoveFilter apply a
 // single routing-entry change at a cost proportional to the change:
-// Flooding and Simple/Identity in O(1), Covering through the
-// signature-bucketed CoverIndex, and Merging through refcounted merge
-// groups (mergeplane.go) that recompute only the group the changed filter
-// belongs to. Recompute remains as the batch oracle: link churn uses it
-// to reseed or repair a neighbor's state from an authoritative input
-// list, and the equivalence tests compare the delta path against it.
+// Flooding and Simple/Identity in O(1), Covering through the CoverIndex's
+// probes of its witness and displacement planes, and Merging through
+// refcounted merge groups (mergeplane.go) that recompute only the group
+// the changed filter belongs to. Recompute remains as the batch oracle:
+// link churn uses it to reseed or repair a neighbor's state from an
+// authoritative input list, and the equivalence tests compare the delta
+// path against it.
 type Forwarder struct {
 	strategy Strategy
 
@@ -195,17 +196,15 @@ type Forwarder struct {
 	planes    map[string]plane                    // hop -> tracked-input state
 }
 
-// plane is the per-neighbor input state behind the delta API. add and
-// remove report the forward-set delta and whether they computed it
-// incrementally; when incremental is false the caller diffs desired()
-// against the forwarded set instead (the batch path Merging takes).
+// plane is the per-neighbor input state behind the delta API: add and
+// remove report the forward-set delta one input change causes.
 type plane interface {
-	add(f filter.Filter) (d CoverDelta, incremental bool)
-	remove(f filter.Filter) (d CoverDelta, incremental bool)
+	add(f filter.Filter) CoverDelta
+	remove(f filter.Filter) CoverDelta
 	reset(inputs []filter.Filter)
 	desired() []filter.Filter
 	size() int
-	stats() (checks, saved uint64)
+	coverChecks() uint64
 }
 
 // NewForwarder returns a Forwarder for the given strategy.
@@ -220,23 +219,13 @@ func NewForwarder(s Strategy) *Forwarder {
 // Strategy returns the forwarder's strategy.
 func (f *Forwarder) Strategy() Strategy { return f.strategy }
 
-// Incremental reports whether the delta API avoids batch recomputation.
-// Since the merging plane rework it is true for every strategy: Merging's
-// group-local formulation confines each delta to one refcounted merge
-// group instead of re-running a global fixpoint.
-func (f *Forwarder) Incremental() bool { return true }
-
 // AddFilter records one more routing-table entry carrying fl among the
 // inputs for the neighbor and returns the administrative diff it causes.
 func (f *Forwarder) AddFilter(hop wire.Hop, fl filter.Filter) Update {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	hk := hop.String()
-	p := f.planeLocked(hk)
-	if d, incremental := p.add(fl); incremental {
-		return f.applyDeltaLocked(hop, hk, d)
-	}
-	return f.diffLocked(hop, hk, p.desired())
+	return f.applyDeltaLocked(hop, hk, f.planeLocked(hk).add(fl))
 }
 
 // RemoveFilter records that one routing-table entry carrying fl is gone
@@ -245,11 +234,7 @@ func (f *Forwarder) RemoveFilter(hop wire.Hop, fl filter.Filter) Update {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	hk := hop.String()
-	p := f.planeLocked(hk)
-	if d, incremental := p.remove(fl); incremental {
-		return f.applyDeltaLocked(hop, hk, d)
-	}
-	return f.diffLocked(hop, hk, p.desired())
+	return f.applyDeltaLocked(hop, hk, f.planeLocked(hk).remove(fl))
 }
 
 // Recompute replaces the neighbor's tracked inputs with the given
@@ -361,22 +346,18 @@ func (f *Forwarder) DropHop(hop wire.Hop) {
 	delete(f.planes, hk)
 }
 
-// ForwarderStats describes the control plane's shape and the pairwise
-// cover work the incremental path avoided.
+// ForwarderStats describes the control plane's shape and its pairwise
+// cover work.
 type ForwarderStats struct {
-	// Strategy is the forwarder's routing strategy; Incremental reports
-	// whether its delta API avoids batch recomputation (true for all
-	// strategies since the merging plane rework).
-	Strategy    Strategy
-	Incremental bool
+	// Strategy is the forwarder's routing strategy.
+	Strategy Strategy
 	// Hops is the number of neighbors with tracked state; TrackedFilters
 	// the distinct input filters summed over neighbors; ForwardedFilters
 	// the forwarded filters summed over neighbors.
 	Hops, TrackedFilters, ForwardedFilters int
 	// CoverChecks counts full filter.Covers evaluations in the cover
-	// indexes; CoverChecksSaved counts candidate pairs the signature
-	// buckets dismissed without one.
-	CoverChecks, CoverChecksSaved uint64
+	// indexes.
+	CoverChecks uint64
 	// MergesActive counts merge groups currently suppressing at least one
 	// input behind a broader merged filter, MergeCovered the inputs so
 	// suppressed, and Unmerges the cumulative removals that forced a
@@ -390,16 +371,10 @@ type ForwarderStats struct {
 func (f *Forwarder) Stats() ForwarderStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s := ForwarderStats{
-		Strategy:    f.strategy,
-		Incremental: true,
-		Hops:        len(f.planes),
-	}
+	s := ForwarderStats{Strategy: f.strategy, Hops: len(f.planes)}
 	for _, p := range f.planes {
 		s.TrackedFilters += p.size()
-		checks, saved := p.stats()
-		s.CoverChecks += checks
-		s.CoverChecksSaved += saved
+		s.CoverChecks += p.coverChecks()
 		if mp, ok := p.(*mergePlane); ok {
 			active, covered, unmerges := mp.mergeStats()
 			s.MergesActive += active
@@ -435,12 +410,12 @@ func newPlane(s Strategy) plane {
 // floodPlane is the Flooding no-op: no subscriptions propagate at all.
 type floodPlane struct{}
 
-func (floodPlane) add(filter.Filter) (CoverDelta, bool)    { return CoverDelta{}, true }
-func (floodPlane) remove(filter.Filter) (CoverDelta, bool) { return CoverDelta{}, true }
-func (floodPlane) reset([]filter.Filter)                   {}
-func (floodPlane) desired() []filter.Filter                { return nil }
-func (floodPlane) size() int                               { return 0 }
-func (floodPlane) stats() (uint64, uint64)                 { return 0, 0 }
+func (floodPlane) add(filter.Filter) CoverDelta    { return CoverDelta{} }
+func (floodPlane) remove(filter.Filter) CoverDelta { return CoverDelta{} }
+func (floodPlane) reset([]filter.Filter)           {}
+func (floodPlane) desired() []filter.Filter        { return nil }
+func (floodPlane) size() int                       { return 0 }
+func (floodPlane) coverChecks() uint64             { return 0 }
 
 // refPlane reference-counts distinct filters, the shared bookkeeping of
 // the dedup and merge planes.
@@ -497,25 +472,25 @@ func (p *refPlane) distinct() []filter.Filter {
 	return out
 }
 
-func (p *refPlane) size() int               { return len(p.fs) }
-func (p *refPlane) stats() (uint64, uint64) { return 0, 0 }
+func (p *refPlane) size() int           { return len(p.fs) }
+func (p *refPlane) coverChecks() uint64 { return 0 }
 
 // dedupPlane implements Simple and Identity: forward every distinct
 // filter once.
 type dedupPlane struct{ refPlane }
 
-func (p *dedupPlane) add(f filter.Filter) (CoverDelta, bool) {
+func (p *dedupPlane) add(f filter.Filter) CoverDelta {
 	if p.track(f) {
-		return CoverDelta{Forward: []filter.Filter{f}}, true
+		return CoverDelta{Forward: []filter.Filter{f}}
 	}
-	return CoverDelta{}, true
+	return CoverDelta{}
 }
 
-func (p *dedupPlane) remove(f filter.Filter) (CoverDelta, bool) {
+func (p *dedupPlane) remove(f filter.Filter) CoverDelta {
 	if p.untrack(f) {
-		return CoverDelta{Retract: []filter.Filter{f}}, true
+		return CoverDelta{Retract: []filter.Filter{f}}
 	}
-	return CoverDelta{}, true
+	return CoverDelta{}
 }
 
 func (p *dedupPlane) desired() []filter.Filter { return p.distinct() }
@@ -523,12 +498,12 @@ func (p *dedupPlane) desired() []filter.Filter { return p.distinct() }
 // coverPlane implements Covering through the incremental CoverIndex.
 type coverPlane struct{ idx *CoverIndex }
 
-func (p *coverPlane) add(f filter.Filter) (CoverDelta, bool)    { return p.idx.Add(f), true }
-func (p *coverPlane) remove(f filter.Filter) (CoverDelta, bool) { return p.idx.Remove(f), true }
+func (p *coverPlane) add(f filter.Filter) CoverDelta    { return p.idx.Add(f) }
+func (p *coverPlane) remove(f filter.Filter) CoverDelta { return p.idx.Remove(f) }
 
 func (p *coverPlane) reset(inputs []filter.Filter) {
 	idx := NewCoverIndex()
-	idx.checks, idx.saved = p.idx.checks, p.idx.saved // counters survive reseeds
+	idx.checks = p.idx.checks // the counter survives reseeds
 	for _, f := range inputs {
 		idx.Add(f)
 	}
@@ -537,7 +512,7 @@ func (p *coverPlane) reset(inputs []filter.Filter) {
 
 func (p *coverPlane) desired() []filter.Filter { return p.idx.Forwarded() }
 func (p *coverPlane) size() int                { return p.idx.Len() }
-func (p *coverPlane) stats() (uint64, uint64)  { return p.idx.checks, p.idx.saved }
+func (p *coverPlane) coverChecks() uint64      { return p.idx.checks }
 
 // mergePlane (Merging) lives in mergeplane.go: refcounted merge groups
 // with group-local recomputation and a private CoverIndex over the

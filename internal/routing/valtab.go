@@ -301,6 +301,26 @@ type slotGen struct {
 	gen  uint32
 }
 
+// postOwner is what the posting containers need from the index whose rows
+// they post: the copy-on-write epoch their writes are stamped with (see
+// pvec.go), and whether a posting still references a live row, which
+// compaction asks. The match index is one owner; the cover index's two
+// posting planes are the others (coverindex.go).
+type postOwner interface {
+	cowEpoch() uint64
+	rowLive(sg slotGen) bool
+}
+
+// candSink takes what a probe finds. candidate is a posting whose
+// constraint the probe has proved for the probed value (or, for the cover
+// index's relation probes, could not rule out); scanned is a scan-list
+// posting about which nothing has been proved. Neither is deduplicated by
+// the containers.
+type candSink interface {
+	candidate(sg slotGen)
+	scanned(sg slotGen)
+}
+
 // ---------------------------------------------------------------------------
 // valTable: open-addressed value → posting-chain table.
 // ---------------------------------------------------------------------------
@@ -363,26 +383,27 @@ func (t *valTable) lookup(hash uint64, kind message.Kind, bits uint64, str strin
 	}
 }
 
-func (t *valTable) add(x *matchIndex, kind message.Kind, bits uint64, str string, sg slotGen) {
+func (t *valTable) add(x postOwner, kind message.Kind, bits uint64, str string, sg slotGen) {
 	if t.cap() == 0 {
 		t.rehash(x, 8)
 	} else if (t.used+1)*4 > t.cap()*3 {
 		t.rehash(x, t.cap()*2)
 	}
+	epoch := x.cowEpoch()
 	hash := hashValKey(kind, bits, str)
 	mask := t.cap() - 1
 	for i := int32(hash) & mask; ; i = (i + 1) & mask {
 		sl := t.slots.at(i)
 		if sl.kind == message.KindInvalid {
-			w := t.slots.w(i, x.epoch)
+			w := t.slots.w(i, epoch)
 			*w = vtSlot{bits: bits, str: str, first: sg, more: -1, kind: kind}
 			t.used++
 			break
 		}
 		if sl.kind == kind && sl.bits == bits && sl.str == str {
-			ni := t.arena.grow(x.epoch)
-			*t.arena.w(ni, x.epoch) = vtNode{sg: sg, next: sl.more}
-			t.slots.w(i, x.epoch).more = ni
+			ni := t.arena.grow(epoch)
+			*t.arena.w(ni, epoch) = vtNode{sg: sg, next: sl.more}
+			t.slots.w(i, epoch).more = ni
 			break
 		}
 	}
@@ -391,7 +412,7 @@ func (t *valTable) add(x *matchIndex, kind message.Kind, bits uint64, str string
 
 // removeLazy records a posting deletion; the row-generation bump does the
 // real invalidation. Compaction runs when dead postings dominate.
-func (t *valTable) removeLazy(x *matchIndex) {
+func (t *valTable) removeLazy(x postOwner) {
 	t.live--
 	t.dead++
 	if t.dead > t.live && t.dead > 32 {
@@ -399,7 +420,7 @@ func (t *valTable) removeLazy(x *matchIndex) {
 	}
 }
 
-func (t *valTable) compact(x *matchIndex) {
+func (t *valTable) compact(x postOwner) {
 	c := int32(8)
 	for c*3 < t.live*4 {
 		c *= 2
@@ -409,13 +430,21 @@ func (t *valTable) compact(x *matchIndex) {
 
 // rehash rebuilds the table at the given power-of-two capacity, dropping
 // generation-stale postings and the buckets they leave empty.
-func (t *valTable) rehash(x *matchIndex, newCap int32) {
+//
+// live stays the count of postings added and not yet removeLazy'd, and
+// dead becomes what is physically kept beyond it. The two differ when a
+// rehash runs between the removals of one row with several postings here
+// (an in-set's members): its generation bump has made all of them stale,
+// so all are dropped, and dead stays negative until the rest of that
+// row's removals are counted.
+func (t *valTable) rehash(x postOwner, newCap int32) {
 	old := *t
 	t.slots = pvec[vtSlot]{}
 	t.arena = pvec[vtNode]{}
 	t.used, t.live, t.dead = 0, 0, 0
+	epoch := x.cowEpoch()
 	for i := int32(0); i < newCap; i++ {
-		t.slots.grow(x.epoch)
+		t.slots.grow(epoch)
 	}
 	for i := int32(0); i < old.cap(); i++ {
 		sl := old.slots.at(i)
@@ -433,19 +462,20 @@ func (t *valTable) rehash(x *matchIndex, newCap int32) {
 			ni = nd.next
 		}
 	}
+	t.live, t.dead = old.live, t.live-old.live
 }
 
 // probe reports every posting under the key as a candidate.
-func (t *valTable) probe(kind message.Kind, bits uint64, str string, s *scratch, x *matchIndex) {
+func (t *valTable) probe(kind message.Kind, bits uint64, str string, s candSink) {
 	i := t.lookup(hashValKey(kind, bits, str), kind, bits, str)
 	if i < 0 {
 		return
 	}
 	sl := t.slots.at(i)
-	s.candidate(sl.first, x)
+	s.candidate(sl.first)
 	for ni := sl.more; ni >= 0; {
 		nd := t.arena.at(ni)
-		s.candidate(nd.sg, x)
+		s.candidate(nd.sg)
 		ni = nd.next
 	}
 }
@@ -469,9 +499,9 @@ type prefixLen struct {
 	count int32 // live prefixes of this length
 }
 
-func (p *prefixTable) add(x *matchIndex, prefix string, sg slotGen) {
+func (p *prefixTable) add(x postOwner, prefix string, sg slotGen) {
 	p.tab.add(x, message.KindString, uint64(len(prefix)), prefix, sg)
-	ls := p.lens.own(x.epoch)
+	ls := p.lens.own(x.cowEpoch())
 	n := int32(len(prefix))
 	i := 0
 	for i < len(*ls) && (*ls)[i].n < n {
@@ -486,9 +516,9 @@ func (p *prefixTable) add(x *matchIndex, prefix string, sg slotGen) {
 	(*ls)[i] = prefixLen{n: n, count: 1}
 }
 
-func (p *prefixTable) remove(x *matchIndex, prefix string) {
+func (p *prefixTable) remove(x postOwner, prefix string) {
 	p.tab.removeLazy(x)
-	ls := p.lens.own(x.epoch)
+	ls := p.lens.own(x.cowEpoch())
 	n := int32(len(prefix))
 	for i := range *ls {
 		if (*ls)[i].n == n {
@@ -501,13 +531,13 @@ func (p *prefixTable) remove(x *matchIndex, prefix string) {
 	}
 }
 
-func (p *prefixTable) probe(v string, s *scratch, x *matchIndex) {
+func (p *prefixTable) probe(v string, s candSink) {
 	for _, pl := range p.lens.s {
 		if int(pl.n) > len(v) {
 			return // lengths sorted ascending: no longer prefix can match
 		}
 		pre := v[:pl.n]
-		p.tab.probe(message.KindString, uint64(pl.n), pre, s, x)
+		p.tab.probe(message.KindString, uint64(pl.n), pre, s)
 	}
 }
 

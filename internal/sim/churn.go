@@ -71,10 +71,9 @@ type ChurnResult struct {
 	// MaxTableFilters is the largest per-broker count of distinct remote
 	// filters observed at the end (routing-table pressure).
 	MaxTableFilters int
-	// CoverChecks and CoverChecksSaved are summed over all brokers'
-	// forwarders: pairwise cover tests performed vs. dismissed by the
-	// signature buckets.
-	CoverChecks, CoverChecksSaved uint64
+	// CoverChecks is summed over all brokers' forwarders: the pairwise
+	// cover tests their control planes evaluated.
+	CoverChecks uint64
 	// MergesActive, MergeCovered, and Unmerges are summed over all
 	// brokers' forwarders at the end of the run: merge groups currently
 	// suppressing inputs behind a merged filter, inputs so suppressed,
@@ -246,7 +245,6 @@ func runChurnStrategy(cfg ChurnConfig, strat routing.Strategy) ChurnResult {
 		}
 		fs := cb.fwd.Stats()
 		res.CoverChecks += fs.CoverChecks
-		res.CoverChecksSaved += fs.CoverChecksSaved
 		res.MergesActive += fs.MergesActive
 		res.MergeCovered += fs.MergeCovered
 		res.Unmerges += fs.Unmerges
