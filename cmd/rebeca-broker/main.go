@@ -250,17 +250,7 @@ func run(args []string) error {
 					continue
 				}
 				log.Printf("broker %s attached client %s", cfg.id, client)
-				go func() {
-					// When the client's connection dies it becomes a
-					// roaming client: detach and let the virtual
-					// counterpart buffer until it reappears somewhere.
-					<-link.Done()
-					if err := b.DetachClient(client); err != nil {
-						log.Printf("detach client %s: %v", client, err)
-					} else {
-						log.Printf("broker %s detached client %s (link closed)", cfg.id, client)
-					}
-				}()
+				watchClientLink(b, client, link, stop, nil)
 				continue
 			}
 			peer := link.Peer().Broker
@@ -299,7 +289,10 @@ func run(args []string) error {
 
 // watchPeerLink retracts a dead peer's routing state when its connection
 // drops (Broker.RemoveLink — the same primitive the in-process repair
-// path uses) and then runs onDown, if any, to re-attach elsewhere.
+// path uses), closes the link, and then runs onDown, if any, to re-attach
+// elsewhere. Closing what the peer closed releases the socket (no
+// CLOSE_WAIT) and the link's writer goroutine; it comes after the removal
+// so the broker has stopped sending on the link.
 func watchPeerLink(b *broker.Broker, peer wire.BrokerID, link *transport.TCPLink, stop <-chan struct{}, onDown func()) {
 	go func() {
 		select {
@@ -312,6 +305,30 @@ func watchPeerLink(b *broker.Broker, peer wire.BrokerID, link *transport.TCPLink
 		} else {
 			log.Printf("peer %s link down, routing state retracted", peer)
 		}
+		_ = link.Close() // the connection is already gone; nothing to report
+		if onDown != nil {
+			onDown()
+		}
+	}()
+}
+
+// watchClientLink detaches a client when its connection dies — it becomes
+// a roaming client whose virtual counterpart buffers until it reappears
+// somewhere — then closes the link as watchPeerLink does and runs onDown,
+// if any.
+func watchClientLink(b *broker.Broker, client wire.ClientID, link *transport.TCPLink, stop <-chan struct{}, onDown func()) {
+	go func() {
+		select {
+		case <-stop:
+			return
+		case <-link.Done():
+		}
+		if err := b.DetachClient(client); err != nil {
+			log.Printf("detach client %s: %v", client, err)
+		} else {
+			log.Printf("broker %s detached client %s (link closed)", b.ID(), client)
+		}
+		_ = link.Close() // the connection is already gone; nothing to report
 		if onDown != nil {
 			onDown()
 		}

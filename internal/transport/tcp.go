@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -32,6 +35,15 @@ import (
 // when it is full, so a stalled client pins at most a ring's worth of
 // frames), and control frames bypass the policy entirely, so routing
 // and relocation traffic is never shed by an overloaded ring.
+//
+// The receive side is batched the same way: the reader goroutine reads
+// the socket through a readBufferSize buffer, so one read syscall picks
+// up every frame the kernel already holds, decodes each frame that is
+// complete in the buffer, and hands them to a BatchReceiver as one
+// ReceiveBurst (a broker's mailbox takes its lock once per burst). A
+// burst is handed off as soon as the next frame is not fully buffered, so
+// no decoded frame waits behind a read that could block. Receivers that
+// are not batch-aware get one Receive per frame, in order.
 type TCPLink struct {
 	conn    net.Conn
 	peerHop wire.Hop
@@ -66,6 +78,20 @@ type tcpFrame struct {
 func frameClass(f tcpFrame) flow.Class { return f.cls }
 
 const maxFrameSize = 16 << 20 // 16 MiB; far above any legitimate message
+
+// maxIdentitySize caps the handshake's identity frame: it arrives before
+// the peer is known, so it must not be able to make the link allocate a
+// full maxFrameSize buffer.
+const maxIdentitySize = 1 << 10
+
+// readBufferSize is the reader's socket buffer: one read picks up every
+// frame the kernel holds, up to this many bytes. Frames larger than it
+// are read into a buffer of their own.
+const readBufferSize = 64 << 10
+
+// maxReadBurst caps how many decoded frames one burst hands the receiver,
+// so a deep socket backlog reaches the mailbox in bounded slices.
+const maxReadBurst = 256
 
 // DefaultSendWindow is the default frame-ring capacity: deep enough that
 // batched fan-outs never stall on a healthy socket, small enough that a
@@ -133,7 +159,9 @@ func newTCPLink(conn net.Conn, self string, recv Receiver, opts []TCPOption) (*T
 		_ = conn.Close()
 		return nil, fmt.Errorf("transport: handshake send: %w", err)
 	}
-	peerID, err := readFrame(conn)
+	// The identity is read with exact reads on the conn: every byte after
+	// it belongs to the reader's buffer.
+	peerID, err := readFrame(conn, maxIdentitySize)
 	if err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("transport: handshake recv: %w", err)
@@ -141,6 +169,10 @@ func newTCPLink(conn net.Conn, self string, recv Receiver, opts []TCPOption) (*T
 	hop := wire.BrokerHop(wire.BrokerID(peerID))
 	if rest, ok := strings.CutPrefix(string(peerID), clientHandshakePrefix); ok {
 		hop = wire.ClientHop(wire.ClientID(rest))
+	}
+	if hop.IsZero() {
+		_ = conn.Close()
+		return nil, errors.New("transport: handshake recv: empty peer identity")
 	}
 	l := &TCPLink{
 		conn:       conn,
@@ -388,17 +420,85 @@ func (l *TCPLink) Done() <-chan struct{} { return l.done }
 
 func (l *TCPLink) readLoop(recv Receiver) {
 	defer close(l.done)
+	// The error only says the connection closed or broke; the receiver
+	// stops hearing from this peer either way.
+	_ = readFrames(l.conn, l.peerHop, recv)
+}
+
+// readFrames reads length-prefixed frames from r until a read fails, and
+// returns that error. Every frame complete in the buffer after a read is
+// decoded and delivered as one burst (deliverBurst), at most maxReadBurst
+// frames at a time; a malformed frame is skipped, its neighbours kept.
+func readFrames(r io.Reader, from wire.Hop, recv Receiver) error {
+	br := bufio.NewReaderSize(r, readBufferSize)
+	var burst []wire.Message
 	for {
-		frame, err := readFrame(l.conn)
-		if err != nil {
-			return // connection closed or broken; receiver stops hearing from us
+		// Decode the first frame even if it has to wait for the socket —
+		// nothing is in hand yet — then only frames already buffered.
+		for len(burst) == 0 || len(burst) < maxReadBurst && frameBuffered(br) {
+			m, ok, err := nextFrame(br)
+			if err != nil {
+				if len(burst) > 0 {
+					deliverBurst(recv, from, burst)
+				}
+				return err
+			}
+			if ok {
+				burst = append(burst, m)
+			}
 		}
-		m, err := wire.Decode(frame)
-		if err != nil {
-			continue // skip malformed frame; FIFO of valid frames preserved
-		}
-		recv.Receive(Inbound{From: l.peerHop, Msg: m})
+		deliverBurst(recv, from, burst)
+		clear(burst) // drop the references so the messages are not pinned
+		burst = burst[:0]
 	}
+}
+
+// frameBuffered reports whether the next frame is entirely in br's buffer,
+// so that reading it cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	return uint64(br.Buffered()-4) >= uint64(binary.BigEndian.Uint32(hdr))
+}
+
+// nextFrame reads and decodes one frame; ok is false for a malformed frame
+// that was skipped. A frame that fits the buffer is decoded in place, and
+// the only bytes the decoded message keeps — the pass-through Frame — are
+// copied out, because the buffer is overwritten by the next read.
+func nextFrame(br *bufio.Reader) (m wire.Message, ok bool, err error) {
+	hdr, err := br.Peek(4)
+	if err != nil {
+		return wire.Message{}, false, err
+	}
+	n := binary.BigEndian.Uint32(hdr)
+	if n > maxFrameSize {
+		return wire.Message{}, false, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
+	}
+	size := 4 + int(n)
+	if size > br.Size() {
+		_, _ = br.Discard(4) // the header is buffered
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(br, buf); err != nil {
+			return wire.Message{}, false, err
+		}
+		m, err := wire.Decode(buf)
+		return m, err == nil, nil
+	}
+	p, err := br.Peek(size)
+	if err != nil {
+		return wire.Message{}, false, err
+	}
+	m, err = wire.Decode(p[4:])
+	_, _ = br.Discard(size) // the frame is buffered
+	if err != nil {
+		return wire.Message{}, false, nil
+	}
+	if m.Frame != nil {
+		m.Frame = bytes.Clone(m.Frame)
+	}
+	return m, true, nil
 }
 
 func writeFrame(w io.Writer, payload []byte) error {
@@ -411,13 +511,15 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-func readFrame(r io.Reader) ([]byte, error) {
+// readFrame reads one frame of at most limit bytes with exact reads, so
+// nothing past the frame is consumed from r.
+func readFrame(r io.Reader, limit uint32) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrameSize {
+	if n > limit {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
 	}
 	buf := make([]byte, n)

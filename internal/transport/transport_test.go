@@ -660,7 +660,7 @@ func TestTCPLinkFlushFailureMidBatch(t *testing.T) {
 		}
 		// Hand-rolled handshake, then an immediate close: the client
 		// sees an established link whose peer dies mid-stream.
-		_, _ = readFrame(conn)
+		_, _ = readFrame(conn, maxFrameSize)
 		_ = writeFrame(conn, []byte("server"))
 		_ = conn.Close()
 	}()
@@ -787,7 +787,7 @@ func TestTCPLinkSendWindowShed(t *testing.T) {
 		if err != nil {
 			return
 		}
-		_, _ = readFrame(conn)
+		_, _ = readFrame(conn, maxFrameSize)
 		_ = writeFrame(conn, []byte("server"))
 		<-stopRead // never read frames; keep the connection open
 		_ = conn.Close()
@@ -835,11 +835,11 @@ func TestTCPLinkDropOldestEvictionReleasesFlush(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		_, _ = readFrame(conn)
+		_, _ = readFrame(conn, maxFrameSize)
 		_ = writeFrame(conn, []byte("server"))
 		<-resume // stall: no reads while the client fills socket + ring
 		for {
-			if _, err := readFrame(conn); err != nil {
+			if _, err := readFrame(conn, maxFrameSize); err != nil {
 				return
 			}
 		}
@@ -933,11 +933,11 @@ func TestTCPLinkDeliverLosslessBounded(t *testing.T) {
 		}
 		defer conn.Close()
 		_ = conn.(*net.TCPConn).SetReadBuffer(8 << 10)
-		_, _ = readFrame(conn)
+		_, _ = readFrame(conn, maxFrameSize)
 		_ = writeFrame(conn, []byte("server"))
 		<-resume
 		for {
-			frame, err := readFrame(conn)
+			frame, err := readFrame(conn, maxFrameSize)
 			if err != nil {
 				return
 			}
