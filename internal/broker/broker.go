@@ -222,8 +222,8 @@ type Broker struct {
 // constant set so new message types are counted automatically.
 const processedTypes = int(wire.TypeCount)
 
-// pubScratchShedSize bounds the epoch-stamped dedup maps: once churn has
-// grown one past this, its entries are cleared wholesale (stale entries
+// pubScratchShedSize bounds the epoch-stamped dedup map: once churn has
+// grown it past this, its entries are cleared wholesale (stale entries
 // are otherwise only invalidated, never deleted).
 const pubScratchShedSize = 4096
 
@@ -237,13 +237,13 @@ type outbox struct {
 	pending map[wire.BrokerID][]wire.Message
 }
 
-// pubScratch replaces the per-publish seen-hop/seen-subscription map
-// allocations with epoch-stamped entries: bumping the epoch invalidates
-// every entry in O(1), so the maps are reused across all publishes of a batch — and
-// across batches — without clearing.
+// pubScratch replaces the per-publish seen-subscription map allocation
+// with epoch-stamped entries: bumping the epoch invalidates every entry in
+// O(1), so the map is reused across all publishes of a batch — and across
+// batches — without clearing. Broker hops need no such map: the table's
+// EachRoute visits each at most once.
 type pubScratch struct {
 	epoch uint64
-	hops  map[wire.BrokerID]uint64
 	subs  map[subRef]uint64
 }
 
@@ -468,10 +468,7 @@ func New(id wire.BrokerID, opts Options) *Broker {
 		fetched:      make(map[string]uint64),
 		pending:      make(map[string]*relocationPending),
 		out:          outbox{pending: make(map[wire.BrokerID][]wire.Message)},
-		pubSeen: pubScratch{
-			hops: make(map[wire.BrokerID]uint64),
-			subs: make(map[subRef]uint64),
-		},
+		pubSeen:      pubScratch{subs: make(map[subRef]uint64)},
 	}
 	b.pub.visit = b.visitPublishEntry
 	if opts.Workers > 1 && opts.Strategy != routing.Flooding {

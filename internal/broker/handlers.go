@@ -535,27 +535,24 @@ func (b *Broker) handlePublish(from wire.Hop, n message.Notification, env wire.M
 		b.deliverFlooded(n)
 		return
 	}
-	// Deduplicate hops and subscriptions with the broker's epoch-stamped
-	// scratch maps instead of two fresh allocations per publish, and build
-	// the forwarded wire message once: every neighbor link shares the same
-	// envelope (and, when any link serializes frames, the same encoding).
-	// The pre-bound visitor keeps the hot path free of closure and result
-	// slice allocations.
+	// Deduplicate subscriptions with the broker's epoch-stamped scratch
+	// map instead of a fresh allocation per publish (EachRoute already
+	// visits each broker hop once), and build the forwarded wire message
+	// once: every neighbor link shares the same envelope (and, when any
+	// link serializes frames, the same encoding). The pre-bound visitor
+	// keeps the hot path free of closure and result slice allocations.
 	// Epochs invalidate scratch entries but never delete them; shed the
-	// maps when client/neighbor churn has grown them far beyond any live
-	// fan-out, so a long-running broker's dedup state stays bounded.
+	// map when client churn has grown it far beyond any live fan-out, so a
+	// long-running broker's dedup state stays bounded.
 	if len(b.pubSeen.subs) > pubScratchShedSize {
 		clear(b.pubSeen.subs)
-	}
-	if len(b.pubSeen.hops) > pubScratchShedSize {
-		clear(b.pubSeen.hops)
 	}
 	b.pubSeen.epoch++
 	b.pub.n = n
 	b.pub.from = from
 	b.pub.msg = env
 	b.pub.deliveries = b.pub.deliveries[:0]
-	b.subs.EachMatchingEntry(n, from, b.pub.visit)
+	b.subs.EachRoute(n, from, b.pub.visit)
 	for _, ref := range b.pub.deliveries {
 		b.deliverTo(ref.client, ref.id, n, false)
 	}
@@ -568,10 +565,11 @@ func (b *Broker) handlePublish(from wire.Hop, n message.Notification, env wire.M
 	b.pub.n = message.Notification{}
 }
 
-// visitPublishEntry routes one matching table row of the publish carried
-// in b.pub: local subscriptions are queued for delivery after the visit
-// (client callbacks must not run under the table lock), broker hops
-// receive the shared fan-out envelope through the outbox. For publishes
+// visitPublishEntry routes one table row EachRoute visits for the publish
+// carried in b.pub: local subscriptions are queued for delivery after the
+// visit (client callbacks must not run under the table lock), broker hops
+// — one row each — receive the shared fan-out envelope through the
+// outbox. For publishes
 // that arrived over a link, b.pub.msg is the inbound envelope (possibly
 // carrying the decoded frame for zero-copy forwarding); for local client
 // publishes it is built lazily at the first broker hop. Bound once as
@@ -587,10 +585,6 @@ func (b *Broker) visitPublishEntry(e *routing.Entry) {
 		b.pub.deliveries = append(b.pub.deliveries, ref)
 		return
 	}
-	if s.hops[e.Hop.Broker] == s.epoch {
-		return
-	}
-	s.hops[e.Hop.Broker] = s.epoch
 	if b.pub.msg.Type == wire.TypeInvalid {
 		b.pub.msg = wire.NewPublish(b.pub.n)
 	}
@@ -614,6 +608,13 @@ func (b *Broker) deliverFlooded(n message.Notification) {
 // the per-subscription sequence number; disconnected clients accumulate
 // into the virtual counterpart buffer, and relocating subscriptions (at
 // the new border broker) buffer until the replay arrives.
+//
+// The caller has established that n matches the subscription's exact
+// client-side filter F0 (clientSub.exact): by matching the client-hop
+// routing entry, which carries exactly that filter — widened entries of
+// location-dependent subscriptions only ever point at broker hops — or,
+// under flooding, by evaluating it. Notifications buffered while a
+// relocation is pending were admitted the same way.
 func (b *Broker) deliverTo(client wire.ClientID, id wire.SubID, n message.Notification, replayed bool) {
 	cs, ok := b.clients[client]
 	if !ok {
@@ -621,12 +622,6 @@ func (b *Broker) deliverTo(client wire.ClientID, id wire.SubID, n message.Notifi
 	}
 	st, ok := cs.subs[id]
 	if !ok {
-		return
-	}
-	// Exact client-side filtering (F0): for location-dependent
-	// subscriptions the routing entry is widened, so the final decision is
-	// made here against the client's true location.
-	if !st.exact.Matches(n) {
 		return
 	}
 	// len check first: no relocation in progress (the common case) must

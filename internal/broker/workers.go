@@ -161,7 +161,6 @@ func (p *workerPool) match(snap *routing.Snapshot, run []task) []matchResult {
 func (p *workerPool) worker(ch chan *shardRun) {
 	defer p.done.Done()
 	var sc workerScratch
-	sc.hops = make(map[wire.BrokerID]uint64)
 	sc.subs = make(map[subRef]uint64)
 	visit := sc.visitEntry // bind once: no per-job closure allocation
 	for sr := range ch {
@@ -170,35 +169,32 @@ func (p *workerPool) worker(ch chan *shardRun) {
 			res := &sr.results[i]
 			res.hops = res.hops[:0]
 			res.deliveries = res.deliveries[:0]
-			// Shed epoch-stamped dedup maps grown far beyond any live
+			// Shed the epoch-stamped dedup map grown far beyond any live
 			// fan-out, mirroring the serial path's pubScratch bound.
 			if len(sc.subs) > pubScratchShedSize {
 				clear(sc.subs)
 			}
-			if len(sc.hops) > pubScratchShedSize {
-				clear(sc.hops)
-			}
 			sc.epoch++
 			sc.res = res
-			sr.snap.EachMatchingEntry(*t.in.Msg.Notif, t.in.From, visit)
+			sr.snap.EachRoute(*t.in.Msg.Notif, t.in.From, visit)
 		}
 		sr.wg.Done()
 	}
 }
 
-// workerScratch is one worker's per-publish dedup state: epoch-stamped
-// maps, reused across every job the worker ever matches (the same trick as
+// workerScratch is one worker's per-publish dedup state: an epoch-stamped
+// map, reused across every job the worker ever matches (the same trick as
 // the serial path's pubScratch).
 type workerScratch struct {
 	epoch uint64
-	hops  map[wire.BrokerID]uint64
 	subs  map[subRef]uint64
 	res   *matchResult
 }
 
-// visitEntry records one matching table row into the current result slot,
-// preserving first-occurrence (entry-key) order per hop and subscription —
-// the same dedup the serial visitPublishEntry applies.
+// visitEntry records one table row EachRoute visits into the current
+// result slot, preserving first-occurrence (entry-key) order per
+// subscription — the same dedup the serial visitPublishEntry applies. A
+// broker hop is visited once.
 func (sc *workerScratch) visitEntry(e *routing.Entry) {
 	if e.Hop.IsClient() {
 		ref := subRef{client: e.Client, id: e.SubID}
@@ -209,10 +205,6 @@ func (sc *workerScratch) visitEntry(e *routing.Entry) {
 		sc.res.deliveries = append(sc.res.deliveries, ref)
 		return
 	}
-	if sc.hops[e.Hop.Broker] == sc.epoch {
-		return
-	}
-	sc.hops[e.Hop.Broker] = sc.epoch
 	sc.res.hops = append(sc.res.hops, e.Hop)
 }
 

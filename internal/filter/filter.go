@@ -99,15 +99,16 @@ func (f Filter) Attrs() []string {
 
 // Matches reports whether the filter accepts the notification: every
 // constraint must hold.
-func (f Filter) Matches(n message.Notification) bool { return f.MatchesExcept(n, -1) }
+func (f Filter) Matches(n message.Notification) bool { return f.MatchesExcept(n, -1, -1) }
 
-// MatchesExcept reports whether every constraint other than the skip-th
-// (in At order) accepts the notification; a skip outside [0, Len()) skips
-// nothing. The routing match index calls it on a row whose skip-th
-// constraint a posting-list probe has already proved satisfied.
-func (f Filter) MatchesExcept(n message.Notification, skip int) bool {
+// MatchesExcept reports whether every constraint other than the skipA-th
+// and the skipB-th (in At order) accepts the notification; a skip outside
+// [0, Len()) skips nothing. The routing match index calls it on a row
+// whose posted constraints — one, or a pair — a posting-list probe has
+// already proved satisfied.
+func (f Filter) MatchesExcept(n message.Notification, skipA, skipB int) bool {
 	for i := range f.cs {
-		if i != skip && !f.cs[i].matches(n) {
+		if i != skipA && i != skipB && !f.cs[i].matches(n) {
 			return false
 		}
 	}

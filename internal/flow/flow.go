@@ -186,6 +186,10 @@ type Queue[T any] struct {
 	cls   []Class // parallel class tags, maintained when track
 	head  int     // index of the first live item (advanced by DropOldest)
 	spare []T     // recycled backing array for the next items slice
+	// split: items may share its backing array with a split-drain batch
+	// still out with the consumer (see Recycle). Set by a split drain,
+	// cleared when a whole drain hands the array out and drops it.
+	split bool
 
 	refill bool // Block: full queue seen, credit revoked until LowWater
 	closed bool
@@ -449,10 +453,12 @@ func (q *Queue[T]) PopBatch() (batch []T, ok bool) {
 		// batch can never append into the remainder's cells.
 		batch = q.items[q.head : q.head+max : q.head+max]
 		q.head += max
+		q.split = true
 	} else {
 		batch = q.items[q.head:]
 		q.items = nil
 		q.head = 0
+		q.split = false
 		if q.track {
 			if cap(q.cls) > MaxRecycledCap {
 				q.cls = nil
@@ -483,12 +489,16 @@ const MaxRecycledCap = 1 << 16
 // consumer's steady state allocates nothing. Kept arrays are cleared
 // first, dropping item references (closures, notification payloads) for
 // the GC; discarded arrays go to the GC whole and skip the clearing.
+//
+// A batch is not kept while the live queue may still share its array (a
+// split drain's batch, until a whole drain takes the rest): clearing it
+// outside the lock would race with a Push whose append copies the array.
 func (q *Queue[T]) Recycle(batch []T) {
 	if cap(batch) == 0 || cap(batch) > MaxRecycledCap {
 		return
 	}
 	q.mu.Lock()
-	keep := q.spare == nil || cap(batch) > cap(q.spare)
+	keep := !q.split && (q.spare == nil || cap(batch) > cap(q.spare))
 	q.mu.Unlock()
 	if !keep {
 		return

@@ -1,8 +1,10 @@
 package flow
 
 import (
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -87,6 +89,46 @@ func TestQueueMaxDrain(t *testing.T) {
 	}
 	if rest[0].seq != 3 || rest[4].seq != 7 {
 		t.Errorf("remainder out of order: %+v", rest)
+	}
+}
+
+// TestQueueSplitDrainRecycleRace recycles a split-drain batch while a Push
+// grows the live array. The batch shares that array with the remainder,
+// and append's growth copies the whole array, the batch's cells included,
+// so clearing the batch outside the lock would race with it (meaningful
+// under -race). Each round fills the array to capacity with more than
+// twice the batch, so the concurrent Push grows it rather than compacting
+// the live tail away; the pusher is already running when Recycle starts,
+// and the batch is large, so the clearing takes long enough for the Push
+// to land inside it.
+func TestQueueSplitDrainRecycleRace(t *testing.T) {
+	const maxDrain = 4096
+	for round := 0; round < 20; round++ {
+		q := NewQueue[item](Options{MaxDrain: maxDrain}, classify)
+		for i := 0; q.Len() <= 2*maxDrain || len(q.items) < cap(q.items); i++ {
+			_ = q.Push(item{seq: i})
+		}
+		depth := q.Len()
+		batch, _ := q.PopBatch()
+		var start atomic.Bool
+		ready, pushed := make(chan struct{}), make(chan struct{})
+		go func() {
+			close(ready)
+			for !start.Load() {
+				runtime.Gosched()
+			}
+			_ = q.Push(item{seq: depth})
+			close(pushed)
+		}()
+		<-ready
+		start.Store(true)
+		q.Recycle(batch)
+		<-pushed
+		rest := drainAll(t, q)
+		if len(rest) != depth-maxDrain+1 || rest[0].seq != maxDrain || rest[len(rest)-1].seq != depth {
+			t.Fatalf("round %d: remainder of %d items runs %d..%d, want %d..%d",
+				round, len(rest), rest[0].seq, rest[len(rest)-1].seq, maxDrain, depth)
+		}
 	}
 }
 

@@ -194,7 +194,7 @@ func (x *CoverIndex) Add(f filter.Filter) CoverDelta {
 	if f.Len() == 0 {
 		x.wit.all = slot
 	} else {
-		access, _, _ := postRow(&x.wit, slotGen{slot: slot, gen: x.wit.gen[slot]}, f)
+		access, _ := postRow(&x.wit, slotGen{slot: slot, gen: x.wit.gen[slot]}, f)
 		x.items[slot].access = access
 	}
 
@@ -235,7 +235,7 @@ func (x *CoverIndex) Remove(f filter.Filter) CoverDelta {
 	if f.Len() == 0 {
 		x.wit.all = -1
 	} else {
-		unpostRow(&x.wit, it.f, int(it.access))
+		unpostRow(&x.wit, it.f, int(it.access), -1)
 	}
 
 	var d CoverDelta

@@ -10,17 +10,18 @@ import (
 )
 
 // matchIndex is an access-predicate index over the table's entries. Every
-// row is posted under exactly one of its filter's constraints — its access
+// row is posted once: under one of its filter's constraints — its access
 // predicate, the one the index estimates fewest notifications satisfy (see
 // selectivity) — in a typed posting list keyed by (attribute, operator
-// class). Matching a notification probes the posting lists of the
-// attributes it carries; each hit is a candidate row whose access
-// constraint the probe has just proved, and — unless one word of
-// equality bits already rules the row out (see needs) — the rest of its
-// filter is evaluated directly against the notification
-// (filter.MatchesExcept, the reference semantics). The per-notification cost is therefore the number
-// of rows whose most selective constraint is satisfied, not the number of
-// satisfied constraints and not the table size.
+// class), or, when it has an equality and an ordered constraint on another
+// attribute, under that pair (see chooseAccess). Matching a notification
+// probes the posting lists of the attributes it carries; each hit is a
+// candidate row whose posted constraints the probe has just proved, and —
+// unless one word of equality bits already rules the row out (see needs) —
+// the rest of its filter is evaluated directly against the notification
+// (filter.MatchesExcept, the reference semantics). The per-notification
+// cost is therefore the number of rows whose posting is satisfied, not the
+// number of satisfied constraints and not the table size.
 //
 // The result does not depend on which constraint was chosen: a row is
 // reported exactly when its access constraint and every other constraint
@@ -41,6 +42,8 @@ import (
 //   - ordered (<, <=, >, >=, range): sorted static runs with max-upper-bound
 //     segment trees (see ivlist.go), O(log n + k) per probe
 //   - string prefix:         per-length hash lookup (see prefixTable)
+//   - equality + ordered pair: per (operand value, second attribute) an
+//     interval list on the second attribute (see pairTable)
 //   - exists:                a flat list, satisfied by attribute presence
 //   - everything else (!=, suffix, contains): a per-attribute scan list
 //     whose rows are evaluated whole against the notification
@@ -98,15 +101,24 @@ type matchIndex struct {
 }
 
 // row is one table entry in SoA form: 80 B plus its one posting, versus
-// the pointer-heavy idxEntry + cached key strings of the old layout.
+// the pointer-heavy idxEntry + cached key strings of the old layout. The
+// two posted-constraint indexes are int16 so the row stays 80 B (see
+// pvec.go); constraints past index maxAccess are never posted, only
+// verified.
 type row struct {
 	hash    uint64 // entryIdentHash of the entry
 	hopID   int32  // intern id; -1 marks a freed row
 	identID int32
-	access  int32 // index in f of the posted constraint; -1 for a match-all row
-	gen     uint32
-	f       filter.Filter
+	// access is the index in f of the posted constraint, -1 for a
+	// match-all row; pair is the ordered half when the row is posted
+	// under a pair (access is then its equality), else -1.
+	access, pair int16
+	gen          uint32
+	f            filter.Filter
 }
+
+// maxAccess bounds the constraint indexes a row can record as posted.
+const maxAccess = 1<<15 - 1
 
 type hopInfo struct {
 	hop wire.Hop
@@ -142,6 +154,7 @@ type attrIndex struct {
 	anyString          postlist // empty-prefix constraints: every string value matches
 	scan               postlist // rows posted under a constraint no container can prove
 	iv                 ivSet
+	pairs              pairTable // rows posted under this attribute's = and an ordered constraint on another
 }
 
 func newMatchIndex() *matchIndex {
@@ -311,7 +324,7 @@ func (x *matchIndex) insertEntry(e Entry) bool {
 	}
 	r := x.rows.w(slot, x.epoch)
 	gen := r.gen // survives free/reuse; postings carry it
-	*r = row{hash: h, hopID: hopID, identID: identID, access: -1, gen: gen, f: e.Filter}
+	*r = row{hash: h, hopID: hopID, identID: identID, access: -1, pair: -1, gen: gen, f: e.Filter}
 	x.liveRows++
 	sg := slotGen{slot: slot, gen: gen}
 	x.hopPosts[hopID].add(sg)
@@ -323,10 +336,10 @@ func (x *matchIndex) insertEntry(e Entry) bool {
 	if e.Filter.Len() == 0 {
 		x.matchAll.add(x, sg)
 	} else {
-		access, need, n := postRow(x, sg, e.Filter)
-		r.access = access
-		x.postings += n
-		*x.needs.w(slot, x.epoch) = need
+		ch := chooseAccess(x, e.Filter, true)
+		r.access, r.pair = int16(ch.a), int16(ch.b)
+		x.postings += ch.post(x, sg, e.Filter)
+		*x.needs.w(slot, x.epoch) = ch.need
 	}
 	x.ident.insert(x, h, slot)
 	return true
@@ -343,19 +356,33 @@ type attrDir interface {
 	attrDrop(name string)           // its last constraint is gone
 }
 
-// postRow registers every constraint of f with its attribute's directory
-// entry in d and posts sg under the one estimated most selective,
-// returning that constraint's index, the equality bits of the others and
-// the number of postings made. Ties go to the lower operator code, which
-// puts the hash-probed classes (=, prefix, in) before intervals.
-func postRow(d attrDir, sg slotGen, f filter.Filter) (int32, uint64, int) {
+// accessChoice is where a row is posted: under constraint a alone or, when
+// b >= 0, under the pair of equality a and ordered constraint b on another
+// attribute, in a's attribute index (ai). need holds the equality bits of
+// the constraints the posting does not prove.
+type accessChoice struct {
+	a, b int
+	ai   *attrIndex
+	need uint64
+}
+
+// chooseAccess registers every constraint of f with its attribute's
+// directory entry in d and chooses the posting. The single constraint is
+// the one estimated most selective, ties going to the lower operator code,
+// which puts the hash-probed classes (=, prefix, in) before intervals.
+//
+// With pairs, a row with an equality and an ordered constraint the interval
+// lists can hold, on another attribute, is posted under the pair instead:
+// its candidates are the notifications satisfying both, a subset of either
+// half's. Each half is the most selective of its kind (the first on ties).
+// Only a never-satisfiable constraint beats a pair, since it posts nothing.
+func chooseAccess(d attrDir, f filter.Filter, pairs bool) accessChoice {
+	ch := accessChoice{a: -1, b: -1}
 	var (
-		need      uint64 // equality bits of the residual constraints
-		access    = -1
-		accessBit uint64
-		best      float64
-		bestOp    filter.Op
-		accessA   *attrIndex
+		best, eqSel float64
+		bestOp      filter.Op
+		eq          = -1
+		eqAI        *attrIndex
 	)
 	for ci := 0; ci < f.Len(); ci++ {
 		c := f.At(ci)
@@ -363,29 +390,75 @@ func postRow(d attrDir, sg slotGen, f filter.Filter) (int32, uint64, int) {
 		ai.live++
 		ai.observe(&c)
 		if f.Len() == 1 { // nothing to choose, no residual to summarise
-			access, accessA = 0, ai
-			break
+			ch.a, ch.ai = 0, ai
+			return ch
 		}
-		var bit uint64
-		if c.Op == filter.OpEQ && !isNaNValue(c.Value) {
-			bit = eqBit(c.Attr, c.Value)
+		if ci > maxAccess {
+			continue
 		}
-		if sel := ai.selectivity(&c); access < 0 || sel < best || (sel == best && c.Op < bestOp) {
-			access, best, bestOp, accessA = ci, sel, c.Op, ai
-			bit, accessBit = accessBit, bit // the probe proves the access constraint
+		sel := ai.selectivity(&c)
+		if ch.a < 0 || sel < best || (sel == best && c.Op < bestOp) {
+			ch.a, ch.ai, best, bestOp = ci, ai, sel, c.Op
 		}
-		need |= bit
+		if pairs && c.Op == filter.OpEQ && !isNaNValue(c.Value) && (eq < 0 || sel < eqSel) {
+			eq, eqSel, eqAI = ci, sel, ai
+		}
 	}
-	// accessA is still the writable index of its attribute: no snapshot is
-	// taken inside an insert, and directory shifts move refs, not indexes.
-	c := f.At(access)
-	return int32(access), need, accessA.insert(d, sg, &c)
+	if eq >= 0 && best != selNever {
+		attr, ordSel := f.At(eq).Attr, 0.0
+		for ci := 0; ci < f.Len() && ci <= maxAccess; ci++ {
+			c := f.At(ci)
+			if c.Attr == attr || !isOrdered(c.Op) {
+				continue
+			}
+			if _, ok := ordShape(&c); !ok {
+				continue
+			}
+			if sel := d.attrAt(c.Attr).selectivity(&c); ch.b < 0 || sel < ordSel {
+				ch.b, ordSel = ci, sel
+			}
+		}
+		if ch.b >= 0 {
+			ch.a, ch.ai = eq, eqAI
+		}
+	}
+	for ci := 0; ci < f.Len(); ci++ {
+		if c := f.At(ci); ci != ch.a && c.Op == filter.OpEQ && !isNaNValue(c.Value) {
+			ch.need |= eqBit(c.Attr, c.Value)
+		}
+	}
+	return ch
 }
 
-// unpostRow undoes postRow for a row whose generation has already moved
-// on, returning the number of postings it accounts as removed. An
-// attribute's directory entry goes with its last constraint.
-func unpostRow(d attrDir, f filter.Filter, access int) int {
+// post makes the chosen posting of row sg, returning the number of
+// postings made. ch.ai is still the writable index of its attribute: no
+// snapshot is taken inside an insert, and directory shifts move refs, not
+// indexes.
+func (ch *accessChoice) post(x postOwner, sg slotGen, f filter.Filter) int {
+	c := f.At(ch.a)
+	if ch.b < 0 {
+		return ch.ai.insert(x, sg, &c)
+	}
+	o := f.At(ch.b)
+	q, _ := ordShape(&o)
+	ch.ai.pairs.add(x, c.Value, o.Attr, q, sg)
+	return 1
+}
+
+// postRow posts sg under the single constraint chooseAccess picks,
+// returning its index and the number of postings made. It is the cover
+// index's witness plane: a coverer probe works by constraint containment,
+// where a pair proves nothing a single key does not.
+func postRow(d attrDir, sg slotGen, f filter.Filter) (int32, int) {
+	ch := chooseAccess(d, f, false)
+	return int32(ch.a), ch.post(d, sg, f)
+}
+
+// unpostRow undoes a posting of f under access (and, for a pair, the
+// ordered constraint pair; -1 otherwise) for a row whose generation has
+// already moved on, returning the number of postings it accounts as
+// removed. An attribute's directory entry goes with its last constraint.
+func unpostRow(d attrDir, f filter.Filter, access, pair int) int {
 	n := 0
 	for ci := 0; ci < f.Len(); ci++ {
 		c := f.At(ci)
@@ -394,14 +467,30 @@ func unpostRow(d attrDir, f filter.Filter, access int) int {
 			continue
 		}
 		ai.live--
-		if ci == access {
+		switch {
+		case ci != access:
+		case pair < 0:
 			n = ai.remove(d, &c)
+		default:
+			o := f.At(pair)
+			q, _ := ordShape(&o)
+			ai.pairs.remove(d, c.Value, o.Attr, q.kind)
+			n = 1
 		}
 		if ai.live == 0 {
 			d.attrDrop(c.Attr)
 		}
 	}
 	return n
+}
+
+// isOrdered reports whether op is one of the interval operators.
+func isOrdered(op filter.Op) bool {
+	switch op {
+	case filter.OpLT, filter.OpLE, filter.OpGT, filter.OpGE, filter.OpRange:
+		return true
+	}
+	return false
 }
 
 // eqBit maps "attribute attr equals v" to one of 64 bits. A row ORs the
@@ -433,13 +522,13 @@ func (x *matchIndex) removeSlot(slot int32) {
 	// already owned at the current epoch.
 	hopID := rd.hopID
 	identID := rd.identID
-	access := int(rd.access)
+	access, pair := int(rd.access), int(rd.pair)
 	x.ident.remove(hash, slot)
 	rw := x.rows.w(slot, x.epoch)
 	rw.gen++
 	rw.hopID = -1
 	rw.identID = -1
-	rw.access = -1
+	rw.access, rw.pair = -1, -1
 	rw.hash = 0
 	rw.f = filter.Filter{} // release the filter's backing storage
 	x.liveRows--
@@ -454,7 +543,7 @@ func (x *matchIndex) removeSlot(slot int32) {
 	if f.Len() == 0 {
 		x.matchAll.removeLazy(x)
 	} else {
-		x.postings -= unpostRow(x, f, access)
+		x.postings -= unpostRow(x, f, access, pair)
 	}
 	fs := x.free.own(x.epoch)
 	*fs = append(*fs, slot)
@@ -678,14 +767,14 @@ func (ai *attrIndex) selectivity(c *filter.Constraint) float64 {
 		if isNaNValue(c.Value) {
 			return selNever
 		}
-		return 1 / max(ai.eqSeen.distinct, float64(ai.eq.used))
+		return 1 / ai.eqDistinct()
 	case filter.OpIn:
 		k := 0
 		eachIndexableInMember(c, func(message.Value) { k++ })
 		if k == 0 {
 			return selNever
 		}
-		return min(1, float64(k)/max(ai.eqSeen.distinct, float64(ai.eq.used)))
+		return min(1, float64(k)/ai.eqDistinct())
 	case filter.OpPrefix:
 		if c.Value.Str() == "" {
 			return selAlways
@@ -704,6 +793,12 @@ func (ai *attrIndex) selectivity(c *filter.Constraint) float64 {
 	default:
 		return selScan
 	}
+}
+
+// eqDistinct estimates the distinct equality operands: the sketch's count,
+// or the posting tables' bucket counts where that is larger.
+func (ai *attrIndex) eqDistinct() float64 {
+	return max(ai.eqSeen.distinct, float64(ai.eq.used+ai.pairs.used))
 }
 
 // insert posts the row under c, returning the number of postings made: one,
@@ -841,12 +936,19 @@ func (p *postlist) probe(s candSink) {
 type scratch struct {
 	x       *matchIndex // the index (or snapshot) being matched
 	n       message.Notification
-	carry   uint64 // eqBit of every attribute of n, once carryOK
+	from    wire.Hop // rows on this hop are skipped unverified
+	carry   uint64   // eqBit of every attribute of n, once carryOK
 	carryOK bool
 	matched []int32 // row slots
-	hopSeen map[int32]struct{}
-	hopOut  []hopRef
-	entry   Entry // reused across visit calls; &entry escapes into the callback
+	// Route-once matching (see eachMatching): a broker hop whose stamp in
+	// routed equals routeMark has a verified match, and its remaining
+	// candidates are skipped. Indexed by hop intern id.
+	route     bool
+	routed    []uint32
+	routeMark uint32
+	hopSeen   map[int32]struct{}
+	hopOut    []hopRef
+	entry     Entry // reused across visit calls; &entry escapes into the callback
 }
 
 type hopRef struct {
@@ -864,26 +966,49 @@ func (x *matchIndex) getScratch() *scratch {
 }
 
 func (x *matchIndex) putScratch(s *scratch) {
-	s.n, s.x = message.Notification{}, nil // the pool must not keep either alive
+	// The pool must not keep the index, the notification or the hop alive.
+	s.n, s.x, s.from, s.route = message.Notification{}, nil, wire.Hop{}, false
 	x.pool.Put(s)
 }
 
-// candidate takes a probe hit: a live row whose access constraint the
-// posting's container has just proved for s.n. The row matches exactly when
-// the rest of its filter accepts the notification too. A row has one
-// posted constraint and a value hits at most one posting of it, so no row
-// is a candidate twice in one match and matched needs no deduplication.
+// skip reports whether a row on hop hid needs no verification: it points
+// back at the origin, or it is on a broker hop a verified match already
+// routes the notification to.
+func (s *scratch) skip(hid int32) bool {
+	h := &s.x.hops[hid].hop
+	if *h == s.from {
+		return true
+	}
+	return s.route && h.Client == "" && s.routed[hid] == s.routeMark
+}
+
+// accept records a verified match.
+func (s *scratch) accept(slot, hid int32) {
+	s.matched = append(s.matched, slot)
+	if s.route {
+		s.routed[hid] = s.routeMark // client hops are never read back
+	}
+}
+
+// candidate takes a probe hit: a live row whose posted constraint (or
+// pair) the posting's container has just proved for s.n. The row matches
+// exactly when the rest of its filter accepts the notification too. A row
+// has one posting and a value hits at most one entry of it, so no row is a
+// candidate twice in one match and matched needs no deduplication.
 func (s *scratch) candidate(sg slotGen) {
 	x := s.x
 	r := x.rows.at(sg.slot)
 	if r.gen != sg.gen {
 		return // posting of a removed row; reclaimed by compaction later
 	}
+	if s.skip(r.hopID) {
+		return
+	}
 	if need := *x.needs.at(sg.slot); need != 0 && need&^s.carried() != 0 {
 		return // an equality of the row names a value the notification does not carry
 	}
-	if r.f.MatchesExcept(s.n, int(r.access)) {
-		s.matched = append(s.matched, sg.slot)
+	if r.f.MatchesExcept(s.n, int(r.access), int(r.pair)) {
+		s.accept(sg.slot, r.hopID)
 	}
 }
 
@@ -903,14 +1028,24 @@ func (s *scratch) carried() uint64 {
 // scanned takes a scan-list posting: nothing has been proved about the row,
 // so its whole filter is evaluated.
 func (s *scratch) scanned(sg slotGen) {
-	if r := s.x.rows.at(sg.slot); r.gen == sg.gen && r.f.Matches(s.n) {
-		s.matched = append(s.matched, sg.slot)
+	if r := s.x.rows.at(sg.slot); r.gen == sg.gen && !s.skip(r.hopID) && r.f.Matches(s.n) {
+		s.accept(sg.slot, r.hopID)
 	}
 }
 
-// match appends the slot of every entry whose filter accepts n to
-// s.matched and returns it. The result aliases scratch state and is only
-// valid until the scratch is released.
+// probe probes one attribute of the index with the notification's value v:
+// its single-key postings, then its pair postings.
+func (s *scratch) probe(ai *attrIndex, v message.Value) {
+	ai.probe(v, s)
+	if ai.pairs.live > 0 && !isNaNValue(v) {
+		ai.pairs.probe(v, s.n, s)
+	}
+}
+
+// match appends to s.matched the slot of every entry not on hop from whose
+// filter accepts n, and returns it; with route, only the first verified
+// entry of each broker hop (see eachMatching). The result aliases scratch
+// state and is only valid until the scratch is released.
 //
 // Both the notification's attributes and the index's attribute list are
 // sorted by name, so their intersection is found by a sorted merge: one
@@ -918,11 +1053,21 @@ func (s *scratch) scanned(sg slotGen) {
 // dwarfs the other, binary-searching each element of the small side into
 // the large one is cheaper than walking the large side, so the walk
 // switches shape on a size ratio.
-func (x *matchIndex) match(n message.Notification, s *scratch) []int32 {
-	s.x, s.n, s.carryOK = x, n, false
+func (x *matchIndex) match(n message.Notification, from wire.Hop, route bool, s *scratch) []int32 {
+	s.x, s.n, s.from, s.route, s.carryOK = x, n, from, route, false
+	if route {
+		if len(s.routed) < len(x.hops) {
+			s.routed = make([]uint32, len(x.hops)+len(x.hops)/4)
+			s.routeMark = 0
+		}
+		if s.routeMark++; s.routeMark == 0 { // wrapped: forget every old stamp
+			clear(s.routed)
+			s.routeMark = 1
+		}
+	}
 	for _, sg := range x.matchAll.s.s {
-		if x.rowLive(sg) {
-			s.matched = append(s.matched, sg.slot)
+		if r := x.rows.at(sg.slot); r.gen == sg.gen && !s.skip(r.hopID) {
+			s.accept(sg.slot, r.hopID)
 		}
 	}
 	attrs := x.attrs.s
@@ -939,7 +1084,7 @@ func (x *matchIndex) match(n message.Notification, s *scratch) []int32 {
 			case attrs[i].name > a.Name:
 				j++
 			default:
-				attrs[i].ai.probe(a.Value, s)
+				s.probe(attrs[i].ai, a.Value)
 				i++
 				j++
 			}
@@ -948,13 +1093,13 @@ func (x *matchIndex) match(n message.Notification, s *scratch) []int32 {
 		for j := 0; j < ln; j++ {
 			a := n.At(j)
 			if i, ok := x.findAttr(a.Name); ok {
-				attrs[i].ai.probe(a.Value, s)
+				s.probe(attrs[i].ai, a.Value)
 			}
 		}
 	default:
 		for i := range attrs {
 			if v, ok := n.Get(attrs[i].name); ok {
-				attrs[i].ai.probe(v, s)
+				s.probe(attrs[i].ai, v)
 			}
 		}
 	}
@@ -965,25 +1110,13 @@ func (x *matchIndex) match(n message.Notification, s *scratch) []int32 {
 // candidates, and the scan list's rows as scanned.
 func (ai *attrIndex) probe(v message.Value, s candSink) {
 	ai.exists.probe(s)
-	nan := isNaNValue(v)
-	if !nan && ai.eq.live > 0 {
+	if ai.eq.live > 0 && !isNaNValue(v) {
 		bits, str := eqPayload(v)
 		ai.eq.probe(v.Kind(), bits, str, s)
 	}
-	switch v.Kind() {
-	case message.KindInt:
-		ai.iv.i.probe(v.IntVal(), s)
-	case message.KindFloat:
-		if nan {
-			// Value.Compare orders NaN equal to everything, so NaN is
-			// admitted exactly by the inclusive bounds.
-			ai.iv.f.probeInclusive(s)
-		} else {
-			ai.iv.f.probe(v.FloatVal(), s)
-		}
-	case message.KindString:
+	ai.iv.probe(v, s)
+	if v.Kind() == message.KindString {
 		str := v.Str()
-		ai.iv.s.probe(str, s)
 		ai.anyString.probe(s)
 		if str != "" {
 			ai.prefixes.probe(str, s)
@@ -1043,20 +1176,17 @@ func (x *matchIndex) sortSlots(sl []int32) {
 }
 
 // eachMatching is the shared visit-in-canonical-order matcher behind
-// Table.EachMatchingEntry (under the table's read lock) and
-// Snapshot.EachMatchingEntry (lock-free on the immutable copy). The Entry
-// pointer handed to visit is reused across calls and only valid during
-// each call.
-func (x *matchIndex) eachMatching(n message.Notification, from wire.Hop, visit func(*Entry)) {
+// Table.EachMatchingEntry and Table.EachRoute (under the table's read lock)
+// and their Snapshot twins (lock-free on the immutable copy). Rows on from
+// are skipped before verification. With route, a broker hop is visited
+// once: after its first verified match its remaining candidates are not
+// verified — a router sends one copy per neighbor whichever row asked for
+// it — while every client-hop match is still visited. The Entry pointer
+// handed to visit is reused across calls and only valid during each call.
+func (x *matchIndex) eachMatching(n message.Notification, from wire.Hop, route bool, visit func(*Entry)) {
 	s := x.getScratch()
 	defer x.putScratch(s)
-	matched := x.match(n, s)
-	kept := matched[:0]
-	for _, slot := range matched {
-		if x.hops[x.rows.at(slot).hopID].hop != from {
-			kept = append(kept, slot)
-		}
-	}
+	kept := x.match(n, from, route, s)
 	if len(kept) == 0 {
 		return
 	}

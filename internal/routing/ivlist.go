@@ -520,6 +520,24 @@ func (v *ivSet) insert(x postOwner, q ivShape, sg slotGen) {
 	}
 }
 
+// probe reports the intervals that admit val: those of its own kind.
+func (v *ivSet) probe(val message.Value, s candSink) {
+	switch val.Kind() {
+	case message.KindInt:
+		v.i.probe(val.IntVal(), s)
+	case message.KindFloat:
+		if isNaNValue(val) {
+			// Value.Compare orders NaN equal to everything, so NaN is
+			// admitted exactly by the inclusive bounds.
+			v.f.probeInclusive(s)
+		} else {
+			v.f.probe(val.FloatVal(), s)
+		}
+	case message.KindString:
+		v.s.probe(val.Str(), s)
+	}
+}
+
 func (v *ivSet) removeLazy(x postOwner, kind message.Kind) {
 	switch kind {
 	case message.KindInt:

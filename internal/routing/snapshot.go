@@ -35,7 +35,14 @@ func (sn *Snapshot) Len() int { return sn.entries }
 // to call from any number of goroutines concurrently. The entry pointer is
 // only valid during the call; visit must not retain or modify it.
 func (sn *Snapshot) EachMatchingEntry(n message.Notification, from wire.Hop, visit func(*Entry)) {
-	sn.idx.eachMatching(n, from, visit)
+	sn.idx.eachMatching(n, from, false, visit)
+}
+
+// EachRoute is Table.EachRoute on the snapshot: every matching client-hop
+// entry, one matching entry per broker hop. Safe for concurrent use, like
+// EachMatchingEntry.
+func (sn *Snapshot) EachRoute(n message.Notification, from wire.Hop, visit func(*Entry)) {
+	sn.idx.eachMatching(n, from, true, visit)
 }
 
 // MatchingEntries is EachMatchingEntry materialized into a slice

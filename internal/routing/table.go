@@ -143,12 +143,9 @@ func (x *matchIndex) matchingHops(n message.Notification, from wire.Hop) []wire.
 	s := x.getScratch()
 	defer x.putScratch(s)
 	s.hopOut = s.hopOut[:0]
-	for _, slot := range x.match(n, s) {
+	for _, slot := range x.match(n, from, false, s) {
 		hid := x.rows.at(slot).hopID
 		hi := x.hops[hid]
-		if hi.hop == from {
-			continue
-		}
 		if _, dup := s.hopSeen[hid]; dup {
 			continue
 		}
@@ -191,7 +188,19 @@ func (t *Table) MatchingEntries(n message.Notification, from wire.Hop) []Entry {
 func (t *Table) EachMatchingEntry(n message.Notification, from wire.Hop, visit func(*Entry)) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	t.idx.eachMatching(n, from, visit)
+	t.idx.eachMatching(n, from, false, visit)
+}
+
+// EachRoute is EachMatchingEntry for a router, which sends one copy of a
+// notification per neighbor broker and delivers it once per client
+// subscription: it visits every matching client-hop entry, but only one
+// matching entry per broker hop — once a broker hop has a verified match,
+// its other candidates are not verified. The visited entries are a subset
+// of EachMatchingEntry's, in the same order, and name the same hops.
+func (t *Table) EachRoute(n message.Notification, from wire.Hop, visit func(*Entry)) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	t.idx.eachMatching(n, from, true, visit)
 }
 
 // ClientEntries returns the entries owned by the given client

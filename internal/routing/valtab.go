@@ -542,6 +542,157 @@ func (p *prefixTable) probe(v string, s candSink) {
 }
 
 // ---------------------------------------------------------------------------
+// pairTable: pair postings, keyed by equality operand and second attribute.
+// ---------------------------------------------------------------------------
+
+// pairTable holds the pair postings of one equality attribute: a row
+// posted under the pair "this = v" and an ordered constraint on attribute b
+// sits in the bucket keyed by (v, b), in an interval list of its bounds on
+// b. Buckets are placed by the hash of v alone, so every bucket of v — one
+// per second attribute — lies on one probe run, and a probe with v walks
+// that run once. As in valTable, buckets are only reclaimed by rehash, once
+// most of them hold no live posting.
+type pairTable struct {
+	slots pvec[pairSlot]
+	used  int32 // occupied buckets
+	idle  int32 // occupied buckets whose list holds no live posting
+	live  int32 // live postings
+}
+
+type pairSlot struct {
+	bits uint64
+	str  string
+	attr string // the second, ordered attribute
+	list *pairList
+	kind message.Kind // KindInvalid: empty bucket
+}
+
+// pairList is one bucket's postings. Snapshots share it by pointer, so it
+// carries an ownership stamp like attrIndex: the first write of an epoch
+// clones it, and its interval lists copy-on-write themselves.
+type pairList struct {
+	stamp uint64
+	live  int32
+	iv    ivSet
+}
+
+func (t *pairTable) cap() int32 { return int32(t.slots.len()) }
+
+// find returns the bucket of (kind, bits, str, attr), or the empty bucket
+// ending its probe run and false.
+func (t *pairTable) find(kind message.Kind, bits uint64, str, attr string) (int32, bool) {
+	mask := t.cap() - 1
+	for i := int32(hashValKey(kind, bits, str)) & mask; ; i = (i + 1) & mask {
+		sl := t.slots.at(i)
+		if sl.kind == message.KindInvalid {
+			return i, false
+		}
+		if sl.kind == kind && sl.bits == bits && sl.str == str && sl.attr == attr {
+			return i, true
+		}
+	}
+}
+
+// listW returns bucket i's list ready for mutation.
+func (t *pairTable) listW(i int32, epoch uint64) *pairList {
+	l := t.slots.at(i).list
+	if l.stamp != epoch {
+		c := *l
+		c.stamp = epoch
+		l = &c
+		t.slots.w(i, epoch).list = l
+	}
+	return l
+}
+
+// add posts sg under the pair of "= v" and the interval q on attr.
+func (t *pairTable) add(x postOwner, v message.Value, attr string, q ivShape, sg slotGen) {
+	if t.cap() == 0 || (t.used+1)*4 > t.cap()*3 {
+		t.rehash(x, pairCapFor(2*(t.used-t.idle+1)))
+	}
+	epoch := x.cowEpoch()
+	bits, str := eqPayload(v)
+	i, ok := t.find(v.Kind(), bits, str, attr)
+	if !ok {
+		*t.slots.w(i, epoch) = pairSlot{bits: bits, str: str, attr: attr, list: &pairList{stamp: epoch}, kind: v.Kind()}
+		t.used++
+		t.idle++
+	}
+	l := t.listW(i, epoch)
+	if l.live == 0 {
+		t.idle--
+	}
+	l.live++
+	l.iv.insert(x, q, sg)
+	t.live++
+}
+
+// remove mirrors add for a row whose generation has already moved on.
+func (t *pairTable) remove(x postOwner, v message.Value, attr string, kind message.Kind) {
+	bits, str := eqPayload(v)
+	i, _ := t.find(v.Kind(), bits, str, attr) // add made it
+	l := t.listW(i, x.cowEpoch())
+	l.iv.removeLazy(x, kind)
+	l.live--
+	t.live--
+	if l.live == 0 {
+		if t.idle++; t.idle > 8 && t.idle*2 > t.used {
+			t.rehash(x, pairCapFor(2*(t.used-t.idle)))
+		}
+	}
+}
+
+// pairCapFor returns the power-of-two capacity that holds n buckets.
+func pairCapFor(n int32) int32 {
+	c := int32(8)
+	for c*3 < n*4 {
+		c *= 2
+	}
+	return c
+}
+
+// rehash rebuilds the table at the given capacity, dropping idle buckets.
+// Their lists hold no live posting: every row posted there has had its
+// generation bumped.
+func (t *pairTable) rehash(x postOwner, newCap int32) {
+	old, oldCap := t.slots, t.cap()
+	epoch := x.cowEpoch()
+	t.slots = pvec[pairSlot]{}
+	for i := int32(0); i < newCap; i++ {
+		t.slots.grow(epoch)
+	}
+	t.used, t.idle = 0, 0
+	for i := int32(0); i < oldCap; i++ {
+		sl := old.at(i)
+		if sl.kind == message.KindInvalid || sl.list.live == 0 {
+			continue
+		}
+		j, _ := t.find(sl.kind, sl.bits, sl.str, sl.attr)
+		*t.slots.w(j, epoch) = *sl
+		t.used++
+	}
+}
+
+// probe reports the rows of every bucket of v whose interval admits n's
+// value of the bucket's second attribute. v must not be NaN.
+func (t *pairTable) probe(v message.Value, n message.Notification, s candSink) {
+	kind := v.Kind()
+	bits, str := eqPayload(v)
+	mask := t.cap() - 1
+	for i := int32(hashValKey(kind, bits, str)) & mask; ; i = (i + 1) & mask {
+		sl := t.slots.at(i)
+		if sl.kind == message.KindInvalid {
+			return
+		}
+		if sl.kind == kind && sl.bits == bits && sl.str == str && sl.list.live > 0 {
+			if w, ok := n.Get(sl.attr); ok {
+				sl.list.iv.probe(w, s)
+			}
+		}
+	}
+}
+
+// ---------------------------------------------------------------------------
 // identTable: entry-identity hash table (mutation plane only).
 // ---------------------------------------------------------------------------
 
