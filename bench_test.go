@@ -1031,129 +1031,6 @@ func BenchmarkBrokerPublishFanout(b *testing.B) {
 	}
 }
 
-// BenchmarkBrokerPublishFanoutParallel measures the parallel publish
-// pipeline under a matching-heavy workload: 8 leaf brokers each hold 64
-// overlapping symbol+price-range subscriptions (512 aggregate entries in
-// the hub's table, hundreds of live intervals per price probe), and 4
-// producers storm the hub. workers=1 is the serial pipeline; workers=N
-// matches each batch's publish runs on N publisher-sharded workers against
-// an immutable routing snapshot, with results applied in batch order. On a
-// single-core runner the two modes should be within noise of each other
-// (the parity + overhead bound); the ≥1.5x speedup target applies to
-// multi-core runners (see EXPERIMENTS.md).
-func BenchmarkBrokerPublishFanoutParallel(b *testing.B) {
-	const (
-		leaves      = 8
-		symbols     = 8
-		windows     = 8 // price windows per symbol per leaf
-		producers   = 4
-		priceSpread = 76
-	)
-	modes := []int{1, 4}
-	if n := runtime.GOMAXPROCS(0); n > 1 && n != 4 {
-		modes = append(modes, n)
-	}
-	for _, workers := range modes {
-		workers := workers
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opts := broker.Options{Workers: workers}
-			hub := broker.New("hub", opts)
-			hub.Start()
-			defer hub.Close()
-			var delivered atomic.Int64
-			leafBrokers := make([]*broker.Broker, leaves)
-			var subFilters []filter.Filter // one leaf's filter set (identical across leaves)
-			for s := 0; s < symbols; s++ {
-				for w := 0; w < windows; w++ {
-					lo := int64(w * 5)
-					subFilters = append(subFilters, filter.MustNew(
-						filter.EQ("sym", message.String(fmt.Sprintf("S%d", s))),
-						filter.Range("price", message.Int(lo), message.Int(lo+40)),
-					))
-				}
-			}
-			for i := 0; i < leaves; i++ {
-				id := wire.BrokerID(fmt.Sprintf("leaf%d", i))
-				leaf := broker.New(id, opts)
-				leaf.Start()
-				defer leaf.Close()
-				leafBrokers[i] = leaf
-				lh, ll := transport.Pipe(wire.BrokerHop("hub"), wire.BrokerHop(id), hub, leaf)
-				if err := hub.AddLink(id, lh); err != nil {
-					b.Fatal(err)
-				}
-				if err := leaf.AddLink("hub", ll); err != nil {
-					b.Fatal(err)
-				}
-				client := wire.ClientID(fmt.Sprintf("c%d", i))
-				if err := leaf.AttachClient(client, func(wire.Deliver) { delivered.Add(1) }); err != nil {
-					b.Fatal(err)
-				}
-				for j, f := range subFilters {
-					err := leaf.Subscribe(wire.Subscription{
-						Filter: f, Client: client, ID: wire.SubID(fmt.Sprintf("s%d", j)),
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			settle := func() {
-				for r := 0; r < leaves+2; r++ {
-					hub.Barrier()
-					for _, leaf := range leafBrokers {
-						leaf.Barrier()
-					}
-				}
-			}
-			settle()
-
-			// Deterministic publish mix; expected delivery count per
-			// notification is the number of matching subscriptions
-			// across all leaves.
-			rng := rand.New(rand.NewSource(42))
-			const mix = 256
-			pubs := make([]wire.Message, mix)
-			expect := make([]int64, mix)
-			froms := make([]wire.Hop, producers)
-			for p := range froms {
-				froms[p] = wire.ClientHop(wire.ClientID(fmt.Sprintf("prod%d", p)))
-			}
-			for i := range pubs {
-				n := message.New(map[string]message.Value{
-					"sym":   message.String(fmt.Sprintf("S%d", rng.Intn(symbols))),
-					"price": message.Int(int64(rng.Intn(priceSpread))),
-				})
-				pubs[i] = wire.NewPublish(n)
-				for _, f := range subFilters {
-					if f.Matches(n) {
-						expect[i] += leaves
-					}
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var want int64
-			for i := 0; i < b.N; i++ {
-				hub.Receive(transport.Inbound{From: froms[i%producers], Msg: pubs[i%mix]})
-				want += expect[i%mix]
-				if i%4096 == 4095 {
-					hub.Barrier() // bound mailbox growth
-				}
-			}
-			settle()
-			b.StopTimer()
-			if got := delivered.Load(); got != want {
-				b.Fatalf("delivered %d, want %d", got, want)
-			}
-			stats := hub.Stats()
-			b.ReportMetric(float64(stats.WorkerJobs)/float64(b.N), "parallel-job-frac")
-			b.ReportMetric(stats.WorkerMeanShardDepth, "mean-shard-depth")
-			b.ReportMetric(float64(stats.SubSnapshots.Builds), "snapshot-builds")
-		})
-	}
-}
-
 // BenchmarkEndToEndPublish measures live publish→deliver throughput across
 // a three-broker chain.
 func BenchmarkEndToEndPublish(b *testing.B) {

@@ -55,7 +55,6 @@ type brokerFlags struct {
 	heartbeat      time.Duration
 	strategyName   string
 	statsEvery     time.Duration
-	workers        int
 	maxBatch       int
 	mailboxCap     int
 	mailboxPolicy  string
@@ -81,8 +80,6 @@ func newFlagSet() (*flag.FlagSet, *brokerFlags) {
 	fs.StringVar(&cfg.strategyName, "strategy", "covering",
 		"routing strategy: "+strings.Join(routing.StrategyNames(), ", ")+" (case-insensitive)")
 	fs.DurationVar(&cfg.statsEvery, "stats", 30*time.Second, "stats print interval")
-	fs.IntVar(&cfg.workers, "workers", 1,
-		"publish-matching parallelism (1 = serial pipeline)")
 	fs.IntVar(&cfg.maxBatch, "maxbatch", 0,
 		"max tasks drained from the mailbox per batch (0 = unlimited, 1 = one message per lock)")
 	fs.IntVar(&cfg.mailboxCap, "mailbox-cap", 0,
@@ -131,6 +128,9 @@ func run(args []string) error {
 	if cfg.heartbeat <= 0 {
 		return fmt.Errorf("-heartbeat must be positive, got %v", cfg.heartbeat)
 	}
+	if cfg.statsEvery <= 0 {
+		return fmt.Errorf("-stats must be positive, got %v", cfg.statsEvery)
+	}
 	boxPolicy, err := flow.ParsePolicy(cfg.mailboxPolicy)
 	if err != nil {
 		return fmt.Errorf("-mailbox-policy: %w", err)
@@ -166,7 +166,6 @@ func run(args []string) error {
 	self := wire.BrokerID(cfg.id)
 	b := broker.New(self, broker.Options{
 		Strategy:        strategy,
-		Workers:         cfg.workers,
 		MaxBatch:        cfg.maxBatch,
 		MailboxCapacity: cfg.mailboxCap,
 		MailboxPolicy:   boxPolicy,
@@ -194,8 +193,8 @@ func run(args []string) error {
 			egress += fmt.Sprintf(", window %d %s", cfg.egressWindow, egressPolicy)
 		}
 	}
-	log.Printf("broker %s listening on %s (strategy %s, workers %d, maxbatch %d, mailbox %s, send window %d frames %s, egress %s)",
-		cfg.id, ln.Addr(), strategy, cfg.workers, cfg.maxBatch, box, cfg.sendWindow, ringPolicy, egress)
+	log.Printf("broker %s listening on %s (strategy %s, maxbatch %d, mailbox %s, send window %d frames %s, egress %s)",
+		cfg.id, ln.Addr(), strategy, cfg.maxBatch, box, cfg.sendWindow, ringPolicy, egress)
 
 	stop := make(chan struct{})
 	defer close(stop)

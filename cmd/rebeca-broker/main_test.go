@@ -48,6 +48,10 @@ func TestRunRejectsBadFlowFlags(t *testing.T) {
 		{"-id", "b1", "-listen", ":0", "-mailbox-cap", "-2"},
 		{"-id", "b1", "-listen", ":0", "-send-window", "0"},
 		{"-id", "b1", "-listen", ":0", "-send-policy", "bogus"},
+		// A non-positive stats interval would panic the ticker after the
+		// port is bound.
+		{"-id", "b1", "-listen", ":0", "-stats", "0"},
+		{"-id", "b1", "-listen", ":0", "-stats", "-1s"},
 		// Block-bounded mailboxes deadlock on bidirectional broker
 		// flows, so the daemon refuses the combination outright.
 		{"-id", "b1", "-listen", ":0", "-mailbox-cap", "64", "-mailbox-policy", "block"},

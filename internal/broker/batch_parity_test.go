@@ -14,11 +14,11 @@ import (
 )
 
 // TestBatchedDeliveryParity is the randomized parity test for the batched
-// and parallel pipelines: the same multi-broker publish workload runs
-// through the unbatched one-message-per-lock path (MaxBatch 1), the
-// batched path (MaxBatch 0), and the parallel path (Workers 4), and every
-// subscription's delivery sequence — payloads and sequence numbers — must
-// be byte-identical across all three.
+// pipeline and the egress writers: the same multi-broker publish workload
+// runs through the unbatched one-message-per-lock path (MaxBatch 1), the
+// batched path (MaxBatch 0), and the batched path with sharded egress
+// writers, and every subscription's delivery sequence — payloads and
+// sequence numbers — must be byte-identical across all of them.
 //
 // Each subscription is pinned to a single producer (an equality constraint
 // on the producer attribute), so its delivery sequence is determined by
@@ -35,14 +35,13 @@ func TestBatchedDeliveryParity(t *testing.T) {
 			runs := map[string]map[string][]string{
 				"unbatched": runParityWorkload(t, cfg, Options{MaxBatch: 1}),
 				"batched":   runParityWorkload(t, cfg, Options{}),
-				"parallel":  runParityWorkload(t, cfg, Options{Workers: 4}),
 				// Sharded egress writers at every pool size the shard
 				// pinning can exercise (1 = all links on one writer,
 				// 4 > links on most trials); the per-link sequences must
 				// not change when writes leave the run goroutine.
-				"egress1":          runParityWorkload(t, cfg, Options{EgressWriters: 1}),
-				"egress2":          runParityWorkload(t, cfg, Options{EgressWriters: 2}),
-				"egress4-parallel": runParityWorkload(t, cfg, Options{EgressWriters: 4, Workers: 4}),
+				"egress1": runParityWorkload(t, cfg, Options{EgressWriters: 1}),
+				"egress2": runParityWorkload(t, cfg, Options{EgressWriters: 2}),
+				"egress4": runParityWorkload(t, cfg, Options{EgressWriters: 4}),
 			}
 			want := runs["unbatched"]
 			for mode, got := range runs {
@@ -102,8 +101,8 @@ func TestBoundedDeliveryParity(t *testing.T) {
 					Options{MailboxCapacity: 2, MailboxPolicy: flow.Block, MaxBatch: 2}),
 				"cap16": runParityWorkload(t, cfg,
 					Options{MailboxCapacity: 16, MailboxPolicy: flow.Block}),
-				"cap8-parallel": runParityWorkload(t, cfg,
-					Options{MailboxCapacity: 8, MailboxPolicy: flow.Block, Workers: 4}),
+				"cap8": runParityWorkload(t, cfg,
+					Options{MailboxCapacity: 8, MailboxPolicy: flow.Block}),
 				"cap8-windowed": runParityWorkload(t, cfg,
 					Options{MailboxCapacity: 8, MailboxPolicy: flow.Block}, window),
 				// A tiny Block egress window on top of a bounded mailbox:

@@ -124,18 +124,6 @@ type Options struct {
 	// links — DropOldest and ShedNewest shed notifications instead.
 	// Ignored when EgressWindow is 0.
 	EgressPolicy flow.Policy
-	// Workers sets the matching parallelism of the publish pipeline: runs
-	// of consecutive publish messages in a drained batch are matched on
-	// this many sharded worker goroutines against an immutable snapshot
-	// of the routing table, with results applied in batch order by the
-	// run goroutine. 0 or 1 (the default) keeps the fully serial
-	// pipeline; the observable delivery and forwarding sequences are
-	// byte-identical either way (the workers only parallelize the pure
-	// matching step). Control messages — sub/unsub, advertisements,
-	// relocation, closures — always serialize through the run loop and
-	// act as barriers between publish runs. Ignored under the Flooding
-	// strategy, whose "matching" is a broadcast.
-	Workers int
 }
 
 // DefaultMaxBufferPerSub is the default per-subscription buffer cap.
@@ -147,7 +135,8 @@ const DefaultMaxBufferPerSub = 65536
 const DefaultRelocTimeout = 5 * time.Second
 
 // Broker is one node of the overlay. All state is owned by the run
-// goroutine; external entry points post tasks to the mailbox.
+// goroutine — the routing tables included, which have no lock of their
+// own; external entry points post tasks to the mailbox.
 type Broker struct {
 	id   wire.BrokerID
 	opts Options
@@ -197,10 +186,6 @@ type Broker struct {
 	// (aggregate subscribe/unsubscribe messages toward neighbors).
 	ctrlSubsSent   uint64
 	ctrlUnsubsSent uint64
-
-	// pool is the parallel matching pool, nil when the pipeline is
-	// serial (Workers <= 1 or Flooding).
-	pool *workerPool
 
 	// egress is the sharded link-writer pool, nil when egress is inline
 	// (EgressWriters == 0). egressFlushLat times the per-burst link
@@ -263,9 +248,10 @@ type pubCtx struct {
 	from  wire.Hop
 	msg   wire.Message // the shared fan-out envelope; zero until first broker hop
 	// deliveries collects the local subscriptions a publish matched; they
-	// are delivered after the match visit returns, so client callbacks
-	// (arbitrary user code, including blocking remote-client writes)
-	// never run under the routing table's lock. Reused across publishes.
+	// are delivered after the match visit returns, so a delivery — and the
+	// client callback it runs, arbitrary user code — never executes while
+	// the match holds the subscription table's one scratch, which a visit
+	// must not re-enter. Reused across publishes.
 	deliveries []subRef
 }
 
@@ -279,11 +265,8 @@ type Stats struct {
 	// SubIndex and AdvIndex describe the predicate match index backing
 	// each routing table (posting-list shape, match-all rows).
 	SubIndex, AdvIndex routing.IndexStats
-	// MailboxDepth is the number of queued, not yet processed tasks,
-	// aggregated across the mailbox, the drained-but-unprocessed tail of
-	// the current batch, and — when Workers > 1 — the jobs currently in
-	// flight on the matching workers, so the reading cannot go stale or
-	// negative whichever pipeline is active.
+	// MailboxDepth is the number of queued, not yet processed tasks: the
+	// mailbox plus the drained-but-unprocessed tail of the current batch.
 	MailboxDepth int
 	// BatchesProcessed counts mailbox drains executed by the message loop;
 	// MaxBatchSize is the largest single drain and MeanBatchSize the
@@ -315,26 +298,6 @@ type Stats struct {
 	ReplayBatches   uint64
 	ReplayMeanItems float64
 	ReplayMaxItems  uint64
-	// Workers is the configured matching parallelism (1 = serial).
-	// WorkerRuns counts parallel publish runs dispatched to the pool and
-	// WorkerJobs the publishes matched there; WorkerMaxShardDepth /
-	// WorkerMeanShardDepth describe how many jobs each dispatched shard
-	// carried (the worker-depth distribution); WorkerInflight is the
-	// number of jobs dispatched but not yet applied. Because Stats
-	// serializes through the run loop — which blocks on each run's apply
-	// barrier — WorkerInflight is always 0 here; it is reported so the
-	// MailboxDepth aggregation stays correct if an asynchronous apply
-	// stage is ever added.
-	Workers              int
-	WorkerRuns           uint64
-	WorkerJobs           uint64
-	WorkerMaxShardDepth  int
-	WorkerMeanShardDepth float64
-	WorkerInflight       int
-	// SubSnapshots reports the subscription table's copy-on-write
-	// snapshot activity (mutation generation, build/clone/rebuild
-	// counts).
-	SubSnapshots routing.SnapshotStats
 	// ControlSubsSent and ControlUnsubsSent count the administrative
 	// subscribe/unsubscribe messages this broker's forwarding strategy
 	// sent to neighbors — the per-strategy admin traffic Figure 9
@@ -471,9 +434,6 @@ func New(id wire.BrokerID, opts Options) *Broker {
 		pubSeen:      pubScratch{subs: make(map[subRef]uint64)},
 	}
 	b.pub.visit = b.visitPublishEntry
-	if opts.Workers > 1 && opts.Strategy != routing.Flooding {
-		b.pool = newWorkerPool(opts.Workers)
-	}
 	if opts.EgressWriters > 0 {
 		b.egress = newEgressPool(b, opts.EgressWriters, flow.Options{
 			Capacity: opts.EgressWindow,
@@ -486,12 +446,9 @@ func New(id wire.BrokerID, opts Options) *Broker {
 // ID returns the broker's identity.
 func (b *Broker) ID() wire.BrokerID { return b.id }
 
-// Start launches the message loop and, when configured, the matching
-// worker pool (Workers > 1) and the egress writer pool (EgressWriters > 0).
+// Start launches the message loop and, when configured, the egress writer
+// pool (EgressWriters > 0).
 func (b *Broker) Start() {
-	if b.pool != nil {
-		b.pool.start()
-	}
 	if b.egress != nil {
 		b.egress.start()
 	}
@@ -549,9 +506,6 @@ func (b *Broker) exec(fn func()) error {
 
 func (b *Broker) run() {
 	defer close(b.done)
-	if b.pool != nil {
-		defer b.pool.stop()
-	}
 	for {
 		batch, ok := b.box.popBatch()
 		if !ok {
@@ -582,15 +536,12 @@ func (b *Broker) run() {
 // flush first, preserving the exec/Barrier contract that every earlier
 // task's output is on the wire before the closure observes the broker.
 //
-// With a worker pool, maximal runs of consecutive publish tasks are
-// matched in parallel against one immutable routing snapshot and applied
-// in batch order (processPublishRun); everything else — control messages,
-// closures — serializes through this loop and thereby acts as a barrier
-// between runs, so a publish can never be matched against routing state
-// older than the last control message processed before it.
+// Every task, publish or control, runs here in mailbox order against the
+// one routing table, so a publish is always matched against the routing
+// state every earlier control message left behind.
 func (b *Broker) processBatch(batch []task) {
 	b.batchDepth.Observe(uint64(len(batch)))
-	for i := 0; i < len(batch); {
+	for i := range batch {
 		t := &batch[i]
 		if t.fn != nil {
 			b.flushOutbox()
@@ -604,75 +555,18 @@ func (b *Broker) processBatch(batch []task) {
 			// unprocessed tail of this batch as queue depth.
 			b.batchRemaining = len(batch) - i - 1
 			t.fn()
-			i++
 			continue
-		}
-		if b.pool != nil && isPublishTask(t) {
-			j := i + 1
-			for j < len(batch) && isPublishTask(&batch[j]) {
-				j++
-			}
-			if j-i >= minParallelRun {
-				b.processed[wire.TypePublish] += uint64(j - i)
-				b.processPublishRun(batch[i:j])
-				i = j
-				continue
-			}
 		}
 		if int(t.in.Msg.Type) < processedTypes {
 			b.processed[t.in.Msg.Type]++
 		}
 		if t.in.From.IsClient() {
 			b.clientInbound(t.in.From, t.in.Msg)
-			i++
 			continue
 		}
 		b.dispatch(t.in)
-		i++
 	}
 	b.flushOutbox()
-}
-
-// isPublishTask reports whether a task is an inbound publish eligible for
-// parallel matching (client- and broker-hop publishes both go through
-// handlePublish on the serial path).
-func isPublishTask(t *task) bool {
-	return t.fn == nil && t.in.Msg.Type == wire.TypePublish && t.in.Msg.Notif != nil
-}
-
-// processPublishRun matches one run of consecutive publishes on the worker
-// pool — all against the same immutable routing snapshot, sharded by
-// publisher hop — and then applies each result in batch order on the run
-// goroutine: outbox writes first, local deliveries second, exactly the
-// order and dedup the serial handlePublish emits. Per-link FIFO follows
-// from the ordered apply feeding the per-hop outboxes, which a single
-// flusher (flushOutbox) drains at the next batch boundary.
-func (b *Broker) processPublishRun(run []task) {
-	results := b.pool.match(b.subs.Snapshot(), run)
-	for i := range run {
-		b.applyPublish(&run[i], &results[i])
-	}
-}
-
-// applyPublish turns one worker-produced match result into observable
-// output. Runs on the run goroutine: all client and link state is owned
-// here, so the parallel pipeline's writes stay single-threaded. The
-// inbound envelope is forwarded as-is — publishes that arrived over TCP
-// carry the decoded frame, so a transit broker's fan-out reuses those
-// bytes instead of re-encoding.
-func (b *Broker) applyPublish(t *task, r *matchResult) {
-	n := *t.in.Msg.Notif
-	msg := t.in.Msg
-	for _, hop := range r.hops {
-		if _, ok := b.links[hop.Broker]; !ok {
-			continue
-		}
-		b.maybePreencode(hop.Broker, &msg)
-		b.send(hop, msg)
-	}
-	for _, ref := range r.deliveries {
-		b.deliverTo(ref.client, ref.id, n, false)
-	}
 }
 
 // flushOutbox moves every deferred message toward its link, one FIFO
@@ -1036,17 +930,6 @@ func (b *Broker) Stats() Stats {
 				s.LinkQueueHighWater = fs.HighWater
 			}
 		}
-		s.Workers = 1
-		s.SubSnapshots = b.subs.SnapshotStats()
-		if b.pool != nil {
-			s.Workers = len(b.pool.chans)
-			s.WorkerRuns = b.pool.dispatches
-			s.WorkerJobs = b.pool.jobs
-			s.WorkerMaxShardDepth = int(b.pool.shardDepth.Max())
-			s.WorkerMeanShardDepth = b.pool.shardDepth.Mean()
-			s.WorkerInflight = int(b.pool.inflight.Get())
-			s.MailboxDepth += s.WorkerInflight
-		}
 	})
 	return s
 }
@@ -1092,8 +975,8 @@ func (b *Broker) broadcast(m wire.Message, except wire.Hop) {
 // maybePreencode caches m's wire frame before it is queued for a
 // frame-encoding peer, so a fan-out serializes at most once and message
 // copies enqueued for later hops inherit the cached frame. The
-// encode-once policy lives only here: the serial publish visitor, the
-// parallel apply stage, and broadcast all share it.
+// encode-once policy lives only here: the publish visitor and broadcast
+// share it.
 func (b *Broker) maybePreencode(peer wire.BrokerID, m *wire.Message) {
 	if b.encLinks == 0 || m.Frame != nil {
 		return

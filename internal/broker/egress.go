@@ -13,11 +13,11 @@ import (
 // Parallel egress: when Options.EgressWriters > 0, flushOutbox stops
 // performing link writes (and their syscalls) inline on the run goroutine
 // and instead hands each neighbor's burst to a sharded writer pool. Every
-// link is pinned to one shard by hashing its hop identity (the same
-// FNV-1a sharding the matching pool uses), each shard is one bounded
-// flow.Queue drained by one writer goroutine, and the writer performs the
-// SendBatch/Flush calls — so a hub's links are written concurrently and a
-// slow socket delays only the links sharing its shard, not the run loop.
+// link is pinned to one shard by hashing its hop identity (hopShard),
+// each shard is one bounded flow.Queue drained by one writer goroutine,
+// and the writer performs the SendBatch/Flush calls — so a hub's links are
+// written concurrently and a slow socket delays only the links sharing its
+// shard, not the run loop.
 //
 // Per-link FIFO holds by construction: the pinning is a pure function of
 // the hop (a link never migrates between shards), the run goroutine is
@@ -116,6 +116,27 @@ func (e *egressPool) stop() {
 // broker, which is what makes per-link FIFO a construction property.
 func (e *egressPool) shardOf(hop wire.Hop) int {
 	return hopShard(hop, len(e.shards))
+}
+
+// hopShard maps a hop onto one of n shards (FNV-1a over the hop
+// identity): one hop always lands on the same shard.
+func hopShard(h wire.Hop, n int) int {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	hash := uint64(offset64)
+	for i := 0; i < len(h.Client); i++ {
+		hash ^= uint64(h.Client[i])
+		hash *= prime64
+	}
+	hash ^= '/'
+	hash *= prime64
+	for i := 0; i < len(h.Broker); i++ {
+		hash ^= uint64(h.Broker[i])
+		hash *= prime64
+	}
+	return int(hash % uint64(n))
 }
 
 // handoff transfers one neighbor's outbox burst to its shard. The queue

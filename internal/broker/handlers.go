@@ -567,13 +567,11 @@ func (b *Broker) handlePublish(from wire.Hop, n message.Notification, env wire.M
 
 // visitPublishEntry routes one table row EachRoute visits for the publish
 // carried in b.pub: local subscriptions are queued for delivery after the
-// visit (client callbacks must not run under the table lock), broker hops
-// — one row each — receive the shared fan-out envelope through the
-// outbox. For publishes
-// that arrived over a link, b.pub.msg is the inbound envelope (possibly
-// carrying the decoded frame for zero-copy forwarding); for local client
-// publishes it is built lazily at the first broker hop. Bound once as
-// b.pub.visit.
+// visit (see pubCtx.deliveries), broker hops — one row each — receive the
+// shared fan-out envelope through the outbox. For publishes that arrived
+// over a link, b.pub.msg is the inbound envelope (possibly carrying the
+// decoded frame for zero-copy forwarding); for local client publishes it
+// is built lazily at the first broker hop. Bound once as b.pub.visit.
 func (b *Broker) visitPublishEntry(e *routing.Entry) {
 	s := &b.pubSeen
 	if e.Hop.IsClient() {

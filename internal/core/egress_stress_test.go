@@ -12,17 +12,16 @@ import (
 	"repro/internal/wire"
 )
 
-// TestParallelRoamingExactlyOnce re-runs the randomized relocation stress
-// workload on a network whose brokers match publishes on parallel worker
-// pools (Workers 4) AND write links from sharded egress writers
-// (EgressWriters 2), with publish bursts large enough that relay brokers
-// actually build multi-publish parallel runs. The exactly-once contract —
-// no lost, duplicated, or reordered notification across any sequence of
-// detaches and relocations — must hold bit-for-bit, exactly as on the
-// serial pipeline: relocation control messages serialize through each
-// broker's run loop, the egress drain barrier puts every earlier send on
-// the wire before they run, and both fence the publish runs around them.
-func TestParallelRoamingExactlyOnce(t *testing.T) {
+// TestEgressRoamingExactlyOnce re-runs the randomized relocation stress
+// workload on a network whose brokers write links from sharded egress
+// writers (EgressWriters 2), with publish bursts large enough that relay
+// brokers build multi-publish batches. The exactly-once contract — no
+// lost, duplicated, or reordered notification across any sequence of
+// detaches and relocations — must hold bit-for-bit, exactly as with inline
+// writes: relocation control messages serialize through each broker's run
+// loop, and the egress drain barrier puts every earlier send on the wire
+// before they run.
+func TestEgressRoamingExactlyOnce(t *testing.T) {
 	seeds := []int64{3, 11, 77}
 	if testing.Short() {
 		seeds = seeds[:1]
@@ -31,7 +30,7 @@ func TestParallelRoamingExactlyOnce(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			net := NewNetwork(WithWorkers(4), WithEgressWriters(2))
+			net := NewNetwork(WithEgressWriters(2))
 			t.Cleanup(net.Close)
 
 			ids := make([]wire.BrokerID, 8)
@@ -65,10 +64,9 @@ func TestParallelRoamingExactlyOnce(t *testing.T) {
 			// Link-level noise storm: non-matching publishes injected
 			// straight into broker mailboxes from fake client hops, fast
 			// enough to form multi-publish batches, so the relocation
-			// control flow below runs concurrently with genuinely
-			// parallel matching runs on the same brokers. The noise
-			// matches no subscription and cannot perturb the
-			// exactly-once accounting.
+			// control flow below is interleaved with publish bursts on
+			// the same brokers. The noise matches no subscription and
+			// cannot perturb the exactly-once accounting.
 			stop := make(chan struct{})
 			var storm sync.WaitGroup
 			for s := 0; s < 2; s++ {
@@ -116,8 +114,8 @@ func TestParallelRoamingExactlyOnce(t *testing.T) {
 			}
 
 			for round := 0; round < 8; round++ {
-				// Bursts well above the parallel dispatch threshold so
-				// relaying brokers exercise the worker pools.
+				// Bursts large enough to fill multi-publish batches on the
+				// relaying brokers.
 				pub(40 + rng.Intn(60))
 				net.Settle()
 				if rng.Intn(2) == 0 {
@@ -156,22 +154,18 @@ func TestParallelRoamingExactlyOnce(t *testing.T) {
 				}
 			}
 
-			// At least one broker must actually have run parallel
-			// matching during the workload.
-			var jobs uint64
+			// At least one broker must actually have written through its
+			// egress writers during the workload.
+			var flushes uint64
 			for _, id := range ids {
 				b, err := net.Broker(id)
 				if err != nil {
 					t.Fatal(err)
 				}
-				st := b.Stats()
-				if st.Workers != 4 {
-					t.Fatalf("broker %s workers = %d", id, st.Workers)
-				}
-				jobs += st.WorkerJobs
+				flushes += b.Stats().EgressFlushes
 			}
-			if jobs == 0 {
-				t.Fatal("no broker dispatched a parallel publish run")
+			if flushes == 0 {
+				t.Fatal("no broker wrote a link burst through its egress writers")
 			}
 		})
 	}

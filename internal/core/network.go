@@ -42,7 +42,6 @@ type networkConfig struct {
 	defaultLat time.Duration
 	procDelay  time.Duration
 	maxBuffer  int
-	workers    int
 	egress     int
 
 	// Elastic-federation settings (see elastic.go).
@@ -73,13 +72,6 @@ func WithProcDelay(d time.Duration) NetworkOption {
 // WithMaxBufferPerSub caps the relocation and virtual-counterpart buffers.
 func WithMaxBufferPerSub(n int) NetworkOption {
 	return func(c *networkConfig) { c.maxBuffer = n }
-}
-
-// WithWorkers sets every broker's publish-matching parallelism (see
-// broker.Options.Workers). The default of 0 keeps the serial pipeline;
-// delivery sequences are byte-identical for any value.
-func WithWorkers(n int) NetworkOption {
-	return func(c *networkConfig) { c.workers = n }
 }
 
 // WithEgressWriters sets every broker's egress parallelism (see
@@ -154,7 +146,6 @@ func (n *Network) AddBroker(id wire.BrokerID) (*broker.Broker, error) {
 		ProcDelay:       n.cfg.procDelay,
 		Counter:         n.counter,
 		MaxBufferPerSub: n.cfg.maxBuffer,
-		Workers:         n.cfg.workers,
 		EgressWriters:   n.cfg.egress,
 		RelocTimeout:    n.cfg.relocTimeout,
 	})

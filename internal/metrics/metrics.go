@@ -1,15 +1,13 @@
 // Package metrics provides lightweight counters for the experiment
-// harness: messages by category (the quantity Figure 9 plots), delivery
-// and latency recorders.
+// harness and the broker: messages by category (the quantity Figure 9
+// plots) and count/sum/max distributions.
 package metrics
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Category classifies a counted message.
@@ -150,67 +148,4 @@ func (d *Distribution) Mean() float64 {
 		return 0
 	}
 	return float64(d.sum.Load()) / float64(n)
-}
-
-// Gauge is an atomic up/down counter for instantaneous quantities (queue
-// depths, in-flight work). The zero value is ready to use.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Add moves the gauge by delta (negative to decrement).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Get returns the current value.
-func (g *Gauge) Get() int64 { return g.v.Load() }
-
-// LatencyRecorder accumulates deliveries with timestamps, used by the
-// blackout-period experiment (Figure 3).
-type LatencyRecorder struct {
-	mu      sync.Mutex
-	samples []time.Duration
-}
-
-// Record appends a sample.
-func (r *LatencyRecorder) Record(d time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.samples = append(r.samples, d)
-}
-
-// Samples returns a copy of all samples.
-func (r *LatencyRecorder) Samples() []time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]time.Duration, len(r.samples))
-	copy(out, r.samples)
-	return out
-}
-
-// Count returns the number of samples.
-func (r *LatencyRecorder) Count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.samples)
-}
-
-// Quantile returns the q-quantile (0..1) of the recorded samples, or 0
-// when empty.
-func (r *LatencyRecorder) Quantile(q float64) time.Duration {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.samples) == 0 {
-		return 0
-	}
-	sorted := make([]time.Duration, len(r.samples))
-	copy(sorted, r.samples)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(q * float64(len(sorted)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterBasics(t *testing.T) {
@@ -71,39 +70,6 @@ func TestCategoryString(t *testing.T) {
 		if got := cat.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", cat, got, want)
 		}
-	}
-}
-
-func TestLatencyRecorder(t *testing.T) {
-	var r LatencyRecorder
-	if r.Count() != 0 || r.Quantile(0.5) != 0 {
-		t.Error("empty recorder misbehaves")
-	}
-	for _, d := range []time.Duration{30, 10, 50, 20, 40} {
-		r.Record(d * time.Millisecond)
-	}
-	if r.Count() != 5 {
-		t.Errorf("Count = %d", r.Count())
-	}
-	if got := r.Quantile(0); got != 10*time.Millisecond {
-		t.Errorf("min = %v", got)
-	}
-	if got := r.Quantile(1); got != 50*time.Millisecond {
-		t.Errorf("max = %v", got)
-	}
-	if got := r.Quantile(0.5); got != 30*time.Millisecond {
-		t.Errorf("median = %v", got)
-	}
-	if got := r.Quantile(-1); got != 10*time.Millisecond {
-		t.Errorf("clamped low quantile = %v", got)
-	}
-	samples := r.Samples()
-	if len(samples) != 5 {
-		t.Errorf("Samples = %v", samples)
-	}
-	samples[0] = 0 // must not alias internal state
-	if r.Quantile(0) == 0 {
-		t.Error("Samples aliases internal slice")
 	}
 }
 

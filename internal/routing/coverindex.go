@@ -71,7 +71,6 @@ type witnessPlane struct {
 	all   int32 // the tracked empty filter, which covers every filter; -1 if none
 }
 
-func (p *witnessPlane) cowEpoch() uint64        { return 1 } // never shared: no snapshots
 func (p *witnessPlane) rowLive(sg slotGen) bool { return p.gen[sg.slot] == sg.gen }
 func (p *witnessPlane) attrAt(name string) *attrIndex {
 	return p.attrs[name]
@@ -94,7 +93,6 @@ type displacePlane struct {
 	attrs map[string]*fwdAttr
 }
 
-func (p *displacePlane) cowEpoch() uint64        { return 1 }
 func (p *displacePlane) rowLive(sg slotGen) bool { return p.gen[sg.slot] == sg.gen }
 
 // fwdAttr is one attribute of the displacement plane. Every constraint on
@@ -450,7 +448,7 @@ func (ai *attrIndex) probeCoverers(d *filter.Constraint, s candSink) {
 		return
 	}
 	ai.exists.probe(s)
-	for _, sg := range ai.scan.s.s {
+	for _, sg := range ai.scan.s {
 		s.scanned(sg)
 	}
 	switch d.Op {
@@ -465,7 +463,7 @@ func (ai *attrIndex) probeCoverers(d *filter.Constraint, s candSink) {
 
 // post registers constraint c of a forwarded filter; unpost mirrors it.
 func (fa *fwdAttr) post(x postOwner, c *filter.Constraint, sg slotGen) {
-	fa.all.add(x, sg)
+	fa.all.add(sg)
 	switch c.Op {
 	case filter.OpEQ, filter.OpIn:
 		if eachMember(c, func(v message.Value) {
@@ -473,13 +471,13 @@ func (fa *fwdAttr) post(x postOwner, c *filter.Constraint, sg slotGen) {
 				fa.iv.insert(x, q, sg)
 			}
 		}) {
-			fa.nan.add(x, sg)
+			fa.nan.add(sg)
 		}
 	case filter.OpLT, filter.OpLE, filter.OpGT, filter.OpGE, filter.OpRange:
 		if q, ok := ordShape(c); ok {
 			fa.iv.insert(x, q, sg)
 		} else if orderedBoundNaN(c) {
-			fa.nan.add(x, sg)
+			fa.nan.add(sg)
 		}
 	}
 }

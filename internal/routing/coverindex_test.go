@@ -391,7 +391,6 @@ func FuzzCoverIndexOracle(f *testing.F) {
 // posting containers directly.
 type testOwner struct{ gen []uint32 }
 
-func (o *testOwner) cowEpoch() uint64        { return 1 }
 func (o *testOwner) rowLive(sg slotGen) bool { return o.gen[sg.slot] == sg.gen }
 
 // collectSink gathers the live slots a probe reports.
@@ -473,11 +472,11 @@ func TestIvlistContainmentProbes(t *testing.T) {
 			slices.Sort(c.want)
 			if !slices.Equal(s.got, c.want) {
 				t.Fatalf("step %d: %s %+v over %d runs + %d pending:\n got  %v\n want %v",
-					step, c.name, q, len(l.runs.s), len(l.pend.s), s.got, c.want)
+					step, c.name, q, len(l.runs), len(l.pend), s.got, c.want)
 			}
 		}
 	}
-	if len(l.runs.s) == 0 {
+	if len(l.runs) == 0 {
 		t.Fatal("no sorted run was built: the test exercised only the pending buffer")
 	}
 }

@@ -2,7 +2,7 @@ package routing
 
 import (
 	"math"
-	"sync"
+	"slices"
 
 	"repro/internal/filter"
 	"repro/internal/message"
@@ -26,8 +26,8 @@ import (
 // The result does not depend on which constraint was chosen: a row is
 // reported exactly when its access constraint and every other constraint
 // hold, i.e. when Filter.Matches does. The choice only moves cost. It is
-// made once, at insert, from what the index knows then, recorded in the
-// row, and made afresh by rebuild().
+// made once, at insert, from what the index knows then, and recorded in the
+// row.
 //
 // Storage is struct-of-arrays, sized for 10⁶ entries: rows live in a paged
 // vector indexed by int32 slot, hops and owner identities are interned
@@ -51,15 +51,11 @@ import (
 // Removal is logical-first: freeing a row bumps its generation, which
 // invalidates its postings everywhere at once; posting storage is
 // reclaimed by per-container amortized compaction. The index is maintained
-// incrementally by insertEntry/removeSlot and is not concurrency-safe on
-// its own; Table's lock covers it. Snapshots are shallow struct copies
-// under the copy-on-write epoch protocol of pvec.go — see share().
+// incrementally by insertEntry/removeSlot and written in place. Like its
+// Table it belongs to one goroutine: nothing reads it while it changes,
+// and one scratch serves every match (see scratch).
 type matchIndex struct {
-	// epoch is the copy-on-write ownership stamp: bumped by share(), so
-	// the first write to any container after a snapshot copies what the
-	// snapshot can see. Starts at 1 so zero-valued stamps are never owned.
-	epoch uint64
-	rows  pvec[row]
+	rows pvec[row]
 	// needs is parallel to rows: one bit per residual equality constraint
 	// of the row's filter (see eqBit). A notification whose own bits lack
 	// one of them cannot match, which a candidate check reads here, eight
@@ -69,15 +65,13 @@ type matchIndex struct {
 	// its own because a ninth word in the row would push a row page off
 	// its allocator size class (see pvec.go).
 	needs    pvec[uint64]
-	free     cowslice[int32]
+	free     []int32
 	matchAll postlist
-	attrs    cowslice[attrRef] // per-attribute indexes, sorted by name
-	postings int               // live match-plane postings (see IndexStats.Postings)
+	attrs    []attrRef // per-attribute indexes, sorted by name
+	postings int       // live match-plane postings (see IndexStats.Postings)
 	liveRows int
 
-	// Mutation-plane state: written in place under the table lock and
-	// never read on the match path, so snapshots carry stale copies of
-	// these fields harmlessly.
+	// Mutation-plane state: never read on the match path.
 	ident   identTable
 	hops    []hopInfo // append-only hop intern table
 	hopIDs  map[wire.Hop]int32
@@ -97,7 +91,7 @@ type matchIndex struct {
 	identPostLive int
 	hopPostLive   int
 
-	pool *sync.Pool // *scratch; shared with snapshots (pools must not be copied)
+	scratch scratch // the one match in progress (see eachMatching)
 }
 
 // row is one table entry in SoA form: 80 B plus its one posting, versus
@@ -138,7 +132,6 @@ type attrRef struct {
 }
 
 type attrIndex struct {
-	stamp uint64 // copy-on-write ownership stamp (see attrW)
 	// live counts the live constraints that mention this attribute, posted
 	// or not: the directory entry, and the estimator state on it, exist
 	// while it is positive.
@@ -159,21 +152,10 @@ type attrIndex struct {
 
 func newMatchIndex() *matchIndex {
 	return &matchIndex{
-		epoch:   1,
 		hopIDs:  make(map[wire.Hop]int32),
 		identID: make(map[identKey]int32),
-		pool:    &sync.Pool{},
+		scratch: scratch{hopSeen: make(map[int32]struct{})},
 	}
-}
-
-// share returns an immutable view of the index for a snapshot: a shallow
-// struct copy, after which the live index's epoch moves on so its next
-// write to any shared page or slice copies it first. O(1) plus the struct
-// copy, independent of table size.
-func (x *matchIndex) share() *matchIndex {
-	c := *x
-	x.epoch++
-	return &c
 }
 
 // rowLive reports whether a posting still references a live row: freeing a
@@ -181,8 +163,6 @@ func (x *matchIndex) share() *matchIndex {
 func (x *matchIndex) rowLive(sg slotGen) bool {
 	return x.rows.at(sg.slot).gen == sg.gen
 }
-
-func (x *matchIndex) cowEpoch() uint64 { return x.epoch }
 
 func (x *matchIndex) fillEntry(slot int32, e *Entry) {
 	r := x.rows.at(slot)
@@ -211,7 +191,7 @@ func (x *matchIndex) forEachLiveSlot(fn func(slot int32, r *row)) {
 // findAttr binary-searches the sorted attribute list for name, returning
 // its index, or the insertion point and false.
 func (x *matchIndex) findAttr(name string) (int, bool) {
-	attrs := x.attrs.s
+	attrs := x.attrs
 	lo, hi := 0, len(attrs)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -228,41 +208,22 @@ func (x *matchIndex) findAttr(name string) (int, bool) {
 func (x *matchIndex) attrFor(name string) *attrIndex {
 	i, ok := x.findAttr(name)
 	if !ok {
-		as := x.attrs.own(x.epoch)
-		*as = append(*as, attrRef{})
-		copy((*as)[i+1:], (*as)[i:])
-		(*as)[i] = attrRef{name: name, ai: &attrIndex{stamp: x.epoch}}
+		x.attrs = slices.Insert(x.attrs, i, attrRef{name: name, ai: &attrIndex{}})
 	}
-	return x.attrW(i)
+	return x.attrs[i].ai
 }
 
 func (x *matchIndex) attrAt(name string) *attrIndex {
 	if i, ok := x.findAttr(name); ok {
-		return x.attrW(i)
+		return x.attrs[i].ai
 	}
 	return nil
 }
 
 func (x *matchIndex) attrDrop(name string) {
 	if i, ok := x.findAttr(name); ok {
-		as := x.attrs.own(x.epoch)
-		*as = append((*as)[:i], (*as)[i+1:]...)
+		x.attrs = slices.Delete(x.attrs, i, i+1)
 	}
-}
-
-// attrW returns the attribute index at position i ready for mutation,
-// cloning its top-level struct if a snapshot may share it (the inner
-// containers copy-on-write themselves).
-func (x *matchIndex) attrW(i int) *attrIndex {
-	as := x.attrs.own(x.epoch)
-	ai := (*as)[i].ai
-	if ai.stamp != x.epoch {
-		c := *ai
-		c.stamp = x.epoch
-		(*as)[i].ai = &c
-		ai = (*as)[i].ai
-	}
-	return ai
 }
 
 func (x *matchIndex) internHop(h wire.Hop) int32 {
@@ -315,14 +276,14 @@ func (x *matchIndex) insertEntry(e Entry) bool {
 	hopID := x.internHop(e.Hop)
 	identID := x.internIdent(e.Client, e.SubID)
 	var slot int32
-	if fs := x.free.own(x.epoch); len(*fs) > 0 {
-		slot = (*fs)[len(*fs)-1]
-		*fs = (*fs)[:len(*fs)-1]
+	if n := len(x.free); n > 0 {
+		slot = x.free[n-1]
+		x.free = x.free[:n-1]
 	} else {
-		slot = x.rows.grow(x.epoch)
-		x.needs.grow(x.epoch)
+		slot = x.rows.grow()
+		x.needs.grow()
 	}
-	r := x.rows.w(slot, x.epoch)
+	r := x.rows.at(slot)
 	gen := r.gen // survives free/reuse; postings carry it
 	*r = row{hash: h, hopID: hopID, identID: identID, access: -1, pair: -1, gen: gen, f: e.Filter}
 	x.liveRows++
@@ -334,12 +295,12 @@ func (x *matchIndex) insertEntry(e Entry) bool {
 		x.identPostLive++
 	}
 	if e.Filter.Len() == 0 {
-		x.matchAll.add(x, sg)
+		x.matchAll.add(sg)
 	} else {
 		ch := chooseAccess(x, e.Filter, true)
 		r.access, r.pair = int16(ch.a), int16(ch.b)
 		x.postings += ch.post(x, sg, e.Filter)
-		*x.needs.w(slot, x.epoch) = ch.need
+		*x.needs.at(slot) = ch.need
 	}
 	x.ident.insert(x, h, slot)
 	return true
@@ -347,12 +308,12 @@ func (x *matchIndex) insertEntry(e Entry) bool {
 
 // attrDir is a directory of per-attribute indexes, the shape postRow and
 // unpostRow maintain. The match index keeps its attributes in a sorted
-// copy-on-write list (the match walk merges it with a notification's
-// attributes); the cover index's witness plane keeps a map.
+// list (the match walk merges it with a notification's attributes); the
+// cover index's witness plane keeps a map.
 type attrDir interface {
 	postOwner
-	attrFor(name string) *attrIndex // the writable index, created on first use
-	attrAt(name string) *attrIndex  // the writable index, or nil
+	attrFor(name string) *attrIndex // the index, created on first use
+	attrAt(name string) *attrIndex  // the index, or nil
 	attrDrop(name string)           // its last constraint is gone
 }
 
@@ -431,9 +392,8 @@ func chooseAccess(d attrDir, f filter.Filter, pairs bool) accessChoice {
 }
 
 // post makes the chosen posting of row sg, returning the number of
-// postings made. ch.ai is still the writable index of its attribute: no
-// snapshot is taken inside an insert, and directory shifts move refs, not
-// indexes.
+// postings made. ch.ai is still its attribute's index: directory shifts
+// move refs, not indexes.
 func (ch *accessChoice) post(x postOwner, sg slotGen, f filter.Filter) int {
 	c := f.At(ch.a)
 	if ch.b < 0 {
@@ -515,22 +475,17 @@ func (x *matchIndex) removeEntry(e Entry) bool {
 // running during posting removal already see the row as dead), then the
 // per-constraint accounting, then the slot goes back on the free list.
 func (x *matchIndex) removeSlot(slot int32) {
-	rd := x.rows.at(slot)
-	f := rd.f
-	hash := rd.hash
-	// Captured before the scrub below: rd may alias rw when the page is
-	// already owned at the current epoch.
-	hopID := rd.hopID
-	identID := rd.identID
-	access, pair := int(rd.access), int(rd.pair)
-	x.ident.remove(hash, slot)
-	rw := x.rows.w(slot, x.epoch)
-	rw.gen++
-	rw.hopID = -1
-	rw.identID = -1
-	rw.access, rw.pair = -1, -1
-	rw.hash = 0
-	rw.f = filter.Filter{} // release the filter's backing storage
+	r := x.rows.at(slot)
+	// Captured before the scrub below.
+	f, hopID, identID := r.f, r.hopID, r.identID
+	access, pair := int(r.access), int(r.pair)
+	x.ident.remove(r.hash, slot)
+	r.gen++
+	r.hopID = -1
+	r.identID = -1
+	r.access, r.pair = -1, -1
+	r.hash = 0
+	r.f = filter.Filter{} // release the filter's backing storage
 	x.liveRows--
 	// The generation bump above already invalidated the enumeration
 	// postings; this is accounting plus amortized compaction.
@@ -545,22 +500,7 @@ func (x *matchIndex) removeSlot(slot int32) {
 	} else {
 		x.postings -= unpostRow(x, f, access, pair)
 	}
-	fs := x.free.own(x.epoch)
-	*fs = append(*fs, slot)
-}
-
-// rebuild constructs a compact index over the live rows (fresh slots, no
-// free-list holes, posting garbage dropped). Used by the snapshot policy
-// when churn has left the row vector more than half holes; the rebuilt
-// index replaces the live one.
-func (x *matchIndex) rebuild() *matchIndex {
-	nx := newMatchIndex()
-	var e Entry
-	x.forEachLiveSlot(func(slot int32, _ *row) {
-		x.fillEntry(slot, &e)
-		nx.insertEntry(e)
-	})
-	return nx
+	x.free = append(x.free, slot)
 }
 
 // isNaNValue reports whether v is a float NaN. NaN operands need special
@@ -823,23 +763,23 @@ func (ai *attrIndex) insert(x postOwner, sg slotGen, c *filter.Constraint) int {
 		})
 		return k
 	case filter.OpExists:
-		ai.exists.add(x, sg)
+		ai.exists.add(sg)
 	case filter.OpLT, filter.OpLE, filter.OpGT, filter.OpGE, filter.OpRange:
 		if q, ok := ordShape(c); ok {
 			ai.iv.insert(x, q, sg)
 		} else {
-			ai.scan.add(x, sg)
+			ai.scan.add(sg)
 		}
 	case filter.OpPrefix:
 		p := c.Value.Str()
 		if p == "" {
-			ai.anyString.add(x, sg)
+			ai.anyString.add(sg)
 		} else {
 			ai.prefixes.add(x, p, sg)
 		}
 	default:
 		// !=, suffix, contains, and malformed operators: evaluated directly.
-		ai.scan.add(x, sg)
+		ai.scan.add(sg)
 	}
 	return 1
 }
@@ -892,36 +832,34 @@ func (ai *attrIndex) remove(x postOwner, c *filter.Constraint) int {
 // what it drops, which may be more than has been counted so far (see
 // valTable.rehash), so the live count stays exact.
 type postlist struct {
-	s    cowslice[slotGen]
+	s    []slotGen
 	dead int32
 }
 
-func (p *postlist) add(x postOwner, sg slotGen) {
-	ps := p.s.own(x.cowEpoch())
-	*ps = append(*ps, sg)
+func (p *postlist) add(sg slotGen) {
+	p.s = append(p.s, sg)
 }
 
 func (p *postlist) liveCount() int {
-	return len(p.s.s) - int(p.dead)
+	return len(p.s) - int(p.dead)
 }
 
 func (p *postlist) removeLazy(x postOwner) {
 	p.dead++
 	if int(p.dead) > p.liveCount() && p.dead > 8 {
-		ps := p.s.own(x.cowEpoch())
-		kept := (*ps)[:0]
-		for _, sg := range *ps {
+		kept := p.s[:0]
+		for _, sg := range p.s {
 			if x.rowLive(sg) {
 				kept = append(kept, sg)
 			}
 		}
-		p.dead -= int32(len(*ps) - len(kept))
-		*ps = kept
+		p.dead -= int32(len(p.s) - len(kept))
+		p.s = kept
 	}
 }
 
 func (p *postlist) probe(s candSink) {
-	for _, sg := range p.s.s {
+	for _, sg := range p.s {
 		s.candidate(sg)
 	}
 }
@@ -931,10 +869,12 @@ func (p *postlist) probe(s candSink) {
 // ---------------------------------------------------------------------------
 
 // scratch holds the per-match state: the notification being matched, the
-// matched row slots and the hop-deduplication buffers, pooled so a match
-// allocates nothing.
+// matched row slots and the hop-deduplication buffers. Each index owns one,
+// reused by every match so a match allocates nothing; a match must
+// therefore not start while another is in progress on the same index (see
+// eachMatching).
 type scratch struct {
-	x       *matchIndex // the index (or snapshot) being matched
+	x       *matchIndex // the index being matched
 	n       message.Notification
 	from    wire.Hop // rows on this hop are skipped unverified
 	carry   uint64   // eqBit of every attribute of n, once carryOK
@@ -957,18 +897,15 @@ type hopRef struct {
 }
 
 func (x *matchIndex) getScratch() *scratch {
-	s, _ := x.pool.Get().(*scratch)
-	if s == nil {
-		s = &scratch{hopSeen: make(map[int32]struct{})}
-	}
+	s := &x.scratch
 	s.matched = s.matched[:0]
 	return s
 }
 
+// putScratch releases the scratch: it must not keep the notification or
+// the hop alive.
 func (x *matchIndex) putScratch(s *scratch) {
-	// The pool must not keep the index, the notification or the hop alive.
-	s.n, s.x, s.from, s.route = message.Notification{}, nil, wire.Hop{}, false
-	x.pool.Put(s)
+	s.n, s.from, s.route = message.Notification{}, wire.Hop{}, false
 }
 
 // skip reports whether a row on hop hid needs no verification: it points
@@ -1065,12 +1002,12 @@ func (x *matchIndex) match(n message.Notification, from wire.Hop, route bool, s 
 			s.routeMark = 1
 		}
 	}
-	for _, sg := range x.matchAll.s.s {
+	for _, sg := range x.matchAll.s {
 		if r := x.rows.at(sg.slot); r.gen == sg.gen && !s.skip(r.hopID) {
 			s.accept(sg.slot, r.hopID)
 		}
 	}
-	attrs := x.attrs.s
+	attrs := x.attrs
 	la, ln := len(attrs), n.Len()
 	switch {
 	case la == 0 || ln == 0:
@@ -1122,7 +1059,7 @@ func (ai *attrIndex) probe(v message.Value, s candSink) {
 			ai.prefixes.probe(str, s)
 		}
 	}
-	for _, sg := range ai.scan.s.s {
+	for _, sg := range ai.scan.s {
 		s.scanned(sg)
 	}
 }
@@ -1176,13 +1113,14 @@ func (x *matchIndex) sortSlots(sl []int32) {
 }
 
 // eachMatching is the shared visit-in-canonical-order matcher behind
-// Table.EachMatchingEntry and Table.EachRoute (under the table's read lock)
-// and their Snapshot twins (lock-free on the immutable copy). Rows on from
-// are skipped before verification. With route, a broker hop is visited
-// once: after its first verified match its remaining candidates are not
-// verified — a router sends one copy per neighbor whichever row asked for
-// it — while every client-hop match is still visited. The Entry pointer
-// handed to visit is reused across calls and only valid during each call.
+// Table.EachMatchingEntry and Table.EachRoute. Rows on from are skipped
+// before verification. With route, a broker hop is visited once: after its
+// first verified match its remaining candidates are not verified — a
+// router sends one copy per neighbor whichever row asked for it — while
+// every client-hop match is still visited. The Entry pointer handed to
+// visit is reused across calls and only valid during each call. visit runs
+// while the index's one scratch holds this match, so it must not call back
+// into the table.
 func (x *matchIndex) eachMatching(n message.Notification, from wire.Hop, route bool, visit func(*Entry)) {
 	s := x.getScratch()
 	defer x.putScratch(s)
@@ -1191,9 +1129,9 @@ func (x *matchIndex) eachMatching(n message.Notification, from wire.Hop, route b
 		return
 	}
 	x.sortSlots(kept)
-	// The Entry lives in the pooled scratch: a local would escape through
-	// visit (the compiler cannot see that callbacks don't retain it) and
-	// cost one heap allocation per matched publish.
+	// The Entry lives in the scratch: a local would escape through visit
+	// (the compiler cannot see that callbacks don't retain it) and cost one
+	// heap allocation per matched publish.
 	e := &s.entry
 	for _, slot := range kept {
 		x.fillEntry(slot, e)

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
-	"sync"
 	"testing"
 
 	"repro/internal/filter"
@@ -221,7 +220,7 @@ func TestIndexCompactionMidRemoval(t *testing.T) {
 			t.Fatalf("after %d removals: %d matches, want %d", i+1, got, rows-1-i)
 		}
 		if a, ok := tbl.idx.findAttr("k"); ok {
-			if eq := &tbl.idx.attrs.s[a].ai.eq; int(eq.live) != 3*(rows-1-i) {
+			if eq := &tbl.idx.attrs[a].ai.eq; int(eq.live) != 3*(rows-1-i) {
 				t.Fatalf("after %d removals: equality table counts %d live postings, holds %d", i+1, eq.live, 3*(rows-1-i))
 			}
 		}
@@ -280,8 +279,6 @@ func TestIndexNaNOperands(t *testing.T) {
 // MatchingHopsLinear is the reference implementation of MatchingHops: a
 // full scan evaluating every filter.
 func (t *Table) MatchingHopsLinear(n message.Notification, from wire.Hop) []wire.Hop {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	seen := make(map[string]bool)
 	var out []wire.Hop
 	t.idx.forEachLiveSlot(func(slot int32, r *row) {
@@ -306,8 +303,6 @@ func (t *Table) MatchingHopsLinear(n message.Notification, from wire.Hop) []wire
 // MatchingEntries. It sorts with the same canonical comparator as the
 // index path so results compare structurally equal.
 func (t *Table) MatchingEntriesLinear(n message.Notification, from wire.Hop) []Entry {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	var out []Entry
 	t.idx.forEachLiveSlot(func(slot int32, _ *row) {
 		e := t.idx.entryAt(slot)
@@ -560,36 +555,6 @@ func checkParity(t *testing.T, tbl *Table, notif func(*rand.Rand) message.Notifi
 	}
 }
 
-// heldSnapshot is a snapshot taken mid-run with what the linear scan
-// answered at that moment; the table is mutated afterwards, and the
-// snapshot must go on answering the same.
-type heldSnapshot struct {
-	sn    *Snapshot
-	ns    []message.Notification
-	froms []wire.Hop
-	want  [][]Entry
-}
-
-func holdSnapshot(tbl *Table, notif func(*rand.Rand) message.Notification, r *rand.Rand) heldSnapshot {
-	h := heldSnapshot{sn: tbl.Snapshot()}
-	for i := 0; i < 4; i++ {
-		n, from := notif(r), randHop(r)
-		h.ns, h.froms = append(h.ns, n), append(h.froms, from)
-		h.want = append(h.want, tbl.MatchingEntriesLinear(n, from))
-	}
-	return h
-}
-
-func (h *heldSnapshot) check(t *testing.T, step int) {
-	t.Helper()
-	for i, n := range h.ns {
-		if got := h.sn.MatchingEntries(n, h.froms[i]); !reflect.DeepEqual(got, h.want[i]) {
-			t.Fatalf("step %d: snapshot gen %d changed its answer for (%s, %s)\nnow:  %v\nthen: %v",
-				step, h.sn.Gen(), n, h.froms[i], got, h.want[i])
-		}
-	}
-}
-
 func TestIndexParityProperty(t *testing.T) {
 	for _, g := range parityGens {
 		for seed := int64(0); seed < 8; seed++ {
@@ -599,7 +564,6 @@ func TestIndexParityProperty(t *testing.T) {
 				r := rand.New(rand.NewSource(seed))
 				tbl := NewTable()
 				var live []Entry
-				var held []heldSnapshot
 				for step := 0; step < 250; step++ {
 					switch op := r.Intn(10); {
 					case op < 6: // add
@@ -638,22 +602,16 @@ func TestIndexParityProperty(t *testing.T) {
 						t.Fatalf("step %d: table has %d entries, shadow %d", step, tbl.Len(), len(live))
 					}
 					checkParity(t, tbl, g.notif, r, step)
-					switch {
-					case step%40 == 20: // snapshot, then go on mutating
-						held = append(held, holdSnapshot(tbl, g.notif, r))
-					case step%40 == 39: // every access predicate chosen afresh
-						before := tbl.IndexStats()
-						tbl.mu.Lock()
-						tbl.idx = tbl.idx.rebuild()
-						tbl.invalidateSnapshot()
-						tbl.mu.Unlock()
-						if after := tbl.IndexStats(); after.Entries != before.Entries || after.Attrs != before.Attrs {
-							t.Fatalf("step %d: rebuild changed IndexStats %+v -> %+v", step, before, after)
+					if step%40 == 39 { // every access predicate chosen afresh
+						fresh := NewTable()
+						for _, e := range tbl.All() {
+							fresh.Add(e)
 						}
-						checkParity(t, tbl, g.notif, r, step)
-					}
-					for i := range held {
-						held[i].check(t, step)
+						before, after := tbl.IndexStats(), fresh.IndexStats()
+						if after.Entries != before.Entries || after.Attrs != before.Attrs {
+							t.Fatalf("step %d: a fresh table changed IndexStats %+v -> %+v", step, before, after)
+						}
+						checkParity(t, fresh, g.notif, r, step)
 					}
 				}
 				// Drain completely: the index must shrink back to nothing.
@@ -663,52 +621,9 @@ func TestIndexParityProperty(t *testing.T) {
 				if st := tbl.IndexStats(); st.Entries != 0 || st.Postings != 0 || st.Attrs != 0 {
 					t.Errorf("after drain IndexStats = %+v", st)
 				}
-				for i := range held {
-					held[i].check(t, -1)
-				}
 			})
 		}
 	}
-}
-
-// TestIndexConcurrentMatch exercises the pooled scratch state under
-// concurrent matching and table mutation (meaningful under -race).
-func TestIndexConcurrentMatch(t *testing.T) {
-	tbl := NewTable()
-	r := rand.New(rand.NewSource(42))
-	var live []Entry
-	for i := 0; i < 64; i++ {
-		e := randEntry(r)
-		if tbl.Add(e) {
-			live = append(live, e)
-		}
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rr := rand.New(rand.NewSource(seed))
-			for i := 0; i < 500; i++ {
-				n := randNotification(rr)
-				tbl.MatchingHops(n, wire.Hop{})
-				tbl.MatchingEntries(n, randHop(rr))
-			}
-		}(int64(g))
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rr := rand.New(rand.NewSource(99))
-		for i := 0; i < 200; i++ {
-			e := randEntry(rr)
-			tbl.Add(e)
-			if rr.Intn(2) == 0 {
-				tbl.Remove(e)
-			}
-		}
-	}()
-	wg.Wait()
 }
 
 // ---------------------------------------------------------------------------
@@ -721,8 +636,6 @@ func TestIndexConcurrentMatch(t *testing.T) {
 // the probes; the parity property is what shows the probes hit exactly
 // these rows.
 func candidatesFor(tbl *Table, n message.Notification) int {
-	tbl.mu.RLock()
-	defer tbl.mu.RUnlock()
 	cands := 0
 	tbl.idx.forEachLiveSlot(func(_ int32, r *row) {
 		if r.access >= 0 && r.f.At(int(r.access)).Matches(n) &&

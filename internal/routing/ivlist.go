@@ -33,9 +33,8 @@ import (
 //
 // Deletes are logical: the row-generation check at probe time invalidates
 // postings of removed rows, and run merges/compactions drop them
-// physically. Runs are immutable once built, so snapshots share them by
-// pointer; only the run directory and the pending buffer need the
-// copy-on-write stamps.
+// physically. Runs are immutable once built; only the run directory and
+// the pending buffer change in place.
 type ivOrd interface {
 	~int64 | ~float64 | ~string
 }
@@ -99,8 +98,8 @@ type ivRun[T ivOrd] struct {
 func (r *ivRun[T]) infBit(i int) bool { return r.inf[i>>6]&(1<<(i&63)) != 0 }
 
 type ivlist[T ivOrd] struct {
-	runs cowslice[*ivRun[T]] // kept sorted by size, largest first
-	pend cowslice[ivEntry[T]]
+	runs []*ivRun[T] // kept sorted by size, largest first
+	pend []ivEntry[T]
 	live int
 	dead int // logically deleted entries still present in runs/pend
 }
@@ -194,10 +193,9 @@ func (r *ivRun[T]) descend(node, nlo, nhi, ub int, v T, s candSink) {
 }
 
 func (l *ivlist[T]) insert(x postOwner, e ivEntry[T]) {
-	pd := l.pend.own(x.cowEpoch())
-	*pd = append(*pd, e)
+	l.pend = append(l.pend, e)
 	l.live++
-	if len(*pd) >= ivPendCap {
+	if len(l.pend) >= ivPendCap {
 		l.promote(x)
 	}
 }
@@ -216,15 +214,14 @@ func (l *ivlist[T]) removeLazy(x postOwner) {
 // promote turns the pending buffer into a run and merges runs of
 // comparable size (the logarithmic method's amortization step).
 func (l *ivlist[T]) promote(x postOwner) {
-	pd := l.pend.own(x.cowEpoch())
-	ents := make([]ivEntry[T], 0, len(*pd))
-	for i := range *pd {
-		if x.rowLive((*pd)[i].sg) {
-			ents = append(ents, (*pd)[i])
+	ents := make([]ivEntry[T], 0, len(l.pend))
+	for i := range l.pend {
+		if x.rowLive(l.pend[i].sg) {
+			ents = append(ents, l.pend[i])
 		}
 	}
-	l.dead -= len(*pd) - len(ents)
-	*pd = (*pd)[:0]
+	l.dead -= len(l.pend) - len(ents)
+	l.pend = l.pend[:0]
 	if len(ents) == 0 {
 		return
 	}
@@ -238,14 +235,13 @@ func (l *ivlist[T]) promote(x postOwner) {
 		return 0
 	})
 	run := buildRun(ents)
-	rs := l.runs.own(x.cowEpoch())
-	for len(*rs) > 0 && len((*rs)[len(*rs)-1].sg) <= 2*len(run.sg) {
-		run = l.mergeRuns(x, (*rs)[len(*rs)-1], run)
-		*rs = (*rs)[:len(*rs)-1]
+	for len(l.runs) > 0 && len(l.runs[len(l.runs)-1].sg) <= 2*len(run.sg) {
+		run = l.mergeRuns(x, l.runs[len(l.runs)-1], run)
+		l.runs = l.runs[:len(l.runs)-1]
 	}
 	if len(run.sg) > 0 {
-		*rs = append(*rs, run)
-		slices.SortFunc(*rs, func(a, b *ivRun[T]) int { return len(b.sg) - len(a.sg) })
+		l.runs = append(l.runs, run)
+		slices.SortFunc(l.runs, func(a, b *ivRun[T]) int { return len(b.sg) - len(a.sg) })
 	}
 }
 
@@ -285,11 +281,9 @@ func (l *ivlist[T]) mergeRuns(x postOwner, a, b *ivRun[T]) *ivRun[T] {
 // them dropped by the first compaction its removal triggers, and the rest
 // of its removals still arrive to be counted (dead is negative meanwhile).
 func (l *ivlist[T]) compact(x postOwner) {
-	rs := l.runs.own(x.cowEpoch())
-	pd := l.pend.own(x.cowEpoch())
 	var ents []ivEntry[T]
-	total := len(*pd)
-	for _, r := range *rs {
+	total := len(l.pend)
+	for _, r := range l.runs {
 		total += len(r.sg)
 		for i := range r.sg {
 			if x.rowLive(r.sg[i]) {
@@ -297,13 +291,14 @@ func (l *ivlist[T]) compact(x postOwner) {
 			}
 		}
 	}
-	for i := range *pd {
-		if x.rowLive((*pd)[i].sg) {
-			ents = append(ents, (*pd)[i])
+	for i := range l.pend {
+		if x.rowLive(l.pend[i].sg) {
+			ents = append(ents, l.pend[i])
 		}
 	}
-	*rs = (*rs)[:0]
-	*pd = (*pd)[:0]
+	clear(l.runs) // the dropped runs go to the GC
+	l.runs = l.runs[:0]
+	l.pend = l.pend[:0]
 	l.dead -= total - len(ents)
 	if len(ents) == 0 {
 		return
@@ -317,15 +312,15 @@ func (l *ivlist[T]) compact(x postOwner) {
 		}
 		return 0
 	})
-	*rs = append(*rs, buildRun(ents))
+	l.runs = append(l.runs, buildRun(ents))
 }
 
 func (l *ivlist[T]) probe(v T, s candSink) {
-	for _, r := range l.runs.s {
+	for _, r := range l.runs {
 		r.probe(v, s)
 	}
-	for i := range l.pend.s {
-		e := &l.pend.s[i]
+	for i := range l.pend {
+		e := &l.pend[i]
 		if e.match(v) {
 			s.candidate(e.sg)
 		}
@@ -334,7 +329,7 @@ func (l *ivlist[T]) probe(v T, s candSink) {
 
 // probeInclusive implements the NaN probe value path (see matchInclusive).
 func (l *ivlist[T]) probeInclusive(s candSink) {
-	for _, r := range l.runs.s {
+	for _, r := range l.runs {
 		for i := range r.sg {
 			e := r.entry(i)
 			if e.matchInclusive() {
@@ -342,8 +337,8 @@ func (l *ivlist[T]) probeInclusive(s candSink) {
 			}
 		}
 	}
-	for i := range l.pend.s {
-		e := &l.pend.s[i]
+	for i := range l.pend {
+		e := &l.pend[i]
 		if e.matchInclusive() {
 			s.candidate(e.sg)
 		}
@@ -353,13 +348,13 @@ func (l *ivlist[T]) probeInclusive(s candSink) {
 // each reports every entry, the probe for a query no bound comparison can
 // settle (a NaN bound, which Value.Compare orders equal to everything).
 func (l *ivlist[T]) each(s candSink) {
-	for _, r := range l.runs.s {
+	for _, r := range l.runs {
 		for _, sg := range r.sg {
 			s.candidate(sg)
 		}
 	}
-	for i := range l.pend.s {
-		s.candidate(l.pend.s[i].sg)
+	for i := range l.pend {
+		s.candidate(l.pend[i].sg)
 	}
 }
 
@@ -390,7 +385,7 @@ func (e *ivEntry[T]) contains(q *ivEntry[T]) bool {
 // descent, cut at q's lower bound instead of at a value and pruned at its
 // upper bound.
 func (l *ivlist[T]) probeContaining(q ivEntry[T], s candSink) {
-	for _, r := range l.runs.s {
+	for _, r := range l.runs {
 		// Only entries whose lower bound is at or below q's can contain it;
 		// they form a prefix of the run (unbounded-below entries first).
 		ub := sort.Search(len(r.sg), func(i int) bool {
@@ -400,8 +395,8 @@ func (l *ivlist[T]) probeContaining(q ivEntry[T], s candSink) {
 			r.descendContaining(1, 0, r.treeW, ub, &q, s)
 		}
 	}
-	for i := range l.pend.s {
-		if e := &l.pend.s[i]; e.contains(&q) {
+	for i := range l.pend {
+		if e := &l.pend[i]; e.contains(&q) {
 			s.candidate(e.sg)
 		}
 	}
@@ -433,7 +428,7 @@ func (r *ivRun[T]) descendContaining(node, nlo, nhi, ub int, q *ivEntry[T], s ca
 // probeContainedIn reports every entry q contains: a scan of the entries
 // whose lower bound lies within q, each kept when its upper bound does too.
 func (l *ivlist[T]) probeContainedIn(q ivEntry[T], s candSink) {
-	for _, r := range l.runs.s {
+	for _, r := range l.runs {
 		from := 0
 		if q.flags&ivHasLo != 0 {
 			from = sort.Search(len(r.sg), func(i int) bool {
@@ -449,8 +444,8 @@ func (l *ivlist[T]) probeContainedIn(q ivEntry[T], s candSink) {
 			}
 		}
 	}
-	for i := range l.pend.s {
-		if e := &l.pend.s[i]; q.contains(e) {
+	for i := range l.pend {
+		if e := &l.pend[i]; q.contains(e) {
 			s.candidate(e.sg)
 		}
 	}

@@ -11,10 +11,8 @@ package routing
 // visits. The per-ident and per-hop posting lists below make those paths
 // O(entries for that ident/hop): the same generation-checked,
 // lazy-deletion, amortized-compaction representation as the match-plane
-// posting lists, but owned by the mutation plane — written in place under
-// the table lock, never read by snapshots (which only match), and so, like
-// identTable, needing no copy-on-write epoch fence. share() hands
-// snapshots a stale shallow copy of the list headers harmlessly, O(1).
+// posting lists, but owned by the mutation plane — like identTable, never
+// read on the match path.
 
 // mutPostings is one mutation-plane slot posting list. Freeing a row bumps
 // its generation, which invalidates its posting here at walk time (see
@@ -48,7 +46,7 @@ func (p *mutPostings) removeLazy(x *matchIndex) {
 }
 
 // liveSlots appends the slots of the list's live postings to buf and
-// returns it. The result is a private snapshot: callers may removeSlot the
+// returns it. The result is a private copy: callers may removeSlot the
 // collected rows afterwards — which compacts this very list in place —
 // without invalidating the walk.
 func (p *mutPostings) liveSlots(x *matchIndex, buf []int32) []int32 {

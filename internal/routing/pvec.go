@@ -1,104 +1,40 @@
 package routing
 
-// Copy-on-write containers for the match index.
+// Paged storage for the match index.
 //
-// The index must hand out immutable snapshots (snapshot.go) without paying
-// an O(table) structural copy per snapshot at 10⁶ entries. Every mutable
-// container in the index is therefore either append-only (safe to share by
-// construction) or one of the two epoch-stamped copy-on-write shapes here:
-//
-//   - pvec[T]: a paged vector. Elements live in fixed-size pages; sharing a
-//     pvec is a shallow struct copy, and the first write to a page after a
-//     share copies just that page (and, once per epoch, the page-pointer
-//     slice). A mutation epoch therefore costs O(pages touched), not O(n).
-//   - cowslice[T]: a small flat slice with the same stamp discipline,
-//     for containers that stay small (free lists, attribute directories).
-//
-// The stamp protocol: the owning index carries an epoch counter that is
-// bumped every time a snapshot is taken. A page (or slice) whose stamp
-// equals the current epoch is exclusively owned and may be written in
-// place; any other stamp means the data may be visible to a snapshot and
-// must be copied before the write. Snapshots themselves are never written,
-// so they need no stamps of their own.
+// The row vector and the value tables grow to 10⁶ elements. A flat slice
+// would copy all of them on every doubling and hold a transient 1.5× peak;
+// pvec keeps its elements in fixed-size pages instead, so growth appends
+// one page and never moves an element. Whether the pages still pay for
+// themselves against a flat slice is an open measurement.
 const (
 	pageShift = 9
 	pageSize  = 1 << pageShift
 	pageMask  = pageSize - 1
 )
 
-// pvec is a paged vector of T with epoch-stamped copy-on-write pages.
-// Reads go through at; writes through w/grow, which perform the COW.
-//
-// Page stamps live in a slice parallel to the page pointers rather than
-// inside the page itself: an in-page header would push the common page
-// sizes just past an allocator size class (a [512]row page is exactly
-// 40960 bytes, a large allocation rounded to 8 KiB pages — one uint64 of
-// header would waste 8 KiB per page, ~20% of the row storage at 10⁶
-// entries). The stamps slice is owned together with the page-pointer
-// slice, so the sharing discipline is unchanged.
+// pvec is a paged vector of T. Page sizes matter for the allocator: a
+// [512]row page is exactly 40960 bytes, a large allocation rounded to
+// 8 KiB pages, so one more word per row (or a header in the page) would
+// waste 8 KiB per page, ~20% of the row storage at 10⁶ entries.
 type pvec[T any] struct {
-	pages  []*[pageSize]T
-	stamps []uint64 // per-page ownership stamps, parallel to pages
-	n      int
-	stamp  uint64 // ownership stamp of the pages/stamps slices themselves
+	pages []*[pageSize]T
+	n     int
 }
 
 func (v *pvec[T]) len() int { return v.n }
 
-// at returns a read-only pointer to element i. Callers must not write
-// through it: the page may be shared with an immutable snapshot.
+// at returns a pointer to element i, for reading or writing.
 func (v *pvec[T]) at(i int32) *T {
 	return &v.pages[i>>pageShift][i&pageMask]
 }
 
-// ownPages makes the page-pointer and stamp slices writable in the
-// current epoch.
-func (v *pvec[T]) ownPages(epoch uint64) {
-	if v.stamp != epoch {
-		v.pages = append([]*[pageSize]T(nil), v.pages...)
-		v.stamps = append([]uint64(nil), v.stamps...)
-		v.stamp = epoch
-	}
-}
-
-// w returns a writable pointer to element i, copying the containing page
-// if it may be shared with a snapshot.
-func (v *pvec[T]) w(i int32, epoch uint64) *T {
-	v.ownPages(epoch)
-	pi := i >> pageShift
-	if v.stamps[pi] != epoch {
-		np := new([pageSize]T)
-		*np = *v.pages[pi]
-		v.pages[pi] = np
-		v.stamps[pi] = epoch
-	}
-	return &v.pages[pi][i&pageMask]
-}
-
-// grow appends a zero element and returns its index; write it via w.
-func (v *pvec[T]) grow(epoch uint64) int32 {
+// grow appends a zero element and returns its index.
+func (v *pvec[T]) grow() int32 {
 	i := int32(v.n)
-	v.ownPages(epoch)
 	if int(i>>pageShift) == len(v.pages) {
 		v.pages = append(v.pages, new([pageSize]T))
-		v.stamps = append(v.stamps, epoch)
 	}
 	v.n++
 	return i
-}
-
-// cowslice is a flat slice with the same stamp discipline as pvec pages:
-// own() must be called (and returns the writable slice pointer) before any
-// in-place mutation or append.
-type cowslice[T any] struct {
-	s     []T
-	stamp uint64
-}
-
-func (c *cowslice[T]) own(epoch uint64) *[]T {
-	if c.stamp != epoch {
-		c.s = append(make([]T, 0, len(c.s)+4), c.s...)
-		c.stamp = epoch
-	}
-	return &c.s
 }

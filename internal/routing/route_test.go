@@ -57,8 +57,7 @@ func collectRoute(each func(message.Notification, wire.Hop, func(*Entry)), n mes
 // TestEachRouteProperty: over random tables of several broker and client
 // hops, and origins among them, EachRoute visits a subset of
 // EachMatchingEntry's entries — every client-hop match and one entry per
-// matching broker hop other than the origin — on the table and on a
-// snapshot held while the table moves on.
+// matching broker hop other than the origin.
 func TestEachRouteProperty(t *testing.T) {
 	for _, g := range parityGens {
 		for seed := int64(0); seed < 6; seed++ {
@@ -68,10 +67,6 @@ func TestEachRouteProperty(t *testing.T) {
 				r := rand.New(rand.NewSource(seed))
 				tbl := NewTable()
 				var live []Entry
-				var sn *Snapshot
-				var snNs []message.Notification
-				var snFroms []wire.Hop
-				var snAll [][]Entry
 				for step := 0; step < 300; step++ {
 					if r.Intn(4) > 0 || len(live) == 0 {
 						if e := g.entry(r); tbl.Add(e) {
@@ -85,17 +80,6 @@ func TestEachRouteProperty(t *testing.T) {
 					for k := 0; k < 3; k++ {
 						n, from := g.notif(r), randHop(r)
 						checkRoute(t, step, n, from, collectRoute(tbl.EachRoute, n, from), tbl.MatchingEntries(n, from))
-					}
-					if step%50 == 25 {
-						sn, snNs, snFroms, snAll = tbl.Snapshot(), nil, nil, nil
-						for k := 0; k < 4; k++ {
-							n, from := g.notif(r), randHop(r)
-							snNs, snFroms = append(snNs, n), append(snFroms, from)
-							snAll = append(snAll, tbl.MatchingEntriesLinear(n, from))
-						}
-					}
-					for k := range snNs {
-						checkRoute(t, step, snNs[k], snFroms[k], collectRoute(sn.EachRoute, snNs[k], snFroms[k]), snAll[k])
 					}
 				}
 			})

@@ -22,8 +22,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/filter"
 	"repro/internal/message"
@@ -60,21 +58,15 @@ func (e Entry) key() string {
 	return b.String()
 }
 
-// Table is a concurrency-safe routing table backed by an access-predicate
-// match index. The index owns all entry storage (SoA rows, interned hops
-// and owners, content-hash identity — see index.go); the table adds
-// locking and the copy-on-write snapshot plane.
+// Table is a routing table backed by an access-predicate match index. The
+// index owns all entry storage (SoA rows, interned hops and owners,
+// content-hash identity — see index.go).
+//
+// A Table is owned by one goroutine — in a broker, its run loop — and is
+// not safe for concurrent use: it has no lock, and every match runs out of
+// the index's one scratch. Other goroutines reach it by asking the owner.
 type Table struct {
-	mu  sync.RWMutex
 	idx *matchIndex
-
-	// Copy-on-write snapshot state (see snapshot.go): snap caches the
-	// last built immutable snapshot, gen counts mutations, and the
-	// clone/rebuild counters feed SnapshotStats.
-	snap         atomic.Pointer[Snapshot]
-	gen          uint64
-	snapClones   uint64
-	snapRebuilds uint64
 }
 
 // NewTable returns an empty table.
@@ -84,38 +76,21 @@ func NewTable() *Table {
 
 // Add inserts an entry, reporting whether it was not already present.
 func (t *Table) Add(e Entry) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.idx.insertEntry(e) {
-		return false
-	}
-	t.invalidateSnapshot()
-	return true
+	return t.idx.insertEntry(e)
 }
 
 // Remove deletes the exact entry, reporting whether it was present.
 func (t *Table) Remove(e Entry) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.idx.removeEntry(e) {
-		return false
-	}
-	t.invalidateSnapshot()
-	return true
+	return t.idx.removeEntry(e)
 }
 
 // Len returns the number of entries.
 func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return t.idx.liveRows
 }
 
-// All returns a snapshot of every entry in the canonical deterministic
-// order.
+// All returns a copy of every entry in the canonical deterministic order.
 func (t *Table) All() []Entry {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	out := make([]Entry, 0, t.idx.liveRows)
 	t.idx.forEachLiveSlot(func(slot int32, _ *row) {
 		out = append(out, t.idx.entryAt(slot))
@@ -134,8 +109,6 @@ func sortEntriesCanonical(es []Entry) {
 // notification, excluding the hop the notification arrived from (reverse
 // path forwarding on the acyclic overlay).
 func (t *Table) MatchingHops(n message.Notification, from wire.Hop) []wire.Hop {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return t.idx.matchingHops(n, from)
 }
 
@@ -184,10 +157,8 @@ func (t *Table) MatchingEntries(n message.Notification, from wire.Hop) []Entry {
 // the same deterministic order as MatchingEntries, but with no result
 // allocation (the broker's publish hot path). The entry pointer is only
 // valid during the call; visit must not retain it, modify it, or call
-// table methods.
+// table methods (the match in progress holds the table's one scratch).
 func (t *Table) EachMatchingEntry(n message.Notification, from wire.Hop, visit func(*Entry)) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	t.idx.eachMatching(n, from, false, visit)
 }
 
@@ -198,8 +169,6 @@ func (t *Table) EachMatchingEntry(n message.Notification, from wire.Hop, visit f
 // its other candidates are not verified. The visited entries are a subset
 // of EachMatchingEntry's, in the same order, and name the same hops.
 func (t *Table) EachRoute(n message.Notification, from wire.Hop, visit func(*Entry)) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	t.idx.eachMatching(n, from, true, visit)
 }
 
@@ -209,8 +178,6 @@ func (t *Table) EachRoute(n message.Notification, from wire.Hop, visit func(*Ent
 // stays scale-independent; the empty owner identity, shared by every
 // aggregate entry, keeps the full-scan path (see postings.go).
 func (t *Table) ClientEntries(c wire.ClientID, id wire.SubID) []Entry {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	iid, ok := t.idx.identID[identKey{c: c, s: id}]
 	if !ok {
 		return nil
@@ -239,8 +206,6 @@ func (t *Table) ClientEntries(c wire.ClientID, id wire.SubID) []Entry {
 // and returns them. O(entries for that client) via the owner posting list;
 // the empty owner identity falls back to the scan (see ClientEntries).
 func (t *Table) RemoveClient(c wire.ClientID, id wire.SubID) []Entry {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	iid, ok := t.idx.identID[identKey{c: c, s: id}]
 	if !ok {
 		return nil
@@ -255,8 +220,6 @@ func (t *Table) RemoveClient(c wire.ClientID, id wire.SubID) []Entry {
 // them (used when a link or client goes away — the tree-repair bulk path).
 // O(entries along that hop) via the hop posting list.
 func (t *Table) RemoveHop(h wire.Hop) []Entry {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	hid, ok := t.idx.hopIDs[h]
 	if !ok {
 		return nil
@@ -265,9 +228,8 @@ func (t *Table) RemoveHop(h wire.Hop) []Entry {
 }
 
 // removeSlots deletes the given live rows, returning the removed entries
-// in canonical order. The slot list must be a private snapshot (see
+// in canonical order. The slot list must be a private copy (see
 // mutPostings.liveSlots): removals compact posting lists in place.
-// Callers hold the write lock.
 func (t *Table) removeSlots(slots []int32) []Entry {
 	if len(slots) == 0 {
 		return nil
@@ -277,13 +239,12 @@ func (t *Table) removeSlots(slots []int32) []Entry {
 		out = append(out, t.idx.entryAt(slot))
 		t.idx.removeSlot(slot)
 	}
-	t.invalidateSnapshot()
 	sortEntriesCanonical(out)
 	return out
 }
 
 // removeSelected deletes every live row the predicate selects, returning
-// the removed entries in canonical order. Callers hold the write lock.
+// the removed entries in canonical order.
 func (t *Table) removeSelected(sel func(r *row) bool) []Entry {
 	var slots []int32
 	var out []Entry
@@ -296,9 +257,6 @@ func (t *Table) removeSelected(sel func(r *row) bool) []Entry {
 	for _, slot := range slots {
 		t.idx.removeSlot(slot)
 	}
-	if len(slots) > 0 {
-		t.invalidateSnapshot()
-	}
 	sortEntriesCanonical(out)
 	return out
 }
@@ -306,8 +264,6 @@ func (t *Table) removeSelected(sel func(r *row) bool) []Entry {
 // EntriesNotFrom returns the filters of all entries whose hop differs from
 // the given hop (the inputs to a forwarding decision toward that hop).
 func (t *Table) EntriesNotFrom(h wire.Hop) []Entry {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	hid, ok := t.idx.hopIDs[h]
 	if !ok {
 		hid = -1 // hop never interned: nothing points along it
@@ -327,8 +283,6 @@ func (t *Table) EntriesNotFrom(h wire.Hop) []Entry {
 // advertiser). It walks the hop's posting list with an early exit on the
 // first overlap instead of scanning the table.
 func (t *Table) OverlapsHop(f filter.Filter, h wire.Hop) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	hid, ok := t.idx.hopIDs[h]
 	if !ok {
 		return false
@@ -346,8 +300,6 @@ func (t *Table) OverlapsHop(f filter.Filter, h wire.Hop) bool {
 // the first overlap, so the cost is driven by the interned hop count plus
 // the postings actually examined, not the table size.
 func (t *Table) HopsOverlapping(f filter.Filter, from wire.Hop) []wire.Hop {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	var refs []hopRef
 	for hid := range t.idx.hops {
 		hi := &t.idx.hops[hid]
@@ -372,13 +324,11 @@ func (t *Table) HopsOverlapping(f filter.Filter, from wire.Hop) []wire.Hop {
 	return out
 }
 
-// IndexStats returns a snapshot of the match index's shape.
+// IndexStats describes the match index's current shape.
 func (t *Table) IndexStats() IndexStats {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return IndexStats{
 		Entries:       t.idx.liveRows,
-		Attrs:         len(t.idx.attrs.s),
+		Attrs:         len(t.idx.attrs),
 		Postings:      t.idx.postings,
 		MatchAll:      t.idx.matchAll.liveCount(),
 		IdentPostings: t.idx.identPostLive,

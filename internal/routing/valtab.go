@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/filter"
@@ -240,7 +241,7 @@ func cmpFilterIdent(a, b filter.Filter) int {
 
 // entryIdentHash hashes an entry's full identity (filter, hop, owner); it
 // is a pure function of content, so equal entries hash equal across
-// processes and rebuilds.
+// processes and tables.
 func entryIdentHash(e Entry) uint64 {
 	h := hashFilterIdent(fnvOffset64, e.Filter)
 	h = hashStr(h, string(e.Hop.Broker))
@@ -274,7 +275,7 @@ func cmpEntryContent(a, b Entry) int {
 }
 
 // cmpEntryCanonical orders entries by (identity hash, content) — the
-// canonical deterministic order of every Table/Snapshot enumeration.
+// canonical deterministic order of every Table enumeration.
 func cmpEntryCanonical(a, b Entry) int {
 	ha, hb := entryIdentHash(a), entryIdentHash(b)
 	if ha != hb {
@@ -302,12 +303,10 @@ type slotGen struct {
 }
 
 // postOwner is what the posting containers need from the index whose rows
-// they post: the copy-on-write epoch their writes are stamped with (see
-// pvec.go), and whether a posting still references a live row, which
+// they post: whether a posting still references a live row, which
 // compaction asks. The match index is one owner; the cover index's two
 // posting planes are the others (coverindex.go).
 type postOwner interface {
-	cowEpoch() uint64
 	rowLive(sg slotGen) bool
 }
 
@@ -389,21 +388,19 @@ func (t *valTable) add(x postOwner, kind message.Kind, bits uint64, str string, 
 	} else if (t.used+1)*4 > t.cap()*3 {
 		t.rehash(x, t.cap()*2)
 	}
-	epoch := x.cowEpoch()
 	hash := hashValKey(kind, bits, str)
 	mask := t.cap() - 1
 	for i := int32(hash) & mask; ; i = (i + 1) & mask {
 		sl := t.slots.at(i)
 		if sl.kind == message.KindInvalid {
-			w := t.slots.w(i, epoch)
-			*w = vtSlot{bits: bits, str: str, first: sg, more: -1, kind: kind}
+			*sl = vtSlot{bits: bits, str: str, first: sg, more: -1, kind: kind}
 			t.used++
 			break
 		}
 		if sl.kind == kind && sl.bits == bits && sl.str == str {
-			ni := t.arena.grow(epoch)
-			*t.arena.w(ni, epoch) = vtNode{sg: sg, next: sl.more}
-			t.slots.w(i, epoch).more = ni
+			ni := t.arena.grow()
+			*t.arena.at(ni) = vtNode{sg: sg, next: sl.more}
+			sl.more = ni
 			break
 		}
 	}
@@ -442,9 +439,8 @@ func (t *valTable) rehash(x postOwner, newCap int32) {
 	t.slots = pvec[vtSlot]{}
 	t.arena = pvec[vtNode]{}
 	t.used, t.live, t.dead = 0, 0, 0
-	epoch := x.cowEpoch()
 	for i := int32(0); i < newCap; i++ {
-		t.slots.grow(epoch)
+		t.slots.grow()
 	}
 	for i := int32(0); i < old.cap(); i++ {
 		sl := old.slots.at(i)
@@ -491,7 +487,7 @@ func (t *valTable) probe(kind message.Kind, bits uint64, str string, s candSink)
 // O(postings sharing a first byte) as in the old per-byte bucket scan.
 type prefixTable struct {
 	tab  valTable
-	lens cowslice[prefixLen]
+	lens []prefixLen
 }
 
 type prefixLen struct {
@@ -501,30 +497,26 @@ type prefixLen struct {
 
 func (p *prefixTable) add(x postOwner, prefix string, sg slotGen) {
 	p.tab.add(x, message.KindString, uint64(len(prefix)), prefix, sg)
-	ls := p.lens.own(x.cowEpoch())
 	n := int32(len(prefix))
 	i := 0
-	for i < len(*ls) && (*ls)[i].n < n {
+	for i < len(p.lens) && p.lens[i].n < n {
 		i++
 	}
-	if i < len(*ls) && (*ls)[i].n == n {
-		(*ls)[i].count++
+	if i < len(p.lens) && p.lens[i].n == n {
+		p.lens[i].count++
 		return
 	}
-	*ls = append(*ls, prefixLen{})
-	copy((*ls)[i+1:], (*ls)[i:])
-	(*ls)[i] = prefixLen{n: n, count: 1}
+	p.lens = slices.Insert(p.lens, i, prefixLen{n: n, count: 1})
 }
 
 func (p *prefixTable) remove(x postOwner, prefix string) {
 	p.tab.removeLazy(x)
-	ls := p.lens.own(x.cowEpoch())
 	n := int32(len(prefix))
-	for i := range *ls {
-		if (*ls)[i].n == n {
-			(*ls)[i].count--
-			if (*ls)[i].count == 0 {
-				*ls = append((*ls)[:i], (*ls)[i+1:]...)
+	for i := range p.lens {
+		if p.lens[i].n == n {
+			p.lens[i].count--
+			if p.lens[i].count == 0 {
+				p.lens = slices.Delete(p.lens, i, i+1)
 			}
 			return
 		}
@@ -532,7 +524,7 @@ func (p *prefixTable) remove(x postOwner, prefix string) {
 }
 
 func (p *prefixTable) probe(v string, s candSink) {
-	for _, pl := range p.lens.s {
+	for _, pl := range p.lens {
 		if int(pl.n) > len(v) {
 			return // lengths sorted ascending: no longer prefix can match
 		}
@@ -567,13 +559,11 @@ type pairSlot struct {
 	kind message.Kind // KindInvalid: empty bucket
 }
 
-// pairList is one bucket's postings. Snapshots share it by pointer, so it
-// carries an ownership stamp like attrIndex: the first write of an epoch
-// clones it, and its interval lists copy-on-write themselves.
+// pairList is one bucket's postings, held by pointer so a bucket moves
+// cheaply when the table rehashes.
 type pairList struct {
-	stamp uint64
-	live  int32
-	iv    ivSet
+	live int32
+	iv   ivSet
 }
 
 func (t *pairTable) cap() int32 { return int32(t.slots.len()) }
@@ -593,32 +583,19 @@ func (t *pairTable) find(kind message.Kind, bits uint64, str, attr string) (int3
 	}
 }
 
-// listW returns bucket i's list ready for mutation.
-func (t *pairTable) listW(i int32, epoch uint64) *pairList {
-	l := t.slots.at(i).list
-	if l.stamp != epoch {
-		c := *l
-		c.stamp = epoch
-		l = &c
-		t.slots.w(i, epoch).list = l
-	}
-	return l
-}
-
 // add posts sg under the pair of "= v" and the interval q on attr.
 func (t *pairTable) add(x postOwner, v message.Value, attr string, q ivShape, sg slotGen) {
 	if t.cap() == 0 || (t.used+1)*4 > t.cap()*3 {
-		t.rehash(x, pairCapFor(2*(t.used-t.idle+1)))
+		t.rehash(pairCapFor(2 * (t.used - t.idle + 1)))
 	}
-	epoch := x.cowEpoch()
 	bits, str := eqPayload(v)
 	i, ok := t.find(v.Kind(), bits, str, attr)
 	if !ok {
-		*t.slots.w(i, epoch) = pairSlot{bits: bits, str: str, attr: attr, list: &pairList{stamp: epoch}, kind: v.Kind()}
+		*t.slots.at(i) = pairSlot{bits: bits, str: str, attr: attr, list: &pairList{}, kind: v.Kind()}
 		t.used++
 		t.idle++
 	}
-	l := t.listW(i, epoch)
+	l := t.slots.at(i).list
 	if l.live == 0 {
 		t.idle--
 	}
@@ -631,13 +608,13 @@ func (t *pairTable) add(x postOwner, v message.Value, attr string, q ivShape, sg
 func (t *pairTable) remove(x postOwner, v message.Value, attr string, kind message.Kind) {
 	bits, str := eqPayload(v)
 	i, _ := t.find(v.Kind(), bits, str, attr) // add made it
-	l := t.listW(i, x.cowEpoch())
+	l := t.slots.at(i).list
 	l.iv.removeLazy(x, kind)
 	l.live--
 	t.live--
 	if l.live == 0 {
 		if t.idle++; t.idle > 8 && t.idle*2 > t.used {
-			t.rehash(x, pairCapFor(2*(t.used-t.idle)))
+			t.rehash(pairCapFor(2 * (t.used - t.idle)))
 		}
 	}
 }
@@ -654,12 +631,11 @@ func pairCapFor(n int32) int32 {
 // rehash rebuilds the table at the given capacity, dropping idle buckets.
 // Their lists hold no live posting: every row posted there has had its
 // generation bumped.
-func (t *pairTable) rehash(x postOwner, newCap int32) {
+func (t *pairTable) rehash(newCap int32) {
 	old, oldCap := t.slots, t.cap()
-	epoch := x.cowEpoch()
 	t.slots = pvec[pairSlot]{}
 	for i := int32(0); i < newCap; i++ {
-		t.slots.grow(epoch)
+		t.slots.grow()
 	}
 	t.used, t.idle = 0, 0
 	for i := int32(0); i < oldCap; i++ {
@@ -668,7 +644,7 @@ func (t *pairTable) rehash(x postOwner, newCap int32) {
 			continue
 		}
 		j, _ := t.find(sl.kind, sl.bits, sl.str, sl.attr)
-		*t.slots.w(j, epoch) = *sl
+		*t.slots.at(j) = *sl
 		t.used++
 	}
 }
@@ -697,9 +673,8 @@ func (t *pairTable) probe(v message.Value, n message.Notification, s candSink) {
 // ---------------------------------------------------------------------------
 
 // identTable maps entry identity hashes to row slots for duplicate
-// detection and exact Remove. It lives on the mutation plane: snapshots
-// never read it, so it is mutated in place (no copy-on-write) under the
-// table lock.
+// detection and exact Remove. It lives on the mutation plane: matching
+// never reads it.
 //
 // A bucket is just the row slot — 4 bytes, not a (hash, slot) pair. The
 // identity hash already lives in the row itself, so lookups read it
