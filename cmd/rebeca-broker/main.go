@@ -229,36 +229,42 @@ func run(args []string) error {
 		}
 	}
 
-	// Accept incoming peers and clients.
+	// Accept incoming peers and clients. Each connection is handshaken
+	// and attached on its own goroutine, so one that never speaks holds
+	// only itself (until the handshake deadline), not the accept loop.
+	attach := func(conn net.Conn) {
+		link, err := transport.AcceptTCP(conn, self, b, transport.WithSendWindow(ring))
+		if err != nil {
+			log.Printf("handshake failed: %v", err)
+			return
+		}
+		if link.Peer().IsClient() {
+			client := link.Peer().Client
+			if err := b.AttachRemoteClient(client, link); err != nil {
+				log.Printf("attach client %s: %v", client, err)
+				_ = link.Close()
+				return
+			}
+			log.Printf("broker %s attached client %s", cfg.id, client)
+			watchClientLink(b, client, link, stop, nil)
+			return
+		}
+		peer := link.Peer().Broker
+		if err := b.AddLink(peer, link); err != nil {
+			log.Printf("add link %s: %v", peer, err)
+			_ = link.Close()
+			return
+		}
+		watchPeerLink(b, peer, link, stop, nil)
+		log.Printf("broker %s accepted peer %s", cfg.id, peer)
+	}
 	go func() {
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return
 			}
-			link, err := transport.AcceptTCP(conn, self, b, transport.WithSendWindow(ring))
-			if err != nil {
-				log.Printf("handshake failed: %v", err)
-				continue
-			}
-			if link.Peer().IsClient() {
-				client := link.Peer().Client
-				if err := b.AttachRemoteClient(client, link); err != nil {
-					log.Printf("attach client %s: %v", client, err)
-					_ = link.Close()
-					continue
-				}
-				log.Printf("broker %s attached client %s", cfg.id, client)
-				watchClientLink(b, client, link, stop, nil)
-				continue
-			}
-			peer := link.Peer().Broker
-			if err := b.AddLink(peer, link); err != nil {
-				log.Printf("add link %s: %v", peer, err)
-				continue
-			}
-			watchPeerLink(b, peer, link, stop, nil)
-			log.Printf("broker %s accepted peer %s", cfg.id, peer)
+			go attach(conn)
 		}
 	}()
 

@@ -24,9 +24,9 @@ import (
 // Sends do not write the socket directly: they encode (or reuse a cached
 // frame) and enqueue onto a bounded frame ring — a flow.Queue — drained
 // by a writer goroutine that flushes each drained batch with one vectored
-// write (net.Buffers/writev), so a burst of N frames costs one syscall
-// and a slow socket never stalls the sender's run loop until the ring's
-// policy says so. The default ring Blocks at DefaultSendWindow frames,
+// write (writev), so a burst of N frames costs one syscall and a slow
+// socket never stalls the sender's run loop until the ring's policy says
+// so. The default ring Blocks at DefaultSendWindow frames,
 // preserving the old blocking-write backpressure while decoupling
 // syscalls from Send; WithSendWindow overrides capacity and policy.
 // Frames are admitted by wire.Type.FlowClass: publishes take the full
@@ -44,8 +44,14 @@ import (
 // burst is handed off as soon as the next frame is not fully buffered, so
 // no decoded frame waits behind a read that could block. Receivers that
 // are not batch-aware get one Receive per frame, in order.
+//
+// Both hot socket calls — the reader's read and the writer's writev — go
+// through socketIO: on Linux a raw non-blocking syscall that keeps the Go
+// runtime's sysmon thread asleep (sockio_linux.go says why), elsewhere
+// conn.Read and net.Buffers.WriteTo. The handshake uses the plain conn.
 type TCPLink struct {
 	conn    net.Conn
+	sock    socketIO
 	peerHop wire.Hop
 	ring    *flow.Queue[tcpFrame]
 
@@ -92,6 +98,10 @@ const readBufferSize = 64 << 10
 // maxReadBurst caps how many decoded frames one burst hands the receiver,
 // so a deep socket backlog reaches the mailbox in bounded slices.
 const maxReadBurst = 256
+
+// handshakeTimeout bounds the identity exchange, so a peer that connects
+// and then says nothing cannot hold a dialer or an accepting daemon.
+const handshakeTimeout = 5 * time.Second
 
 // DefaultSendWindow is the default frame-ring capacity: deep enough that
 // batched fan-outs never stall on a healthy socket, small enough that a
@@ -155,6 +165,9 @@ func newTCPLink(conn net.Conn, self string, recv Receiver, opts []TCPOption) (*T
 		o(&cfg)
 	}
 	cfg.ring.MaxDrain = 0 // the writer always drains wholesale
+	// A conn without deadlines (none in this repository) keeps an
+	// unbounded handshake; nothing else changes for it.
+	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	if err := writeFrame(conn, []byte(self)); err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("transport: handshake send: %w", err)
@@ -174,8 +187,11 @@ func newTCPLink(conn net.Conn, self string, recv Receiver, opts []TCPOption) (*T
 		_ = conn.Close()
 		return nil, errors.New("transport: handshake recv: empty peer identity")
 	}
+	// Clearing fails only on a closed conn, which the reader reports.
+	_ = conn.SetDeadline(time.Time{})
 	l := &TCPLink{
 		conn:       conn,
+		sock:       newSocketIO(conn),
 		peerHop:    hop,
 		ring:       flow.NewQueue[tcpFrame](cfg.ring, frameClass),
 		writerDone: make(chan struct{}),
@@ -323,10 +339,10 @@ func (l *TCPLink) FlowStats() flow.Stats { return l.ring.Stats() }
 func (l *TCPLink) EncodesFrames() {}
 
 // writeLoop drains the frame ring and writes each drained batch with one
-// vectored write: N frames become one writev of 2N iovecs instead of N
-// buffered writes plus a flush. Pooled encode buffers are returned after
-// the write; a write error poisons the link (subsequent Sends fail) and
-// the rest of the ring is discarded.
+// vectored write: N frames become one writev of 2N iovecs (split at the
+// kernel's IOV_MAX) instead of N buffered writes plus a flush. Pooled
+// encode buffers are returned after the write; a write error poisons the
+// link (subsequent Sends fail) and the rest of the ring is discarded.
 func (l *TCPLink) writeLoop() {
 	defer close(l.writerDone)
 	var scratch net.Buffers
@@ -339,8 +355,8 @@ func (l *TCPLink) writeLoop() {
 		for i := range batch {
 			bufs = append(bufs, batch[i].hdr[:], batch[i].payload)
 		}
-		scratch = bufs // WriteTo consumes bufs; keep the backing array
-		_, err := bufs.WriteTo(l.conn)
+		scratch = bufs // keep the backing array for the next batch
+		err := l.sock.writeBuffers(bufs)
 		l.releaseBatch(batch, err)
 		if err != nil {
 			// The stream may be torn mid-frame; no point keeping the
@@ -422,7 +438,24 @@ func (l *TCPLink) readLoop(recv Receiver) {
 	defer close(l.done)
 	// The error only says the connection closed or broke; the receiver
 	// stops hearing from this peer either way.
-	_ = readFrames(l.conn, l.peerHop, recv)
+	_ = readFrames(l.sock, l.peerHop, recv)
+}
+
+// socketIO is the link's data path on its connection: Read feeds the
+// reader's buffer, writeBuffers puts one drained batch on the wire.
+type socketIO interface {
+	io.Reader
+	writeBuffers(bufs net.Buffers) error
+}
+
+// plainIO is the portable socketIO: conn.Read and net.Buffers.WriteTo.
+type plainIO struct{ conn net.Conn }
+
+func (p plainIO) Read(b []byte) (int, error) { return p.conn.Read(b) }
+
+func (p plainIO) writeBuffers(bufs net.Buffers) error {
+	_, err := bufs.WriteTo(p.conn)
+	return err
 }
 
 // readFrames reads length-prefixed frames from r until a read fails, and

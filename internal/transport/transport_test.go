@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"errors"
 	"net"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -476,6 +478,27 @@ func TestTCPLinkCloseUnblocksReader(t *testing.T) {
 	}
 	if err := cl.Send(pubMsg(1)); err != ErrLinkClosed {
 		t.Errorf("send after close = %v", err)
+	}
+}
+
+// TestTCPHandshakeDeadline: a peer that accepts the connection and never
+// answers the handshake fails DialTCP once handshakeTimeout passes,
+// instead of holding the dialer for ever. The listener never calls
+// Accept; the kernel completes the connection on its own.
+func TestTCPHandshakeDeadline(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	start := time.Now()
+	_, err = DialTCP(ln.Addr().String(), "client", &sink{})
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("DialTCP to a silent peer = %v, want os.ErrDeadlineExceeded", err)
+	}
+	if elapsed := time.Since(start); elapsed > 2*handshakeTimeout {
+		t.Errorf("DialTCP took %v, deadline %v", elapsed, handshakeTimeout)
 	}
 }
 
