@@ -67,13 +67,13 @@ var ErrInvalidConstraint = errors.New("filter: invalid constraint")
 
 // Constraint restricts a single attribute. Which operand fields are used
 // depends on Op: Value for the unary comparison operators, Values for OpIn,
-// Lo/Hi for OpRange, none for OpExists.
+// Value (the low bound) and Hi for OpRange, none for OpExists.
 type Constraint struct {
 	Attr   string
 	Op     Op
 	Value  message.Value
 	Values []message.Value
-	Lo, Hi message.Value
+	Hi     message.Value
 }
 
 // EQ builds an equality constraint.
@@ -130,7 +130,7 @@ func In(attr string, vs ...message.Value) Constraint {
 
 // Range builds an inclusive range constraint lo <= attr <= hi.
 func Range(attr string, lo, hi message.Value) Constraint {
-	return Constraint{Attr: attr, Op: OpRange, Lo: lo, Hi: hi}
+	return Constraint{Attr: attr, Op: OpRange, Value: lo, Hi: hi}
 }
 
 // Exists builds a presence constraint.
@@ -179,13 +179,13 @@ func (c Constraint) Validate() error {
 			return fmt.Errorf("%w: empty set for in", ErrInvalidConstraint)
 		}
 	case OpRange:
-		if !c.Lo.IsValid() || !c.Hi.IsValid() {
+		if !c.Value.IsValid() || !c.Hi.IsValid() {
 			return fmt.Errorf("%w: range needs lo and hi", ErrInvalidConstraint)
 		}
-		if c.Lo.Kind() != c.Hi.Kind() {
+		if c.Value.Kind() != c.Hi.Kind() {
 			return fmt.Errorf("%w: range bounds of different kinds", ErrInvalidConstraint)
 		}
-		if cmp, err := c.Lo.Compare(c.Hi); err != nil || cmp > 0 {
+		if cmp, err := c.Value.Compare(c.Hi); err != nil || cmp > 0 {
 			return fmt.Errorf("%w: empty range", ErrInvalidConstraint)
 		}
 	case OpExists:
@@ -200,7 +200,7 @@ func (c Constraint) Validate() error {
 // constraint on an absent attribute never matches.
 func (c Constraint) Matches(n message.Notification) bool { return c.matches(n) }
 
-// matches is Matches behind a pointer receiver: a Constraint is 192 bytes,
+// matches is Matches behind a pointer receiver: a Constraint is 112 bytes,
 // and the match path (Filter.Matches, Filter.MatchesExcept) evaluates
 // constraints in place in the filter's backing array instead of copying
 // one per call.
@@ -247,7 +247,7 @@ func (c *Constraint) matchesValue(v message.Value) bool {
 		}
 		return false
 	case OpRange:
-		lo, err1 := v.Compare(c.Lo)
+		lo, err1 := v.Compare(c.Value)
 		hi, err2 := v.Compare(c.Hi)
 		return err1 == nil && err2 == nil && lo >= 0 && hi <= 0
 	case OpExists:
@@ -274,7 +274,7 @@ func (c Constraint) Equal(d Constraint) bool {
 		}
 		return true
 	case OpRange:
-		return c.Lo.Equal(d.Lo) && c.Hi.Equal(d.Hi)
+		return c.Value.Equal(d.Value) && c.Hi.Equal(d.Hi)
 	case OpExists:
 		return true
 	default:
@@ -301,7 +301,7 @@ func (c Constraint) String() string {
 		b.WriteByte('}')
 	case OpRange:
 		b.WriteString("in [")
-		b.WriteString(c.Lo.String())
+		b.WriteString(c.Value.String())
 		b.WriteString(", ")
 		b.WriteString(c.Hi.String())
 		b.WriteByte(']')
@@ -330,7 +330,7 @@ func (c Constraint) key() string {
 			b.WriteByte(',')
 		}
 	case OpRange:
-		b.WriteString(c.Lo.Key())
+		b.WriteString(c.Value.Key())
 		b.WriteByte(',')
 		b.WriteString(c.Hi.Key())
 	case OpExists:

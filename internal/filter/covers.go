@@ -101,7 +101,7 @@ func orderBounds(c Constraint) (lo, hi message.Value, loOpen, hiOpen bool, ok bo
 	case OpGE:
 		return c.Value, message.Value{}, false, false, true
 	case OpRange:
-		return c.Lo, c.Hi, false, false, true
+		return c.Value, c.Hi, false, false, true
 	case OpEQ:
 		return c.Value, c.Value, false, false, true
 	default:

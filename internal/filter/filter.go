@@ -135,7 +135,7 @@ func (f Filter) Equal(g Filter) bool {
 // The precomputed signatures settle most non-covering pairs in O(1)
 // before the constraint walk.
 func (f Filter) Covers(g Filter) bool {
-	if !f.sig.canCover(g.sig) {
+	if !f.canCover(&g) {
 		return false
 	}
 	return f.coversFull(g)

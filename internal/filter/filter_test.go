@@ -73,13 +73,13 @@ func TestConstraintMatching(t *testing.T) {
 func TestConstraintValidate(t *testing.T) {
 	bad := []Constraint{
 		{Attr: "", Op: OpEQ, Value: message.Int(1)},
-		{Attr: "a", Op: OpEQ},                                              // missing value
-		{Attr: "a", Op: OpLT, Value: message.Bool(true)},                   // ordering on bool
-		{Attr: "a", Op: OpPrefix, Value: message.Int(1)},                   // prefix needs string
-		{Attr: "a", Op: OpIn},                                              // empty set
-		{Attr: "a", Op: OpRange, Lo: message.Int(1)},                       // missing hi
-		{Attr: "a", Op: OpRange, Lo: message.Int(5), Hi: message.Int(1)},   // empty range
-		{Attr: "a", Op: OpRange, Lo: message.Int(1), Hi: message.Float(2)}, // mixed kinds
+		{Attr: "a", Op: OpEQ},                                                 // missing value
+		{Attr: "a", Op: OpLT, Value: message.Bool(true)},                      // ordering on bool
+		{Attr: "a", Op: OpPrefix, Value: message.Int(1)},                      // prefix needs string
+		{Attr: "a", Op: OpIn},                                                 // empty set
+		{Attr: "a", Op: OpRange, Value: message.Int(1)},                       // missing hi
+		{Attr: "a", Op: OpRange, Value: message.Int(5), Hi: message.Int(1)},   // empty range
+		{Attr: "a", Op: OpRange, Value: message.Int(1), Hi: message.Float(2)}, // mixed kinds
 		{Attr: "a", Op: OpInvalid},
 	}
 	for _, c := range bad {

@@ -130,7 +130,7 @@ func (p *parser) literal() (message.Value, error) {
 		}
 		// Bare words parse as strings, which keeps location names like
 		// {a, b, c} convenient.
-		return message.String(word), nil
+		return message.String(strings.Clone(word)), nil
 	}
 }
 
@@ -163,6 +163,10 @@ func (p *parser) constraint() (Constraint, error) {
 	if err != nil {
 		return Constraint{}, err
 	}
+	// Interned, like a decoded notification's names: the filter neither
+	// pins the source text nor holds a copy of its own, and the cover
+	// signature's attribute compares find the same pointer on both sides.
+	attr = message.InternName([]byte(attr))
 	p.skipSpace()
 	switch {
 	case p.consume("=="), p.consume("="):

@@ -2,6 +2,7 @@ package filter
 
 import (
 	"math"
+	"strings"
 
 	"repro/internal/message"
 )
@@ -23,7 +24,8 @@ import (
 //   - per-attribute cells: for each attribute constrained by exactly one
 //     signature-representable constraint, a summary of the accepted value
 //     set — a numeric interval hull for EQ/LT/LE/GT/GE/Range over int or
-//     float values, or an exact point for EQ over string or bool values.
+//     float values, or an exact point for EQ over string or bool values
+//     (the constraint's own operand, compared with Value.Equal).
 //     When both filters carry a cell on the same attribute, the single
 //     constraints must cover each other for the filters to, so a kind
 //     mismatch, a point mismatch, or a hull non-containment is a proof of
@@ -43,23 +45,26 @@ type sig struct {
 }
 
 // sigCell summarizes the single constraint on one attribute, when that
-// constraint is signature-representable. Cells are sorted by attribute
-// (the constraint list they are derived from already is).
+// constraint is signature-representable. It names the constraint by its
+// index in the filter's own list instead of copying the attribute name or
+// operand, so a cell is 24 bytes and holds no pointer. Cells are sorted by
+// attribute (the constraint list they are derived from already is).
 type sigCell struct {
-	attr   string
-	kind   message.Kind // kind of the constrained values
 	lo, hi float64      // numeric hull; ±Inf when unbounded
-	point  string       // Value.Key() for string/bool equality cells
+	c      uint32       // index of the summarized constraint
+	kind   message.Kind // kind of the constrained values
 }
 
-// isPoint reports whether the cell is an exact-point cell rather than a
-// numeric hull.
+// isPoint reports whether the cell is an exact-point cell (string or bool
+// equality, compared with Value.Equal) rather than a numeric hull.
 func (c *sigCell) isPoint() bool { return c.kind == message.KindString || c.kind == message.KindBool }
 
 // computeSig builds the signature for a canonically sorted constraint
 // list.
 func computeSig(cs []Constraint) sig {
 	var s sig
+	var buf [8]sigCell
+	cells := buf[:0]
 	for i := 0; i < len(cs); {
 		j := i
 		for j < len(cs) && cs[j].Attr == cs[i].Attr {
@@ -67,11 +72,16 @@ func computeSig(cs []Constraint) sig {
 		}
 		s.bloom |= attrBit(cs[i].Attr)
 		if j-i == 1 {
-			if cell, ok := constraintCell(cs[i]); ok {
-				s.cells = append(s.cells, cell)
+			if cell, ok := constraintCell(&cs[i]); ok {
+				cell.c = uint32(i)
+				cells = append(cells, cell)
 			}
 		}
 		i = j
+	}
+	if len(cells) > 0 {
+		s.cells = make([]sigCell, len(cells)) // exact size: one allocation
+		copy(s.cells, cells)
 	}
 	return s
 }
@@ -86,28 +96,30 @@ func attrBit(attr string) uint64 {
 	return 1 << (h & 63)
 }
 
-// constraintCell summarizes one constraint, if representable.
-func constraintCell(c Constraint) (sigCell, bool) {
+// constraintCell summarizes one constraint, if representable; the caller
+// sets the cell's constraint index.
+func constraintCell(c *Constraint) (sigCell, bool) {
+	k := c.Value.Kind()
 	switch c.Op {
 	case OpEQ:
-		switch c.Value.Kind() {
+		switch k {
 		case message.KindInt, message.KindFloat:
 			v := numVal(c.Value)
-			return sigCell{attr: c.Attr, kind: c.Value.Kind(), lo: v, hi: v}, true
+			return sigCell{kind: k, lo: v, hi: v}, true
 		case message.KindString, message.KindBool:
-			return sigCell{attr: c.Attr, kind: c.Value.Kind(), point: c.Value.Key()}, true
+			return sigCell{kind: k}, true
 		}
 	case OpLT, OpLE:
 		if isNum(c.Value) {
-			return sigCell{attr: c.Attr, kind: c.Value.Kind(), lo: math.Inf(-1), hi: numVal(c.Value)}, true
+			return sigCell{kind: k, lo: math.Inf(-1), hi: numVal(c.Value)}, true
 		}
 	case OpGT, OpGE:
 		if isNum(c.Value) {
-			return sigCell{attr: c.Attr, kind: c.Value.Kind(), lo: numVal(c.Value), hi: math.Inf(1)}, true
+			return sigCell{kind: k, lo: numVal(c.Value), hi: math.Inf(1)}, true
 		}
 	case OpRange:
-		if isNum(c.Lo) && c.Lo.Kind() == c.Hi.Kind() {
-			return sigCell{attr: c.Attr, kind: c.Lo.Kind(), lo: numVal(c.Lo), hi: numVal(c.Hi)}, true
+		if isNum(c.Value) && k == c.Hi.Kind() {
+			return sigCell{kind: k, lo: numVal(c.Value), hi: numVal(c.Hi)}, true
 		}
 	}
 	return sigCell{}, false
@@ -126,19 +138,21 @@ func numVal(v message.Value) float64 {
 
 // canCover reports whether the signatures leave f.Covers(g) possible; a
 // false result is a proof of non-coverage.
-func (s sig) canCover(t sig) bool {
-	if s.bloom&^t.bloom != 0 {
+func (f *Filter) canCover(g *Filter) bool {
+	if f.sig.bloom&^g.sig.bloom != 0 {
 		// f constrains an attribute g does not; g accepts notifications
 		// unconstrained there, which f rejects.
 		return false
 	}
+	s, t := f.sig.cells, g.sig.cells
 	i, j := 0, 0
-	for i < len(s.cells) && j < len(t.cells) {
-		a, b := &s.cells[i], &t.cells[j]
-		switch {
-		case a.attr < b.attr:
+	for i < len(s) && j < len(t) {
+		a, b := &s[i], &t[j]
+		ca, cb := &f.cs[a.c], &g.cs[b.c]
+		switch cmp := strings.Compare(ca.Attr, cb.Attr); {
+		case cmp < 0:
 			i++
-		case a.attr > b.attr:
+		case cmp > 0:
 			j++
 		default:
 			// Both filters constrain this attribute with exactly one
@@ -148,7 +162,7 @@ func (s sig) canCover(t sig) bool {
 				return false
 			}
 			if a.isPoint() {
-				if a.point != b.point {
+				if !ca.Value.Equal(cb.Value) {
 					return false
 				}
 			} else if a.lo > b.lo || a.hi < b.hi {

@@ -61,7 +61,7 @@ func TestSignatureRejectSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(9291))
 	for trial := 0; trial < 20000; trial++ {
 		f, g := randomSigFilter(t, rng), randomSigFilter(t, rng)
-		if !f.sig.canCover(g.sig) && f.coversFull(g) {
+		if !f.canCover(&g) && f.coversFull(g) {
 			t.Fatalf("signature rejected a real cover: %s covers %s", f, g)
 		}
 		if f.Covers(g) != f.coversFull(g) {
@@ -97,10 +97,10 @@ func TestSignatureCells(t *testing.T) {
 	if len(cells) != 2 {
 		t.Fatalf("cells = %d, want 2 (p hull + svc point): %+v", len(cells), cells)
 	}
-	if cells[0].attr != "p" || cells[0].lo != 2 || cells[0].hi != 9 {
+	if f.At(int(cells[0].c)).Attr != "p" || cells[0].lo != 2 || cells[0].hi != 9 {
 		t.Errorf("p cell = %+v", cells[0])
 	}
-	if cells[1].attr != "svc" || cells[1].point != message.String("parking").Key() {
+	if c := f.At(int(cells[1].c)); c.Attr != "svc" || !cells[1].isPoint() || !c.Value.Equal(message.String("parking")) {
 		t.Errorf("svc cell = %+v", cells[1])
 	}
 	unb := MustNew(LT("p", message.Int(5)))

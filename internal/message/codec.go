@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // Binary codec for values and notifications. The format is a simple
@@ -35,15 +34,9 @@ func AppendValue(buf []byte, v Value) []byte {
 	case KindInt:
 		buf = binary.AppendVarint(buf, v.num)
 	case KindFloat:
-		var tmp [8]byte
-		binary.BigEndian.PutUint64(tmp[:], math.Float64bits(v.fnum))
-		buf = append(buf, tmp[:]...)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(v.num))
 	case KindBool:
-		if v.b {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
+		buf = append(buf, byte(v.num))
 	}
 	return buf
 }
@@ -99,7 +92,7 @@ func decodeValue(buf []byte, intern bool) (v Value, used int, canonical bool, er
 		if len(rest) < 8 {
 			return Value{}, 0, false, ErrTruncated
 		}
-		return Float(math.Float64frombits(binary.BigEndian.Uint64(rest[:8]))), used + 8, true, nil
+		return Value{kind: KindFloat, num: int64(binary.BigEndian.Uint64(rest[:8]))}, used + 8, true, nil
 	case KindBool:
 		if len(rest) < 1 {
 			return Value{}, 0, false, ErrTruncated

@@ -14,7 +14,14 @@ import (
 // An internTable is a copy-on-write map behind an atomic pointer: lookups
 // are lock-free and — because the compiler elides the []byte→string
 // conversion for map indexing — allocation-free on a hit. A miss copies
-// the string, then takes a mutex and publishes an extended table.
+// the string and takes a mutex. Misses collect in a private pending map
+// and are published together: every trip through the mutex (a miss, or a
+// lookup of a string still pending) counts, and once the count reaches a
+// quarter of the published table, one merged copy replaces it. A
+// publish copies about five entries per mutex trip since the last one,
+// so filling a table to n entries costs O(n) copies rather than the n²/2
+// a copy per miss would, and a pending string that keeps being looked up
+// is published after a bounded number of further trips.
 //
 // Tables are append-only and capped: attacker-controlled or unbounded
 // name/value sets stop being interned once the cap is reached, so memory
@@ -25,13 +32,16 @@ import (
 // tables so high-cardinality value traffic cannot crowd attribute names —
 // the primary beneficiary — out of their slots.
 type internTable struct {
-	mu  sync.Mutex
 	tab atomic.Pointer[map[string]string]
 	max int
+
+	mu      sync.Mutex
+	pending map[string]string // interned but not yet in tab; under mu
+	trips   int               // mutex trips since the last publish; under mu
 }
 
 func newInternTable(max int) *internTable {
-	t := &internTable{max: max}
+	t := &internTable{max: max, pending: make(map[string]string)}
 	m := make(map[string]string)
 	t.tab.Store(&m)
 	return t
@@ -52,19 +62,35 @@ func (t *internTable) miss(s string) string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cur := *t.tab.Load()
-	if c, ok := cur[s]; ok { // raced with another miss
+	if c, ok := cur[s]; ok { // raced with a publish
 		return c
 	}
-	if len(cur) >= t.max {
-		return s
+	c, ok := t.pending[s]
+	if !ok {
+		if len(cur)+len(t.pending) >= t.max {
+			return s
+		}
+		t.pending[s], c = s, s
 	}
-	next := make(map[string]string, len(cur)+1)
+	if t.trips++; t.trips >= max(1, len(cur)/4) || len(cur)+len(t.pending) >= t.max {
+		t.publish(cur)
+	}
+	return c
+}
+
+// publish replaces the published table with cur plus every pending
+// string. It runs under mu.
+func (t *internTable) publish(cur map[string]string) {
+	next := make(map[string]string, len(cur)+len(t.pending))
 	for k, v := range cur {
 		next[k] = v
 	}
-	next[s] = s
+	for k, v := range t.pending {
+		next[k] = v
+	}
 	t.tab.Store(&next)
-	return s
+	clear(t.pending)
+	t.trips = 0
 }
 
 var (

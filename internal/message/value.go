@@ -12,9 +12,12 @@
 package message
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
+	"strings"
 )
 
 // Kind identifies the dynamic type of a Value.
@@ -51,12 +54,16 @@ func (k Kind) String() string {
 var ErrKindMismatch = errors.New("message: value kinds do not match")
 
 // Value is an immutable typed attribute value. The zero Value is invalid.
+//
+// One payload word serves every non-string kind: num holds the int64, the
+// IEEE 754 bits of the float64, or 0/1 for a bool, so a Value is 32 bytes
+// on 64-bit platforms (a notification attribute 48). str is empty for the
+// non-string kinds and num is zero for strings, so two values of the same
+// non-float kind are equal exactly when both fields are.
 type Value struct {
-	kind Kind
 	str  string
 	num  int64
-	fnum float64
-	b    bool
+	kind Kind
 }
 
 // String constructs a string-valued attribute value.
@@ -65,11 +72,17 @@ func String(s string) Value { return Value{kind: KindString, str: s} }
 // Int constructs an integer-valued attribute value.
 func Int(i int64) Value { return Value{kind: KindInt, num: i} }
 
-// Float constructs a float-valued attribute value.
-func Float(f float64) Value { return Value{kind: KindFloat, fnum: f} }
+// Float constructs a float-valued attribute value. The bits are kept as
+// given, NaN payloads included.
+func Float(f float64) Value { return Value{kind: KindFloat, num: int64(math.Float64bits(f))} }
 
 // Bool constructs a boolean-valued attribute value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, num: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Kind reports the dynamic kind of the value.
 func (v Value) Kind() Kind { return v.kind }
@@ -84,28 +97,21 @@ func (v Value) Str() string { return v.str }
 func (v Value) IntVal() int64 { return v.num }
 
 // FloatVal returns the float payload. It is only meaningful for KindFloat.
-func (v Value) FloatVal() float64 { return v.fnum }
+func (v Value) FloatVal() float64 { return math.Float64frombits(uint64(v.num)) }
 
 // BoolVal returns the bool payload. It is only meaningful for KindBool.
-func (v Value) BoolVal() bool { return v.b }
+func (v Value) BoolVal() bool { return v.num != 0 }
 
-// Equal reports whether two values have the same kind and payload.
+// Equal reports whether two values have the same kind and payload. Floats
+// compare as numbers: NaN equals nothing, and -0 equals +0.
 func (v Value) Equal(w Value) bool {
 	if v.kind != w.kind {
 		return false
 	}
-	switch v.kind {
-	case KindString:
-		return v.str == w.str
-	case KindInt:
-		return v.num == w.num
-	case KindFloat:
-		return v.fnum == w.fnum
-	case KindBool:
-		return v.b == w.b
-	default:
-		return true
+	if v.kind == KindFloat {
+		return v.FloatVal() == w.FloatVal()
 	}
+	return v.num == w.num && v.str == w.str
 }
 
 // Compare totally orders two values of the same kind, returning -1, 0, or
@@ -117,34 +123,17 @@ func (v Value) Compare(w Value) (int, error) {
 	}
 	switch v.kind {
 	case KindString:
-		switch {
-		case v.str < w.str:
-			return -1, nil
-		case v.str > w.str:
-			return 1, nil
-		}
-		return 0, nil
-	case KindInt:
-		switch {
-		case v.num < w.num:
-			return -1, nil
-		case v.num > w.num:
-			return 1, nil
-		}
-		return 0, nil
+		return strings.Compare(v.str, w.str), nil
+	case KindInt, KindBool:
+		return cmp.Compare(v.num, w.num), nil
 	case KindFloat:
+		// Not cmp.Compare, which orders NaN first: a NaN compares equal
+		// to everything here.
+		a, b := v.FloatVal(), w.FloatVal()
 		switch {
-		case v.fnum < w.fnum:
+		case a < b:
 			return -1, nil
-		case v.fnum > w.fnum:
-			return 1, nil
-		}
-		return 0, nil
-	case KindBool:
-		switch {
-		case !v.b && w.b:
-			return -1, nil
-		case v.b && !w.b:
+		case a > b:
 			return 1, nil
 		}
 		return 0, nil
@@ -169,9 +158,9 @@ func (v Value) String() string {
 	case KindInt:
 		return strconv.FormatInt(v.num, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.fnum, 'g', -1, 64)
+		return strconv.FormatFloat(v.FloatVal(), 'g', -1, 64)
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.BoolVal())
 	default:
 		return "<invalid>"
 	}
@@ -187,9 +176,9 @@ func (v Value) Key() string {
 	case KindInt:
 		return "i:" + strconv.FormatInt(v.num, 10)
 	case KindFloat:
-		return "f:" + strconv.FormatFloat(v.fnum, 'g', -1, 64)
+		return "f:" + strconv.FormatFloat(v.FloatVal(), 'g', -1, 64)
 	case KindBool:
-		return "b:" + strconv.FormatBool(v.b)
+		return "b:" + strconv.FormatBool(v.BoolVal())
 	default:
 		return "<invalid>"
 	}

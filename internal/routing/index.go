@@ -515,10 +515,7 @@ func isNaNValue(v message.Value) bool {
 // bound; such constraints are evaluated on the scan list instead of the
 // interval runs so they keep Constraint.Matches' exact semantics.
 func orderedBoundNaN(c *filter.Constraint) bool {
-	if c.Op == filter.OpRange {
-		return isNaNValue(c.Lo) || isNaNValue(c.Hi)
-	}
-	return isNaNValue(c.Value)
+	return isNaNValue(c.Value) || isNaNValue(c.Hi) // Hi is unset outside a range
 }
 
 // eachIndexableInMember visits the members of an in-constraint that get eq
@@ -548,18 +545,11 @@ func eachIndexableInMember(c *filter.Constraint, fn func(v message.Value)) {
 // orderable operand kinds, or a range whose bounds disagree on kind — the
 // scan list reproduces Constraint.Matches exactly for those).
 func orderedKind(c *filter.Constraint) message.Kind {
-	if c.Op == filter.OpRange {
-		k := c.Lo.Kind()
-		if k != c.Hi.Kind() {
-			return message.KindInvalid
-		}
-		switch k {
-		case message.KindInt, message.KindFloat, message.KindString:
-			return k
-		}
+	k := c.Value.Kind()
+	if c.Op == filter.OpRange && k != c.Hi.Kind() {
 		return message.KindInvalid
 	}
-	switch k := c.Value.Kind(); k {
+	switch k {
 	case message.KindInt, message.KindFloat, message.KindString:
 		return k
 	}
@@ -583,14 +573,11 @@ func ordFlags(c *filter.Constraint) uint8 {
 }
 
 func ordBounds(c *filter.Constraint) (lo, hi message.Value) {
-	if c.Op == filter.OpRange {
-		return c.Lo, c.Hi
-	}
 	switch c.Op {
 	case filter.OpLT, filter.OpLE:
 		return message.Value{}, c.Value
-	default: // OpGT, OpGE
-		return c.Value, message.Value{}
+	default: // OpGT, OpGE, and OpRange, whose Hi is the upper bound
+		return c.Value, c.Hi
 	}
 }
 
@@ -628,9 +615,9 @@ func (ai *attrIndex) rangeSpan(c *filter.Constraint) (sp *span, lo, hi float64, 
 	}
 	switch orderedKind(c) {
 	case message.KindInt:
-		return &ai.spanI, float64(c.Lo.IntVal()), float64(c.Hi.IntVal()), true
+		return &ai.spanI, float64(c.Value.IntVal()), float64(c.Hi.IntVal()), true
 	case message.KindFloat:
-		return &ai.spanF, c.Lo.FloatVal(), c.Hi.FloatVal(), true
+		return &ai.spanF, c.Value.FloatVal(), c.Hi.FloatVal(), true
 	}
 	return nil, 0, 0, false
 }

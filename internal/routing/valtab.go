@@ -142,8 +142,15 @@ func cmpValueIdent(a, b message.Value) int {
 func hashConstraintIdent(h uint64, c filter.Constraint) uint64 {
 	h = hashStr(h, c.Attr)
 	h = hashU8(h, byte(c.Op))
-	h = hashValueIdent(h, c.Value)
-	h = hashValueIdent(h, c.Lo)
+	// A range's low bound lives in Value, but it hashes as it did when it
+	// had a field of its own after Value: an unset value, then the bounds.
+	// The hash orders rows, so this keeps canonical match order unchanged.
+	first, lo := c.Value, message.Value{}
+	if c.Op == filter.OpRange {
+		first, lo = lo, first
+	}
+	h = hashValueIdent(h, first)
+	h = hashValueIdent(h, lo)
 	h = hashValueIdent(h, c.Hi)
 	h = hashU64(h, uint64(len(c.Values)))
 	for _, v := range c.Values {
@@ -156,7 +163,7 @@ func identConstraintEqual(a, b filter.Constraint) bool {
 	if a.Attr != b.Attr || a.Op != b.Op || len(a.Values) != len(b.Values) {
 		return false
 	}
-	if !identValueEqual(a.Value, b.Value) || !identValueEqual(a.Lo, b.Lo) || !identValueEqual(a.Hi, b.Hi) {
+	if !identValueEqual(a.Value, b.Value) || !identValueEqual(a.Hi, b.Hi) {
 		return false
 	}
 	for i := range a.Values {
@@ -178,9 +185,6 @@ func cmpConstraintIdent(a, b filter.Constraint) int {
 		return 1
 	}
 	if c := cmpValueIdent(a.Value, b.Value); c != 0 {
-		return c
-	}
-	if c := cmpValueIdent(a.Lo, b.Lo); c != 0 {
 		return c
 	}
 	if c := cmpValueIdent(a.Hi, b.Hi); c != 0 {

@@ -135,19 +135,26 @@ func (d *decoder) iv() int64 {
 	return v
 }
 
-func (d *decoder) str() string {
+// bytes reads a length-prefixed byte string; the result aliases the frame.
+func (d *decoder) bytes() []byte {
 	n := d.uv()
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if uint64(len(d.buf)-d.pos) < n {
 		d.fail("truncated string")
-		return ""
+		return nil
 	}
-	s := string(d.buf[d.pos : d.pos+int(n)])
+	b := d.buf[d.pos : d.pos+int(n)]
 	d.pos += int(n)
-	return s
+	return b
 }
+
+func (d *decoder) str() string { return string(d.bytes()) }
+
+// name reads a string through the attribute-name intern table, for the
+// attribute names of filter constraints.
+func (d *decoder) name() string { return message.InternName(d.bytes()) }
 
 func (d *decoder) val() message.Value {
 	if d.err != nil {
@@ -177,7 +184,7 @@ func encodeFilter(e *encoder, f filter.Filter) {
 				e.val(v)
 			}
 		case filter.OpRange:
-			e.val(c.Lo)
+			e.val(c.Value)
 			e.val(c.Hi)
 		case filter.OpExists:
 		default:
@@ -194,7 +201,7 @@ func decodeFilter(d *decoder) filter.Filter {
 	}
 	cs := make([]filter.Constraint, 0, n)
 	for i := uint64(0); i < n && d.err == nil; i++ {
-		c := filter.Constraint{Attr: d.str(), Op: filter.Op(d.u8())}
+		c := filter.Constraint{Attr: d.name(), Op: filter.Op(d.u8())}
 		switch c.Op {
 		case filter.OpIn:
 			m := d.uv()
@@ -206,7 +213,7 @@ func decodeFilter(d *decoder) filter.Filter {
 				c.Values = append(c.Values, d.val())
 			}
 		case filter.OpRange:
-			c.Lo = d.val()
+			c.Value = d.val()
 			c.Hi = d.val()
 		case filter.OpExists:
 		default:
