@@ -60,9 +60,6 @@ type brokerFlags struct {
 	mailboxPolicy  string
 	sendWindow     int
 	sendPolicy     string
-	egressWriters  int
-	egressWindow   int
-	egressPolicy   string
 	relocBufferCap int
 }
 
@@ -90,12 +87,6 @@ func newFlagSet() (*flag.FlagSet, *brokerFlags) {
 		"per-peer TCP send window in frames")
 	fs.StringVar(&cfg.sendPolicy, "send-policy", flow.Block.String(),
 		"send-window overload policy: "+strings.Join(flow.PolicyNames(), ", "))
-	fs.IntVar(&cfg.egressWriters, "egress-writers", 0,
-		"egress writer shards for link writes (0 = write inline on the run loop)")
-	fs.IntVar(&cfg.egressWindow, "egress-window", 0,
-		"per-shard egress handoff queue bound in messages (0 = unbounded; needs -egress-writers)")
-	fs.StringVar(&cfg.egressPolicy, "egress-policy", flow.Block.String(),
-		"egress-window overload policy: "+strings.Join(flow.PolicyNames(), ", "))
 	fs.IntVar(&cfg.relocBufferCap, "reloc-buffer-cap", 0,
 		"per-subscription relocation buffer bound in notifications, drop-oldest (0 = MaxBufferPerSub)")
 	return fs, cfg
@@ -146,19 +137,6 @@ func run(args []string) error {
 		return fmt.Errorf("-send-policy: %w", err)
 	}
 	ring := flow.Options{Capacity: cfg.sendWindow, Policy: ringPolicy}
-	if cfg.egressWriters < 0 {
-		return fmt.Errorf("-egress-writers must be >= 0, got %d", cfg.egressWriters)
-	}
-	if cfg.egressWindow < 0 {
-		return fmt.Errorf("-egress-window must be >= 0, got %d", cfg.egressWindow)
-	}
-	if cfg.egressWindow > 0 && cfg.egressWriters == 0 {
-		return errors.New("-egress-window requires -egress-writers > 0")
-	}
-	egressPolicy, err := flow.ParsePolicy(cfg.egressPolicy)
-	if err != nil {
-		return fmt.Errorf("-egress-policy: %w", err)
-	}
 	if cfg.relocBufferCap < 0 {
 		return fmt.Errorf("-reloc-buffer-cap must be >= 0, got %d", cfg.relocBufferCap)
 	}
@@ -169,9 +147,6 @@ func run(args []string) error {
 		MaxBatch:        cfg.maxBatch,
 		MailboxCapacity: cfg.mailboxCap,
 		MailboxPolicy:   boxPolicy,
-		EgressWriters:   cfg.egressWriters,
-		EgressWindow:    cfg.egressWindow,
-		EgressPolicy:    egressPolicy,
 		RelocBufferCap:  cfg.relocBufferCap,
 	})
 	b.Start()
@@ -186,15 +161,8 @@ func run(args []string) error {
 	if cfg.mailboxCap > 0 {
 		box = fmt.Sprintf("%d tasks, %s", cfg.mailboxCap, boxPolicy)
 	}
-	egress := "inline"
-	if cfg.egressWriters > 0 {
-		egress = fmt.Sprintf("%d writers", cfg.egressWriters)
-		if cfg.egressWindow > 0 {
-			egress += fmt.Sprintf(", window %d %s", cfg.egressWindow, egressPolicy)
-		}
-	}
-	log.Printf("broker %s listening on %s (strategy %s, maxbatch %d, mailbox %s, send window %d frames %s, egress %s)",
-		cfg.id, ln.Addr(), strategy, cfg.maxBatch, box, cfg.sendWindow, ringPolicy, egress)
+	log.Printf("broker %s listening on %s (strategy %s, maxbatch %d, mailbox %s, send window %d frames %s)",
+		cfg.id, ln.Addr(), strategy, cfg.maxBatch, box, cfg.sendWindow, ringPolicy)
 
 	stop := make(chan struct{})
 	defer close(stop)

@@ -7,8 +7,8 @@
 //	rebeca-experiments -list
 //
 // With -cpuprofile / -mutexprofile the run is profiled (pprof format),
-// so hot paths and lock contention — egress writer shards included — can
-// be inspected on the registered scenarios:
+// so hot paths and lock contention can be inspected on the registered
+// scenarios:
 //
 //	rebeca-experiments -experiment fig8 -cpuprofile cpu.pprof -mutexprofile mutex.pprof
 //	go tool pprof cpu.pprof

@@ -14,11 +14,10 @@ import (
 )
 
 // TestBatchedDeliveryParity is the randomized parity test for the batched
-// pipeline and the egress writers: the same multi-broker publish workload
-// runs through the unbatched one-message-per-lock path (MaxBatch 1), the
-// batched path (MaxBatch 0), and the batched path with sharded egress
-// writers, and every subscription's delivery sequence — payloads and
-// sequence numbers — must be byte-identical across all of them.
+// pipeline: the same multi-broker publish workload runs through the
+// unbatched one-message-per-lock path (MaxBatch 1) and the batched path
+// (MaxBatch 0), and every subscription's delivery sequence — payloads and
+// sequence numbers — must be byte-identical across both.
 //
 // Each subscription is pinned to a single producer (an equality constraint
 // on the producer attribute), so its delivery sequence is determined by
@@ -35,13 +34,6 @@ func TestBatchedDeliveryParity(t *testing.T) {
 			runs := map[string]map[string][]string{
 				"unbatched": runParityWorkload(t, cfg, Options{MaxBatch: 1}),
 				"batched":   runParityWorkload(t, cfg, Options{}),
-				// Sharded egress writers at every pool size the shard
-				// pinning can exercise (1 = all links on one writer,
-				// 4 > links on most trials); the per-link sequences must
-				// not change when writes leave the run goroutine.
-				"egress1": runParityWorkload(t, cfg, Options{EgressWriters: 1}),
-				"egress2": runParityWorkload(t, cfg, Options{EgressWriters: 2}),
-				"egress4": runParityWorkload(t, cfg, Options{EgressWriters: 4}),
 			}
 			want := runs["unbatched"]
 			for mode, got := range runs {
@@ -105,13 +97,6 @@ func TestBoundedDeliveryParity(t *testing.T) {
 					Options{MailboxCapacity: 8, MailboxPolicy: flow.Block}),
 				"cap8-windowed": runParityWorkload(t, cfg,
 					Options{MailboxCapacity: 8, MailboxPolicy: flow.Block}, window),
-				// A tiny Block egress window on top of a bounded mailbox:
-				// the handoff queue stalls the run loop instead of losing
-				// notifications, so content parity must survive the extra
-				// backpressure stage too.
-				"cap8-egress2-window2": runParityWorkload(t, cfg,
-					Options{MailboxCapacity: 8, MailboxPolicy: flow.Block,
-						EgressWriters: 2, EgressWindow: 2, EgressPolicy: flow.Block}),
 			}
 			for mode, got := range runs {
 				assertParity(t, mode, got, want)

@@ -9,6 +9,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"log"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -104,26 +105,6 @@ type Options struct {
 	// Section 4.1). Zero means DefaultRelocTimeout; negative disables the
 	// timeout (the strict protocol, for the mobility tests).
 	RelocTimeout time.Duration
-	// EgressWriters sets the egress parallelism: the number of writer
-	// shards link writes are distributed over. 0 (the default) keeps the
-	// seed behavior — flushOutbox performs every SendBatch/Flush (and its
-	// syscall) inline on the run goroutine. With N >= 1, each link is
-	// pinned to one of N writer goroutines by hashing its hop, flushOutbox
-	// becomes a non-blocking handoff, and links are written concurrently;
-	// per-link FIFO and the delivery sequences are byte-identical to the
-	// inline path for any N (see internal/broker/egress.go).
-	EgressWriters int
-	// EgressWindow bounds each writer shard's handoff queue in messages;
-	// 0 (the default) keeps it unbounded. The bound composes with the
-	// three-class flow model: publishes obey EgressPolicy, deliveries
-	// stall losslessly, control messages are always admitted.
-	EgressWindow int
-	// EgressPolicy selects the overload behavior of a bounded egress
-	// window: Block (the default) stalls the run loop until the shard
-	// drains — backpressure reaches exactly the producers of that shard's
-	// links — DropOldest and ShedNewest shed notifications instead.
-	// Ignored when EgressWindow is 0.
-	EgressPolicy flow.Policy
 }
 
 // DefaultMaxBufferPerSub is the default per-subscription buffer cap.
@@ -187,13 +168,8 @@ type Broker struct {
 	ctrlSubsSent   uint64
 	ctrlUnsubsSent uint64
 
-	// egress is the sharded link-writer pool, nil when egress is inline
-	// (EgressWriters == 0). egressFlushLat times the per-burst link
-	// writes (atomic: writers observe, Stats reads); sendErrs counts
-	// failed link writes per hop across both paths.
-	egress         *egressPool
-	egressFlushLat metrics.Distribution
-	sendErrs       linkErrTracker
+	// sendErrs counts failed link writes per hop.
+	sendErrs linkErrTracker
 
 	// killed marks a crash-stopped broker (Kill): the run loop discards
 	// batches instead of processing them, simulating kill -9 for the
@@ -331,31 +307,11 @@ type Stats struct {
 	FlushMaxBurst  int
 	FlushMeanBurst float64
 	// LinkSendErrors counts failed link writes (Send/SendBatch/Flush) per
-	// hop, across both the inline and the egress-writer paths; nil when
-	// every write has succeeded. LinkSendErrorsTotal is the sum. The
-	// first failure of each link transition is also logged (once).
+	// hop; nil when every write has succeeded. LinkSendErrorsTotal is the
+	// sum. The first failure of each link transition is also logged
+	// (once).
 	LinkSendErrors      map[wire.Hop]uint64
 	LinkSendErrorsTotal uint64
-	// EgressWriters is the configured egress parallelism (0 = inline
-	// writes on the run goroutine). EgressShards snapshots each writer
-	// shard's handoff queue — capacity/policy, depth, high-water, credit
-	// stalls, drops — and EgressQueueHighWater / EgressCreditStalls /
-	// EgressDroppedOldest / EgressShedNewest aggregate those across
-	// shards. Because Stats serializes through the run loop, which runs a
-	// drain barrier before every closure, the observed depths are always
-	// 0 here; high-water and the counters carry the signal.
-	EgressWriters        int
-	EgressShards         []flow.Stats
-	EgressQueueHighWater int
-	EgressCreditStalls   uint64
-	EgressDroppedOldest  uint64
-	EgressShedNewest     uint64
-	// EgressFlushes counts per-link write bursts performed by the egress
-	// writers; EgressFlushMeanNs / EgressFlushMaxNs describe how long the
-	// link calls took (the syscall latency the run loop no longer pays).
-	EgressFlushes     uint64
-	EgressFlushMeanNs float64
-	EgressFlushMaxNs  uint64
 }
 
 // clientState tracks an attached (or roaming-away) client.
@@ -434,24 +390,15 @@ func New(id wire.BrokerID, opts Options) *Broker {
 		pubSeen:      pubScratch{subs: make(map[subRef]uint64)},
 	}
 	b.pub.visit = b.visitPublishEntry
-	if opts.EgressWriters > 0 {
-		b.egress = newEgressPool(b, opts.EgressWriters, flow.Options{
-			Capacity: opts.EgressWindow,
-			Policy:   opts.EgressPolicy,
-		})
-	}
 	return b
 }
 
 // ID returns the broker's identity.
 func (b *Broker) ID() wire.BrokerID { return b.id }
 
-// Start launches the message loop and, when configured, the egress writer
-// pool (EgressWriters > 0).
+// Start launches the message loop: the one goroutine that handles every
+// message and writes every link.
 func (b *Broker) Start() {
-	if b.egress != nil {
-		b.egress.start()
-	}
 	go b.run()
 }
 
@@ -509,11 +456,6 @@ func (b *Broker) run() {
 	for {
 		batch, ok := b.box.popBatch()
 		if !ok {
-			if b.egress != nil {
-				// Drain the writer shards before closing the links, so
-				// every accepted handoff still reaches the wire.
-				b.egress.stop()
-			}
 			for _, l := range b.links {
 				_ = l.Close()
 			}
@@ -545,12 +487,6 @@ func (b *Broker) processBatch(batch []task) {
 		t := &batch[i]
 		if t.fn != nil {
 			b.flushOutbox()
-			if b.egress != nil {
-				// With asynchronous egress, a flushed burst is only in a
-				// shard queue; the drain barrier extends the contract to
-				// the wire before the closure runs.
-				b.egress.drainBarrier()
-			}
 			// Closures (Stats among them) observe the drained-but-
 			// unprocessed tail of this batch as queue depth.
 			b.batchRemaining = len(batch) - i - 1
@@ -569,10 +505,9 @@ func (b *Broker) processBatch(batch []task) {
 	b.flushOutbox()
 }
 
-// flushOutbox moves every deferred message toward its link, one FIFO
-// burst per neighbor: inline — write and flush the link right here — or,
-// with an egress pool, hand the burst to the link's writer shard and
-// return without blocking on the network. Runs on the broker goroutine.
+// flushOutbox writes every deferred message to its link, one FIFO burst
+// per neighbor, and flushes the link before returning. Runs on the broker
+// goroutine, the only writer of every link.
 func (b *Broker) flushOutbox() {
 	if len(b.out.order) > 0 {
 		var retained []wire.BrokerID
@@ -591,11 +526,7 @@ func (b *Broker) flushOutbox() {
 			}
 			if len(msgs) > 0 {
 				b.flushDepth.Observe(uint64(len(msgs)))
-				if b.egress != nil {
-					// The shard queue copies the burst under its lock, so
-					// the pending slice is immediately reusable below.
-					b.egress.handoff(wire.BrokerHop(id), l, msgs)
-				} else if err := sendBurst(l, msgs); err != nil {
+				if err := sendBurst(l, msgs); err != nil {
 					b.sendErrs.record(b.id, wire.BrokerHop(id), err)
 				}
 			}
@@ -630,6 +561,82 @@ func (b *Broker) flushOutbox() {
 // maxOutboxRetainCap caps the per-neighbor outbox backing array kept
 // across flushes.
 const maxOutboxRetainCap = 1 << 14
+
+// sendBurst writes one per-link burst: batching transports get the whole
+// slice, plain links a Send loop plus Flush. The first error is returned
+// (later messages are still attempted — a transport that failed once
+// fails them all cheaply). Called by flushOutbox on the run goroutine.
+func sendBurst(l transport.Link, msgs []wire.Message) error {
+	if bs, ok := l.(transport.BatchSender); ok {
+		return bs.SendBatch(msgs)
+	}
+	var err error
+	for _, m := range msgs {
+		if e := l.Send(m); e != nil && err == nil {
+			err = e
+		}
+	}
+	if fl, ok := l.(transport.Flusher); ok {
+		if e := fl.Flush(); e != nil && err == nil {
+			err = e
+		}
+	}
+	return err
+}
+
+// linkErrTracker counts failed link writes per hop and logs the first
+// failure of each link transition, so a dying peer is visible without a
+// log line per lost message. Every write, and so every record, happens on
+// the run goroutine; the lock costs nothing on a successful write (record
+// runs only on failure) and keeps the tracker safe for any caller.
+type linkErrTracker struct {
+	mu     sync.Mutex
+	counts map[wire.Hop]uint64
+	logged map[wire.Hop]bool
+}
+
+// record counts one failed write and logs the link's first failure since
+// the last reset.
+func (t *linkErrTracker) record(broker wire.BrokerID, hop wire.Hop, err error) {
+	t.mu.Lock()
+	if t.counts == nil {
+		t.counts = make(map[wire.Hop]uint64)
+		t.logged = make(map[wire.Hop]bool)
+	}
+	t.counts[hop]++
+	first := !t.logged[hop]
+	t.logged[hop] = true
+	n := t.counts[hop]
+	t.mu.Unlock()
+	if first {
+		log.Printf("broker %s: send to %s failed: %v (error %d; further errors on this link are counted silently)",
+			broker, hop, err, n)
+	}
+}
+
+// reset re-arms the log-once latch for a hop — AddLink/RemoveLink call it
+// so a replacement link's first failure is logged again. The error count
+// is cumulative across link generations.
+func (t *linkErrTracker) reset(hop wire.Hop) {
+	t.mu.Lock()
+	delete(t.logged, hop)
+	t.mu.Unlock()
+}
+
+// snapshot copies the per-hop error counts (nil when clean).
+func (t *linkErrTracker) snapshot() (m map[wire.Hop]uint64, total uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if len(t.counts) == 0 {
+		return nil, 0
+	}
+	m = make(map[wire.Hop]uint64, len(t.counts))
+	for h, n := range t.counts {
+		m[h] = n
+		total += n
+	}
+	return m, total
+}
 
 // AddLink registers a link to a neighbor broker. The overlay must remain
 // acyclic and connected (the system model of Section 2.1); Network in
@@ -898,21 +905,6 @@ func (b *Broker) Stats() Stats {
 		s.FlushMaxBurst = int(b.flushDepth.Max())
 		s.FlushMeanBurst = b.flushDepth.Mean()
 		s.LinkSendErrors, s.LinkSendErrorsTotal = b.sendErrs.snapshot()
-		if b.egress != nil {
-			s.EgressWriters = len(b.egress.shards)
-			s.EgressShards = b.egress.shardStats()
-			for _, fs := range s.EgressShards {
-				s.EgressCreditStalls += fs.CreditStalls
-				s.EgressDroppedOldest += fs.DroppedOldest
-				s.EgressShedNewest += fs.ShedNewest
-				if fs.HighWater > s.EgressQueueHighWater {
-					s.EgressQueueHighWater = fs.HighWater
-				}
-			}
-			s.EgressFlushes = b.egressFlushLat.Count()
-			s.EgressFlushMeanNs = b.egressFlushLat.Mean()
-			s.EgressFlushMaxNs = b.egressFlushLat.Max()
-		}
 		for id, l := range b.links {
 			r, ok := l.(flow.Reporter)
 			if !ok {

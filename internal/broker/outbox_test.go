@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/filter"
 	"repro/internal/routing"
@@ -16,8 +18,8 @@ import (
 	"repro/internal/wire"
 )
 
-// captureLink is a link test double for the egress pool: it records every
-// message in arrival order and can be armed to fail writes.
+// captureLink is a link test double: it records every message in arrival
+// order and can be armed to fail writes.
 type captureLink struct {
 	mu   sync.Mutex
 	msgs []wire.Message
@@ -61,12 +63,27 @@ func (l *captureLink) sent() []wire.Message {
 	return append([]wire.Message(nil), l.msgs...)
 }
 
-// TestEgressDrainBarrier pins the exec/Barrier contract under asynchronous
-// egress: when Barrier returns, every message queued before it — handed
-// off to writer shards, not written inline — must already be on the link,
-// in handoff order.
-func TestEgressDrainBarrier(t *testing.T) {
-	b := New("hub", Options{Strategy: routing.Flooding, EgressWriters: 2})
+// parkRunLoop blocks the broker's run loop inside a closure until the
+// returned release func is called, so every task queued meanwhile lands
+// in the same mailbox drain.
+func parkRunLoop(b *Broker) (release func()) {
+	started, gate := make(chan struct{}), make(chan struct{})
+	go func() {
+		_ = b.exec(func() {
+			close(started)
+			<-gate
+		})
+	}()
+	<-started
+	return func() { close(gate) }
+}
+
+// TestBarrierFlushesOutbox pins the exec/Barrier contract: a closure
+// queued behind messages — in the same mailbox drain — observes them
+// already on the link, in handling order, because the run loop flushes
+// the outbox before any closure runs.
+func TestBarrierFlushesOutbox(t *testing.T) {
+	b := New("hub", Options{Strategy: routing.Flooding})
 	b.Start()
 	defer b.Close()
 	out := &captureLink{}
@@ -79,14 +96,19 @@ func TestEgressDrainBarrier(t *testing.T) {
 	total := 0
 	from := wire.ClientHop("p")
 	for r := 0; r < rounds; r++ {
+		release := parkRunLoop(b)
 		for i := 0; i < perRound; i++ {
 			b.Receive(transport.Inbound{From: from, Msg: wire.NewPublish(
 				n1(fmt.Sprintf("m%d", total)))})
 			total++
 		}
+		onLink := make(chan int, 1)
+		b.box.push(task{fn: func() { onLink <- len(out.sent()) }})
+		release()
+		if got := <-onLink; got != total {
+			t.Fatalf("round %d: closure saw %d messages on link, want %d", r, got, total)
+		}
 		b.Barrier()
-		// The barrier must have drained the shards: everything queued so
-		// far is on the link right now, no settling allowed.
 		if got := len(out.sent()); got != total {
 			t.Fatalf("round %d: %d messages on link after Barrier, want %d", r, got, total)
 		}
@@ -97,51 +119,55 @@ func TestEgressDrainBarrier(t *testing.T) {
 			t.Fatalf("message %d out of order: got %s, want %s", i, got, want)
 		}
 	}
-
-	st := b.Stats()
-	if st.EgressWriters != 2 {
-		t.Errorf("EgressWriters = %d, want 2", st.EgressWriters)
-	}
-	if len(st.EgressShards) != 2 {
-		t.Errorf("EgressShards = %d entries, want 2", len(st.EgressShards))
-	}
-	if st.EgressFlushes == 0 {
-		t.Error("EgressFlushes = 0, want > 0 after writer activity")
-	}
-	if st.LinkSendErrorsTotal != 0 {
+	if st := b.Stats(); st.LinkSendErrorsTotal != 0 {
 		t.Errorf("LinkSendErrorsTotal = %d on a healthy link", st.LinkSendErrorsTotal)
 	}
 }
 
-// TestEgressLinkSendErrors verifies failed writes are counted per hop in
-// Stats and logged exactly once per link transition, on both the inline
-// and the writer-pool egress path.
-func TestEgressLinkSendErrors(t *testing.T) {
-	for _, writers := range []int{0, 2} {
-		t.Run(fmt.Sprintf("writers=%d", writers), func(t *testing.T) {
+// sendOnlyLink hides captureLink's SendBatch, so the broker takes its
+// plain Send-loop write path.
+type sendOnlyLink struct{ c *captureLink }
+
+func (l sendOnlyLink) Send(m wire.Message) error { return l.c.Send(m) }
+func (l sendOnlyLink) Close() error              { return nil }
+
+// TestLinkSendErrors verifies failed writes are counted per hop in Stats
+// and logged exactly once per link transition, and that AddLink re-arms
+// the log-once latch, on both the batching and the plain Send write path.
+func TestLinkSendErrors(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		wrap func(*captureLink) transport.Link
+	}{
+		{"batch", func(c *captureLink) transport.Link { return c }},
+		{"send", func(c *captureLink) transport.Link { return sendOnlyLink{c} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			var buf bytes.Buffer
 			log.SetOutput(&buf)
 			defer log.SetOutput(os.Stderr)
 
-			b := New("hub", Options{Strategy: routing.Flooding, EgressWriters: writers})
+			b := New("hub", Options{Strategy: routing.Flooding})
 			b.Start()
 			defer b.Close()
 			out := &captureLink{}
 			out.fail(errors.New("wire cut"))
-			if err := b.AddLink("leaf", out); err != nil {
+			if err := b.AddLink("leaf", tc.wrap(out)); err != nil {
 				t.Fatal(err)
 			}
 
 			from := wire.ClientHop("p")
-			for i := 0; i < 4; i++ {
+			const rounds = 4
+			for i := 0; i < rounds; i++ {
 				b.Receive(transport.Inbound{From: from, Msg: wire.NewPublish(n1("x"))})
 				b.Barrier() // one flush burst (and one failure) per round
 			}
 
 			st := b.Stats()
 			hop := wire.BrokerHop("leaf")
-			if st.LinkSendErrors[hop] == 0 {
-				t.Fatalf("LinkSendErrors[%s] = 0 after failing writes", hop)
+			if st.LinkSendErrors[hop] != rounds {
+				t.Fatalf("LinkSendErrors[%s] = %d, want %d (one per failed burst)",
+					hop, st.LinkSendErrors[hop], rounds)
 			}
 			if st.LinkSendErrorsTotal != st.LinkSendErrors[hop] {
 				t.Errorf("LinkSendErrorsTotal = %d, want %d",
@@ -154,13 +180,16 @@ func TestEgressLinkSendErrors(t *testing.T) {
 			// A replacement link re-arms the log-once latch.
 			out2 := &captureLink{}
 			out2.fail(errors.New("wire cut again"))
-			if err := b.AddLink("leaf", out2); err != nil {
+			if err := b.AddLink("leaf", tc.wrap(out2)); err != nil {
 				t.Fatal(err)
 			}
 			b.Receive(transport.Inbound{From: from, Msg: wire.NewPublish(n1("y"))})
 			b.Barrier()
 			if n := strings.Count(buf.String(), "send to "); n != 2 {
 				t.Errorf("logged %d send-failure lines after relink, want 2\n%s", n, buf.String())
+			}
+			if got := b.Stats().LinkSendErrors[hop]; got != rounds+1 {
+				t.Errorf("LinkSendErrors[%s] = %d after relink, want %d (cumulative)", hop, got, rounds+1)
 			}
 		})
 	}
@@ -213,11 +242,11 @@ func TestOutboxSweep(t *testing.T) {
 	}
 }
 
-// TestEgressRemoteClientDelivery checks that remote-client deliveries ride
-// the writer shards: after a Barrier every matched notification is on the
-// client's link, in sequence order.
-func TestEgressRemoteClientDelivery(t *testing.T) {
-	b := New("b1", Options{EgressWriters: 2})
+// TestRemoteClientDeliveryOrder checks that remote-client deliveries are
+// written to the client's link as they are handled: after a Barrier every
+// matched notification is on the link, in sequence order.
+func TestRemoteClientDeliveryOrder(t *testing.T) {
+	b := New("b1", Options{})
 	b.Start()
 	defer b.Close()
 	cl := &captureLink{}
@@ -234,9 +263,7 @@ func TestEgressRemoteClientDelivery(t *testing.T) {
 	}
 	const n = 25
 	for i := 0; i < n; i++ {
-		if err := b.Publish("p", n1("ACME")); err != nil {
-			t.Fatal(err)
-		}
+		b.Receive(transport.Inbound{From: wire.ClientHop("p"), Msg: wire.NewPublish(n1("ACME"))})
 	}
 	b.Barrier()
 	msgs := cl.sent()
@@ -253,11 +280,11 @@ func TestEgressRemoteClientDelivery(t *testing.T) {
 	}
 }
 
-// TestEgressKillDiscards checks crash-stop semantics survive the writer
-// pool: Kill returns promptly (writers drain and exit; barriers don't
-// wedge) and nothing new reaches the wire afterwards.
-func TestEgressKillDiscards(t *testing.T) {
-	b := New("hub", Options{Strategy: routing.Flooding, EgressWriters: 2})
+// TestKillDiscards checks crash-stop semantics: traffic still queued in
+// the mailbox when Kill lands is discarded unprocessed — none of it
+// reaches the wire — and Kill returns promptly.
+func TestKillDiscards(t *testing.T) {
+	b := New("hub", Options{Strategy: routing.Flooding})
 	b.Start()
 	out := &captureLink{}
 	if err := b.AddLink("leaf", out); err != nil {
@@ -267,9 +294,31 @@ func TestEgressKillDiscards(t *testing.T) {
 	b.Receive(transport.Inbound{From: from, Msg: wire.NewPublish(n1("x"))})
 	b.Barrier()
 	before := len(out.sent())
+	if before != 1 {
+		t.Fatalf("%d messages on link before Kill, want 1", before)
+	}
 
-	b.Kill()
-	b.Receive(transport.Inbound{From: from, Msg: wire.NewPublish(n1("y"))})
+	// Park the run loop so the next publishes stay queued, then kill the
+	// broker under them.
+	release := parkRunLoop(b)
+	for i := 0; i < 10; i++ {
+		b.Receive(transport.Inbound{From: from, Msg: wire.NewPublish(n1("y"))})
+	}
+	killed := make(chan struct{})
+	go func() {
+		b.Kill()
+		close(killed)
+	}()
+	for !b.killed.Load() {
+		runtime.Gosched()
+	}
+	release()
+	select {
+	case <-killed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Kill did not return")
+	}
+	b.Receive(transport.Inbound{From: from, Msg: wire.NewPublish(n1("z"))})
 	if got := len(out.sent()); got != before {
 		t.Errorf("killed broker wrote %d new messages", got-before)
 	}

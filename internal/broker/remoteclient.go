@@ -18,19 +18,13 @@ import (
 func (b *Broker) AttachRemoteClient(id wire.ClientID, link transport.Link) error {
 	hop := wire.ClientHop(id)
 	return b.AttachClient(id, func(d wire.Deliver) {
-		// Runs on the broker goroutine (the DeliverFunc contract). With an
-		// egress pool the delivery rides the client link's writer shard —
-		// the same pinning as neighbor bursts, so a slow client stops
-		// stalling the run loop too. Send failures mean the link just
-		// died; the virtual counterpart takes over as soon as the owner
-		// detaches the client, but the failure is counted (and logged
-		// once) so a flapping client is visible.
-		m := wire.NewDeliver(d)
-		if b.egress != nil {
-			b.egress.handoffOne(hop, link, m)
-			return
-		}
-		if err := link.Send(m); err != nil {
+		// Runs on the broker goroutine (the DeliverFunc contract), which
+		// writes the client link inline like every neighbor link, so
+		// deliveries reach it in handling order. Send failures mean the
+		// link just died; the virtual counterpart takes over as soon as
+		// the owner detaches the client, but the failure is counted (and
+		// logged once) so a flapping client is visible.
+		if err := link.Send(wire.NewDeliver(d)); err != nil {
 			b.sendErrs.record(b.id, hop, err)
 		}
 	})

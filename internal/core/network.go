@@ -42,7 +42,6 @@ type networkConfig struct {
 	defaultLat time.Duration
 	procDelay  time.Duration
 	maxBuffer  int
-	egress     int
 
 	// Elastic-federation settings (see elastic.go).
 	healHeartbeat  time.Duration
@@ -72,14 +71,6 @@ func WithProcDelay(d time.Duration) NetworkOption {
 // WithMaxBufferPerSub caps the relocation and virtual-counterpart buffers.
 func WithMaxBufferPerSub(n int) NetworkOption {
 	return func(c *networkConfig) { c.maxBuffer = n }
-}
-
-// WithEgressWriters sets every broker's egress parallelism (see
-// broker.Options.EgressWriters). The default of 0 keeps link writes
-// inline on each run loop; delivery sequences are byte-identical for any
-// value.
-func WithEgressWriters(n int) NetworkOption {
-	return func(c *networkConfig) { c.egress = n }
 }
 
 // Network owns a set of in-process brokers, their links, the shared
@@ -146,7 +137,6 @@ func (n *Network) AddBroker(id wire.BrokerID) (*broker.Broker, error) {
 		ProcDelay:       n.cfg.procDelay,
 		Counter:         n.counter,
 		MaxBufferPerSub: n.cfg.maxBuffer,
-		EgressWriters:   n.cfg.egress,
 		RelocTimeout:    n.cfg.relocTimeout,
 	})
 	b.Start()

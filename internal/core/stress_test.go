@@ -3,12 +3,14 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/filter"
 	"repro/internal/location"
 	"repro/internal/message"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
@@ -53,109 +55,181 @@ func TestTopologyBuilders(t *testing.T) {
 	}
 }
 
+// roamingCase shapes one TestRandomizedRoamingExactlyOnce workload: each
+// round publishes a burst, optionally detaches the consumer and publishes
+// another, moves it to a random broker and publishes a third. A burst is
+// min + rng.Intn(spread) publishes.
+type roamingCase struct {
+	name                    string
+	seeds                   []int64
+	rounds                  int
+	before, detached, after [2]int // {min, spread} of each round's bursts
+	noise                   bool   // run the link-level noise storm
+}
+
 // TestRandomizedRoamingExactlyOnce is a seeded stress test of the
 // relocation protocol: a mobile consumer performs a random sequence of
 // detach / publish / move cycles over a random tree; delivery must stay
 // exactly-once, gapless, and in publish order throughout.
+//
+// The "bursts" case publishes bursts large enough that relay brokers
+// build multi-publish batches, while two goroutines inject non-matching
+// publishes straight into broker mailboxes, so the relocation control
+// flow interleaves with publish bursts on the same brokers. It holds
+// because every broker handles its mailbox in order on one goroutine and
+// flushes its outbox before any control closure runs.
 func TestRandomizedRoamingExactlyOnce(t *testing.T) {
-	seeds := []int64{1, 7, 42, 1234}
-	if testing.Short() {
-		seeds = seeds[:1]
+	for _, c := range []roamingCase{
+		{seeds: []int64{1, 7, 42, 1234}, rounds: 12,
+			before: [2]int{0, 4}, detached: [2]int{0, 5}, after: [2]int{0, 3}},
+		{name: "bursts", seeds: []int64{3, 11, 77}, rounds: 8,
+			before: [2]int{40, 60}, detached: [2]int{30, 40}, after: [2]int{20, 30}, noise: true},
+	} {
+		c := c
+		runSeeds := func(t *testing.T) {
+			seeds := c.seeds
+			if testing.Short() {
+				seeds = seeds[:1]
+			}
+			for _, seed := range seeds {
+				seed := seed
+				t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { runRoaming(t, c, seed) })
+			}
+		}
+		if c.name == "" {
+			runSeeds(t)
+		} else {
+			t.Run(c.name, runSeeds)
+		}
 	}
-	for _, seed := range seeds {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			net := NewNetwork()
-			t.Cleanup(net.Close)
+}
 
-			// Random tree over 8 brokers: parent of i is a random earlier
-			// broker.
-			ids := make([]wire.BrokerID, 8)
-			for i := range ids {
-				ids[i] = wire.BrokerID(fmt.Sprintf("b%d", i))
-				net.MustAddBroker(ids[i])
-				if i > 0 {
-					net.MustConnect(ids[rng.Intn(i)], ids[i], 0)
-				}
-			}
+func runRoaming(t *testing.T, c roamingCase, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	net := NewNetwork()
+	t.Cleanup(net.Close)
 
-			var got collector
-			consumer, err := net.NewClient("C", ids[rng.Intn(len(ids))], got.handle)
-			if err != nil {
-				t.Fatal(err)
-			}
-			producer, err := net.NewClient("P", ids[rng.Intn(len(ids))], nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f := filter.MustParse(`k = "v"`)
-			if err := producer.Advertise("adv", f); err != nil {
-				t.Fatal(err)
-			}
-			net.Settle()
-			if err := consumer.Subscribe(SubSpec{ID: "s", Filter: f, Mobile: true}); err != nil {
-				t.Fatal(err)
-			}
-			net.Settle()
+	// Random tree over 8 brokers: parent of i is a random earlier broker.
+	ids := make([]wire.BrokerID, 8)
+	for i := range ids {
+		ids[i] = wire.BrokerID(fmt.Sprintf("b%d", i))
+		net.MustAddBroker(ids[i])
+		if i > 0 {
+			net.MustConnect(ids[rng.Intn(i)], ids[i], 0)
+		}
+	}
 
-			published := int64(0)
-			pub := func(k int) {
-				for i := 0; i < k; i++ {
-					published++
-					err := producer.Publish(message.New(map[string]message.Value{
-						"k": message.String("v"),
-						"n": message.Int(published),
-					}))
+	var got collector
+	consumer, err := net.NewClient("C", ids[rng.Intn(len(ids))], got.handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	producer, err := net.NewClient("P", ids[rng.Intn(len(ids))], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := filter.MustParse(`k = "v"`)
+	if err := producer.Advertise("adv", f); err != nil {
+		t.Fatal(err)
+	}
+	net.Settle()
+	if err := consumer.Subscribe(SubSpec{ID: "s", Filter: f, Mobile: true}); err != nil {
+		t.Fatal(err)
+	}
+	net.Settle()
+
+	if c.noise {
+		// Link-level noise storm: non-matching publishes injected straight
+		// into broker mailboxes from fake client hops, fast enough to form
+		// multi-publish batches. The noise matches no subscription and
+		// cannot perturb the exactly-once accounting.
+		stop := make(chan struct{})
+		var storm sync.WaitGroup
+		for s := 0; s < 2; s++ {
+			s := s
+			storm.Add(1)
+			go func() {
+				defer storm.Done()
+				rr := rand.New(rand.NewSource(seed*100 + int64(s)))
+				from := wire.ClientHop(wire.ClientID(fmt.Sprintf("noise%d", s)))
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					b, err := net.Broker(ids[rr.Intn(len(ids))])
 					if err != nil {
-						t.Fatal(err)
+						return
 					}
+					n := message.New(map[string]message.Value{
+						"k": message.String("noise"),
+						"i": message.Int(int64(i)),
+					})
+					b.Receive(transport.Inbound{From: from, Msg: wire.NewPublish(n)})
 				}
-			}
+			}()
+		}
+		defer func() {
+			close(stop)
+			storm.Wait()
+		}()
+	}
 
-			for round := 0; round < 12; round++ {
-				pub(rng.Intn(4))
-				net.Settle()
-				if rng.Intn(2) == 0 {
-					if err := consumer.Detach(); err != nil {
-						t.Fatal(err)
-					}
-					pub(rng.Intn(5))
-					net.Settle()
-				}
-				target := ids[rng.Intn(len(ids))]
-				if consumer.At() == target {
-					// MoveTo the same broker while attached is a detach +
-					// reattach; exercise it occasionally via Detach first.
-					if consumer.At() != "" {
-						if err := consumer.Detach(); err != nil {
-							t.Fatal(err)
-						}
-					}
-				}
-				if err := consumer.MoveTo(target); err != nil {
-					t.Fatal(err)
-				}
-				net.Settle()
-				pub(rng.Intn(3))
-				net.Settle()
+	published := int64(0)
+	pub := func(burst [2]int) {
+		k := burst[0] + rng.Intn(burst[1])
+		for i := 0; i < k; i++ {
+			published++
+			err := producer.Publish(message.New(map[string]message.Value{
+				"k": message.String("v"),
+				"n": message.Int(published),
+			}))
+			if err != nil {
+				t.Fatal(err)
 			}
+		}
+	}
+
+	for round := 0; round < c.rounds; round++ {
+		pub(c.before)
+		net.Settle()
+		if rng.Intn(2) == 0 {
+			if err := consumer.Detach(); err != nil {
+				t.Fatal(err)
+			}
+			pub(c.detached)
 			net.Settle()
+		}
+		target := ids[rng.Intn(len(ids))]
+		if consumer.At() == target && consumer.At() != "" {
+			// MoveTo the same broker while attached is a detach +
+			// reattach; exercise it occasionally via Detach first.
+			if err := consumer.Detach(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := consumer.MoveTo(target); err != nil {
+			t.Fatal(err)
+		}
+		net.Settle()
+		pub(c.after)
+		net.Settle()
+	}
+	net.Settle()
 
-			evs := got.snapshot()
-			if int64(len(evs)) != published {
-				t.Fatalf("delivered %d of %d published", len(evs), published)
-			}
-			for i, e := range evs {
-				if e.Seq != uint64(i+1) {
-					t.Fatalf("seq gap at %d: %d", i, e.Seq)
-				}
-				v, _ := e.Notification.Get("n")
-				if v.IntVal() != int64(i+1) {
-					t.Fatalf("order violated at %d: payload %d", i, v.IntVal())
-				}
-			}
-		})
+	evs := got.snapshot()
+	if int64(len(evs)) != published {
+		t.Fatalf("delivered %d of %d published", len(evs), published)
+	}
+	for i, e := range evs {
+		if e.Seq != uint64(i+1) {
+			t.Fatalf("seq gap at %d: %d", i, e.Seq)
+		}
+		v, _ := e.Notification.Get("n")
+		if v.IntVal() != int64(i+1) {
+			t.Fatalf("order violated at %d: payload %d", i, v.IntVal())
+		}
 	}
 }
 

@@ -313,9 +313,9 @@ func (l *TCPLink) unreserve() {
 // the write error that stopped the writer, if any. A clean Close does
 // not fail a Flush: Close drains the accepted frames (deadline-bounded),
 // so the wait resolves to nil once they are written, or to the write
-// error that discarded them. Safe for concurrent use — the broker's
-// egress writer pool calls Send/SendBatch/Flush from a writer goroutine
-// while Close can arrive from the owner at any time (pinned by
+// error that discarded them. Safe for concurrent use — the broker's run
+// loop calls Send/SendBatch/Flush while Close can arrive from the owner
+// (the daemon dropping a dead peer) at any time (pinned by
 // TestTCPLinkConcurrentFlushClose).
 func (l *TCPLink) Flush() error {
 	l.mu.Lock()

@@ -1090,9 +1090,10 @@ func TestChanLinkWaitIdleExact(t *testing.T) {
 	la.WaitIdle() // closed pump: must return, not hang
 }
 
-// TestTCPLinkConcurrentFlushClose pins the usage pattern of the broker's
-// egress writer pool: Send/SendBatch/Flush arrive from a writer goroutine
-// while other goroutines Flush and a third Closes the link. Run under
+// TestTCPLinkConcurrentFlushClose pins the usage pattern of a broker
+// daemon: Send/SendBatch/Flush arrive from the broker's run loop while
+// other goroutines Flush and a third Closes the link, as the daemon does
+// when it drops a dead peer. Run under
 // -race, the test asserts the link's mutex/cond flush accounting is safe
 // for concurrent use and that nobody wedges — every Flush returns (nil or
 // the close-time write error) and Close tears the link down while flushes
@@ -1119,7 +1120,7 @@ func TestTCPLinkConcurrentFlushClose(t *testing.T) {
 
 	start := make(chan struct{})
 	var wg sync.WaitGroup
-	// Writer: the egress-pool role — batches followed by a Flush.
+	// Writer: the run-loop role — batches followed by a Flush.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
