@@ -321,6 +321,18 @@ type clientState struct {
 	connected bool
 	subs      map[wire.SubID]*clientSub
 	advs      map[wire.SubID]filter.Filter
+	// locExact holds the client-side filter F0 of each location-dependent
+	// subscription, instantiated at the client's current location; every
+	// other subscription's F0 is its own filter (see clientFilter).
+	locExact map[wire.SubID]filter.Filter
+}
+
+// clientFilter returns the subscription's client-side filter F0.
+func (cs *clientState) clientFilter(id wire.SubID, st *clientSub) filter.Filter {
+	if st.sub.LocDependent {
+		return cs.locExact[id]
+	}
+	return st.sub.Filter
 }
 
 // clientSub is one subscription of a locally attached client, including
@@ -328,7 +340,6 @@ type clientState struct {
 // the virtual counterpart's buffer (Section 4.1).
 type clientSub struct {
 	sub      wire.Subscription
-	exact    filter.Filter // client-side filter F0 (locdep: exact location)
 	nextSeq  uint64
 	buffer   []wire.SeqNotification
 	overflow uint64 // notifications dropped due to the buffer cap

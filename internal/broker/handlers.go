@@ -183,7 +183,7 @@ func (b *Broker) localSubscribe(sub wire.Subscription) error {
 		return b.localRelocateSubscribe(cs, sub)
 	}
 	clientHop := wire.ClientHop(sub.Client)
-	state := &clientSub{sub: sub, exact: sub.Filter, nextSeq: sub.LastSeq + 1}
+	state := &clientSub{sub: sub, nextSeq: sub.LastSeq + 1}
 	cs.subs[sub.ID] = state
 
 	b.subs.Add(routing.Entry{
@@ -211,6 +211,7 @@ func (b *Broker) localUnsubscribe(client wire.ClientID, id wire.SubID) error {
 		return fmt.Errorf("%w: %s/%s", ErrUnknownSub, client, id)
 	}
 	delete(cs.subs, id)
+	delete(cs.locExact, id)
 	key := subKey(client, id)
 	removed := b.subs.RemoveClient(client, id)
 	delete(b.pending, key)
@@ -595,7 +596,7 @@ func (b *Broker) visitPublishEntry(e *routing.Entry) {
 func (b *Broker) deliverFlooded(n message.Notification) {
 	for _, cs := range b.clients {
 		for id, st := range cs.subs {
-			if st.exact.Matches(n) {
+			if cs.clientFilter(id, st).Matches(n) {
 				b.deliverTo(cs.id, id, n, false)
 			}
 		}
@@ -608,7 +609,7 @@ func (b *Broker) deliverFlooded(n message.Notification) {
 // the new border broker) buffer until the replay arrives.
 //
 // The caller has established that n matches the subscription's exact
-// client-side filter F0 (clientSub.exact): by matching the client-hop
+// client-side filter F0 (clientState.clientFilter): by matching the client-hop
 // routing entry, which carries exactly that filter — widened entries of
 // location-dependent subscriptions only ever point at broker hops — or,
 // under flooding, by evaluating it. Notifications buffered while a

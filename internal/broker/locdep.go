@@ -48,7 +48,11 @@ func (b *Broker) localSubscribeLocDep(cs *clientState, sub wire.Subscription) er
 	key := subKey(sub.Client, sub.ID)
 	clientHop := wire.ClientHop(sub.Client)
 
-	cs.subs[sub.ID] = &clientSub{sub: sub, exact: exact, nextSeq: 1}
+	cs.subs[sub.ID] = &clientSub{sub: sub, nextSeq: 1}
+	if cs.locExact == nil {
+		cs.locExact = make(map[wire.SubID]filter.Filter)
+	}
+	cs.locExact[sub.ID] = exact
 	b.subs.Add(routing.Entry{Filter: exact, Hop: clientHop, Client: sub.Client, SubID: sub.ID})
 
 	ls := &locSubState{sub: sub, step: 0, entry: exact, from: clientHop}
@@ -207,9 +211,9 @@ func (b *Broker) setLocation(client wire.ClientID, id wire.SubID, newLoc locatio
 
 	// Instant switch of the client-side filter: this is what removes the
 	// blackout period of the naive sub/unsub approach.
-	b.subs.Remove(routing.Entry{Filter: st.exact, Hop: clientHop, Client: client, SubID: id})
+	b.subs.Remove(routing.Entry{Filter: cs.locExact[id], Hop: clientHop, Client: client, SubID: id})
 	b.subs.Add(routing.Entry{Filter: exact, Hop: clientHop, Client: client, SubID: id})
-	st.exact = exact
+	cs.locExact[id] = exact
 	st.sub.Loc = newLoc
 	if ls != nil {
 		ls.sub.Loc = newLoc

@@ -49,7 +49,7 @@ func (b *Broker) localRelocateSubscribe(cs *clientState, sub wire.Subscription) 
 		return nil
 	}
 
-	state := &clientSub{sub: sub, exact: sub.Filter, nextSeq: sub.LastSeq + 1}
+	state := &clientSub{sub: sub, nextSeq: sub.LastSeq + 1}
 	cs.subs[sub.ID] = state
 	b.knownSubs[key] = persistentForm(sub)
 

@@ -14,7 +14,7 @@ import (
 
 // checkClientRowsExact asserts the invariant deliverTo trusts: every
 // client-hop routing entry with an owner points at that owner and carries
-// exactly the owning subscription's client-side filter (clientSub.exact),
+// exactly the owning subscription's client-side filter (clientFilter),
 // so a matched client-hop entry is the F0 decision itself. It returns the
 // number of entries checked.
 func checkClientRowsExact(t *testing.T, h *harness, step int) int {
@@ -29,16 +29,19 @@ func checkClientRowsExact(t *testing.T, h *harness, step int) int {
 				}
 				checked++
 				var st *clientSub
+				var exact filter.Filter
 				if cs, ok := b.clients[e.Client]; ok {
-					st = cs.subs[e.SubID]
+					if st = cs.subs[e.SubID]; st != nil {
+						exact = cs.clientFilter(e.SubID, st)
+					}
 				}
 				switch {
 				case e.Hop.Client != e.Client:
 					bad = append(bad, fmt.Sprintf("%s/%s on hop %s", e.Client, e.SubID, e.Hop))
 				case st == nil:
 					bad = append(bad, fmt.Sprintf("%s/%s: entry without a subscription", e.Client, e.SubID))
-				case !st.exact.Equal(e.Filter):
-					bad = append(bad, fmt.Sprintf("%s/%s: entry %s, exact %s", e.Client, e.SubID, e.Filter, st.exact))
+				case !exact.Equal(e.Filter):
+					bad = append(bad, fmt.Sprintf("%s/%s: entry %s, exact %s", e.Client, e.SubID, e.Filter, exact))
 				}
 			}
 		})

@@ -160,6 +160,62 @@ func TestPlainPubSubAllStrategies(t *testing.T) {
 // mobile consumer detaches, notifications keep flowing, the consumer
 // reattaches at a distant broker, and the relocation protocol delivers
 // everything exactly once in order.
+// TestIDCollidingSubscriptionsBothRouted holds two subscriptions whose
+// filters render to one ID — x in {"a,s:b"} and x in {"a", "b"} — at one
+// broker, and publishes at the other: each notification must reach the
+// subscriber whose filter it matches, so the first broker must have
+// forwarded both filters, not one for the shared ID.
+func TestIDCollidingSubscriptionsBothRouted(t *testing.T) {
+	for _, s := range []routing.Strategy{routing.Simple, routing.Identity, routing.Covering, routing.Merging} {
+		t.Run(s.String(), func(t *testing.T) {
+			net, ids := newChain(t, 2, WithStrategy(s))
+			var gotOne, gotTwo collector
+			one, err := net.NewClient("one", ids[0], gotOne.handle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			two, err := net.NewClient("two", ids[0], gotTwo.handle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fOne := filter.MustNew(filter.In("x", message.String("a,s:b")))
+			fTwo := filter.MustNew(filter.In("x", message.String("a"), message.String("b")))
+			if fOne.ID() != fTwo.ID() {
+				t.Fatalf("IDs differ: %s / %s", fOne.ID(), fTwo.ID())
+			}
+			if err := one.Subscribe(SubSpec{ID: "s", Filter: fOne}); err != nil {
+				t.Fatal(err)
+			}
+			if err := two.Subscribe(SubSpec{ID: "s", Filter: fTwo}); err != nil {
+				t.Fatal(err)
+			}
+			net.Settle()
+			producer, err := net.NewClient("producer", ids[1], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, x := range []string{"b", "a,s:b"} {
+				n := message.New(map[string]message.Value{"x": message.String(x)})
+				if err := producer.Publish(n); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitFor(t, "one delivery to each subscriber", func() bool { return gotOne.len() == 1 && gotTwo.len() == 1 })
+			net.Settle()
+			for _, c := range []struct {
+				name string
+				got  *collector
+				want string
+			}{{"one", &gotOne, "a,s:b"}, {"two", &gotTwo, "b"}} {
+				evs := c.got.snapshot()
+				if x, _ := evs[0].Notification.Get("x"); len(evs) != 1 || x.Str() != c.want {
+					t.Errorf("%s received %v, want only x = %q", c.name, evs, c.want)
+				}
+			}
+		})
+	}
+}
+
 func TestMobileRelocationNoLossNoDup(t *testing.T) {
 	// Topology (tree):     b2 - b3 - b4
 	//                     /           \

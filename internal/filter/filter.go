@@ -176,9 +176,6 @@ func (f Filter) Overlaps(g Filter) bool {
 	return true
 }
 
-// Identical reports whether two filters have the same canonical identity.
-func (f Filter) Identical(g Filter) bool { return f.ID() == g.ID() }
-
 // ID returns a canonical identity string for the filter, usable as a map
 // key in routing tables.
 func (f Filter) ID() string {

@@ -45,10 +45,9 @@ type refInputs map[string][]filter.Filter // hop key -> multiset
 func (r refInputs) add(hk string, f filter.Filter) { r[hk] = append(r[hk], f) }
 
 func (r refInputs) remove(hk string, f filter.Filter) bool {
-	id := f.ID()
 	fs := r[hk]
 	for i, g := range fs {
-		if g.ID() == id {
+		if identFilterEqual(g, f) {
 			r[hk] = append(fs[:i], fs[i+1:]...)
 			return true
 		}
@@ -56,11 +55,17 @@ func (r refInputs) remove(hk string, f filter.Filter) bool {
 	return false
 }
 
-// sortedIDs returns the canonical ID set of a filter list.
+// identKey renders a filter's identity for test bookkeeping: its ID and
+// its identity hash, which tells apart filters whose IDs collide.
+func identKey(f filter.Filter) string {
+	return fmt.Sprintf("%s#%016x", f.ID(), hashFilterIdent(fnvOffset64, f))
+}
+
+// sortedIDs returns the sorted identity keys of a filter list.
 func sortedIDs(fs []filter.Filter) []string {
 	out := make([]string, len(fs))
 	for i, f := range fs {
-		out[i] = f.ID()
+		out[i] = identKey(f)
 	}
 	sort.Strings(out)
 	return out
@@ -103,16 +108,16 @@ func TestForwarderIncrementalMatchesBatch(t *testing.T) {
 					remote[hk] = m
 				}
 				for _, f := range u.Subscribe {
-					if _, dup := m[f.ID()]; dup {
+					if _, dup := m[identKey(f)]; dup {
 						t.Fatalf("%s: duplicate subscribe for %s", hk, f)
 					}
-					m[f.ID()] = f
+					m[identKey(f)] = f
 				}
 				for _, f := range u.Unsubscribe {
-					if _, ok := m[f.ID()]; !ok {
+					if _, ok := m[identKey(f)]; !ok {
 						t.Fatalf("%s: unsubscribe for never-forwarded %s", hk, f)
 					}
-					delete(m, f.ID())
+					delete(m, identKey(f))
 				}
 			}
 

@@ -16,12 +16,12 @@ import (
 // cover set to the next one — the incremental equivalent of running
 // Covering.Reduce over the whole table and diffing.
 //
-// Filters are tracked by canonical ID with reference counts, mirroring
-// how the same filter can back several routing-table entries; only the
-// first Add and the last Remove of an ID change the poset. Two posting
-// planes built from the match index's containers answer the two questions
-// a delta asks, and every candidate they produce is verified with
-// filter.Covers:
+// Filters are tracked by identity (a filterSet) with reference counts,
+// mirroring how the same filter can back several routing-table entries;
+// only the first Add and the last Remove of a filter change the poset. Two
+// posting planes built from the match index's containers answer the two
+// questions a delta asks, and every candidate they produce is verified
+// with filter.Covers:
 //
 //   - the witness plane ("who drops g?") posts every tracked filter once,
 //     under its access constraint (postRow, as the match index does), and
@@ -37,13 +37,12 @@ import (
 //
 // Mutually covering but non-identical filters (equal accepted sets, e.g.
 // `x = 5` and `x in {5}`) are deterministically represented by the one
-// with the lexicographically smallest ID — the same tie-break
+// first in canonical order (cmpFilterCanonical) — the same tie-break
 // Covering.Reduce applies — so the incremental forward set is always
 // identical to the batch one.
 type CoverIndex struct {
-	ids       map[string]int32 // canonical ID -> item slot
-	items     []coverItem
-	free      []int32
+	set       filterSet   // the tracked filters; a set slot indexes items too
+	items     []coverItem // parallel to set.items
 	wit       witnessPlane
 	fwd       displacePlane
 	probe     coverProbe
@@ -51,12 +50,11 @@ type CoverIndex struct {
 	checks    uint64
 }
 
-// coverItem is one tracked filter; a slot with refs == 0 is free. The
-// items whose recorded witness it is form a doubly linked list through
-// their prevDep/nextDep, headed by its firstDep (-1 ends and empties it).
+// coverItem is the cover state of the tracked filter in the same set
+// slot. The items whose recorded witness it is form a doubly linked list
+// through their prevDep/nextDep, headed by its firstDep (-1 ends and
+// empties it).
 type coverItem struct {
-	f                          filter.Filter
-	refs                       int32
 	access                     int32 // the witness-plane posted constraint; -1 for the empty filter
 	witness                    int32 // the recorded witness's slot; -1 while forwarded
 	firstDep, prevDep, nextDep int32
@@ -126,8 +124,8 @@ func (p *coverProbe) scanned(sg slotGen) { p.candidate(sg) }
 
 // CoverDelta is the forward-set change one Add or Remove produces:
 // Forward lists filters that must newly be subscribed upstream, Retract
-// filters whose upstream subscription is no longer needed. Both are
-// sorted by canonical filter ID.
+// filters whose upstream subscription is no longer needed. Both are in
+// canonical order (sortFiltersByID).
 type CoverDelta struct {
 	Forward []filter.Filter
 	Retract []filter.Filter
@@ -148,7 +146,6 @@ type CoverIndexStats struct {
 // NewCoverIndex returns an empty index.
 func NewCoverIndex() *CoverIndex {
 	x := &CoverIndex{
-		ids: make(map[string]int32),
 		wit: witnessPlane{attrs: make(map[string]*attrIndex), all: -1},
 		fwd: displacePlane{attrs: make(map[string]*fwdAttr)},
 	}
@@ -157,24 +154,29 @@ func NewCoverIndex() *CoverIndex {
 }
 
 // Len returns the number of distinct tracked filters.
-func (x *CoverIndex) Len() int { return len(x.ids) }
+func (x *CoverIndex) Len() int { return x.set.len() }
 
 // Stats returns a snapshot of the index counters.
 func (x *CoverIndex) Stats() CoverIndexStats {
-	return CoverIndexStats{Items: len(x.ids), Forwarded: x.forwarded, CoverChecks: x.checks}
+	return CoverIndexStats{Items: x.set.len(), Forwarded: x.forwarded, CoverChecks: x.checks}
 }
 
-// Forwarded returns the current minimal cover set, sorted by filter ID.
+// Forwarded returns the current minimal cover set in canonical order.
 func (x *CoverIndex) Forwarded() []filter.Filter {
 	out := make([]filter.Filter, 0, x.forwarded)
 	for i := range x.items {
-		if it := &x.items[i]; it.refs > 0 && it.witness < 0 {
-			out = append(out, it.f)
+		if x.forwards(int32(i)) {
+			out = append(out, x.filterAt(int32(i)))
 		}
 	}
 	sortFiltersByID(out)
 	return out
 }
+
+func (x *CoverIndex) filterAt(o int32) filter.Filter { return x.set.items[o].f }
+
+// forwards reports whether slot o holds a forwarded filter.
+func (x *CoverIndex) forwards(o int32) bool { return x.set.items[o].refs > 0 && x.items[o].witness < 0 }
 
 // Add tracks one more reference to f and returns the forward-set delta:
 // f itself if it enters the cover set, plus retractions for previously
@@ -183,12 +185,16 @@ func (x *CoverIndex) Forwarded() []filter.Filter {
 // only by forwarded ones — which keeps the set identical to the batch
 // removeCovered result.
 func (x *CoverIndex) Add(f filter.Filter) CoverDelta {
-	id := f.ID()
-	if slot, ok := x.ids[id]; ok {
-		x.items[slot].refs++
+	slot, fresh := x.set.add(f)
+	if !fresh {
 		return CoverDelta{}
 	}
-	slot := x.alloc(f, id)
+	if int(slot) == len(x.items) {
+		x.items = append(x.items, coverItem{})
+		x.wit.gen = append(x.wit.gen, 0)
+		x.fwd.gen = append(x.fwd.gen, 0)
+	}
+	x.items[slot] = coverItem{access: -1, witness: -1, firstDep: -1}
 	if f.Len() == 0 {
 		x.wit.all = slot
 	} else {
@@ -205,9 +211,9 @@ func (x *CoverIndex) Add(f filter.Filter) CoverDelta {
 	}
 	for _, o := range x.displacedBy(slot) {
 		if o != slot && x.items[o].witness < 0 && x.drops(slot, o) {
-			x.unforward(o)
+			x.unforward(o, x.filterAt(o))
 			x.depend(o, slot)
-			d.Retract = append(d.Retract, x.items[o].f)
+			d.Retract = append(d.Retract, x.filterAt(o))
 		}
 	}
 	sortFiltersByID(d.Retract)
@@ -219,27 +225,22 @@ func (x *CoverIndex) Add(f filter.Filter) CoverDelta {
 // for filters that only f kept covered. Removing an unknown filter is a
 // no-op.
 func (x *CoverIndex) Remove(f filter.Filter) CoverDelta {
-	id := f.ID()
-	slot, ok := x.ids[id]
-	if !ok {
+	slot, held, last := x.set.remove(f)
+	if !last {
 		return CoverDelta{}
 	}
 	it := &x.items[slot]
-	if it.refs--; it.refs > 0 {
-		return CoverDelta{}
-	}
-	delete(x.ids, id)
 	x.wit.gen[slot]++ // invalidates its witness-plane postings
-	if f.Len() == 0 {
+	if held.Len() == 0 {
 		x.wit.all = -1
 	} else {
-		unpostRow(&x.wit, it.f, int(it.access), -1)
+		unpostRow(&x.wit, held, int(it.access), -1)
 	}
 
 	var d CoverDelta
 	if it.witness < 0 {
-		x.unforward(slot)
-		d.Retract = append(d.Retract, it.f)
+		x.unforward(slot, held)
+		d.Retract = append(d.Retract, held)
 	} else {
 		x.undepend(slot)
 	}
@@ -251,30 +252,12 @@ func (x *CoverIndex) Remove(f filter.Filter) CoverDelta {
 			x.depend(o, w)
 		} else {
 			x.forward(o)
-			d.Forward = append(d.Forward, x.items[o].f)
+			d.Forward = append(d.Forward, x.filterAt(o))
 		}
 	}
 	x.items[slot] = coverItem{}
-	x.free = append(x.free, slot)
 	sortFiltersByID(d.Forward)
 	return d
-}
-
-// alloc takes a free item slot for a newly tracked filter.
-func (x *CoverIndex) alloc(f filter.Filter, id string) int32 {
-	var slot int32
-	if n := len(x.free); n > 0 {
-		slot = x.free[n-1]
-		x.free = x.free[:n-1]
-	} else {
-		slot = int32(len(x.items))
-		x.items = append(x.items, coverItem{})
-		x.wit.gen = append(x.wit.gen, 0)
-		x.fwd.gen = append(x.fwd.gen, 0)
-	}
-	x.items[slot] = coverItem{f: f, refs: 1, access: -1, witness: -1, firstDep: -1}
-	x.ids[id] = slot
-	return slot
 }
 
 // depend records w as o's witness, at the head of w's dependents.
@@ -304,12 +287,12 @@ func (x *CoverIndex) undepend(o int32) {
 // forward makes o part of the forward set, posting it in the displacement
 // plane under every constraint.
 func (x *CoverIndex) forward(o int32) {
-	it := &x.items[o]
-	it.witness = -1
+	x.items[o].witness = -1
 	x.forwarded++
 	sg := slotGen{slot: o, gen: x.fwd.gen[o]}
-	for ci := 0; ci < it.f.Len(); ci++ {
-		c := it.f.At(ci)
+	f := x.filterAt(o)
+	for ci := 0; ci < f.Len(); ci++ {
+		c := f.At(ci)
 		fa := x.fwd.attrs[c.Attr]
 		if fa == nil {
 			fa = &fwdAttr{}
@@ -319,11 +302,11 @@ func (x *CoverIndex) forward(o int32) {
 	}
 }
 
-// unforward takes o out of the forward set and the displacement plane.
-func (x *CoverIndex) unforward(o int32) {
+// unforward takes o, which holds f, out of the forward set and the
+// displacement plane.
+func (x *CoverIndex) unforward(o int32, f filter.Filter) {
 	x.fwd.gen[o]++
 	x.forwarded--
-	f := x.items[o].f
 	for ci := 0; ci < f.Len(); ci++ {
 		c := f.At(ci)
 		fa := x.fwd.attrs[c.Attr]
@@ -355,7 +338,7 @@ func (x *CoverIndex) witnessOf(g int32) int32 {
 	if a := x.wit.all; a >= 0 && a != g && x.drops(a, g) {
 		return a
 	}
-	f := x.items[g].f
+	f := x.filterAt(g)
 	p := x.search(&x.wit)
 	for ci := 0; ci < f.Len(); ci++ {
 		c := f.At(ci)
@@ -376,11 +359,11 @@ func (x *CoverIndex) witnessOf(g int32) int32 {
 // with any constraint of f finds them all; it uses the one estimated to
 // find fewest. The result aliases the probe buffer.
 func (x *CoverIndex) displacedBy(f int32) []int32 {
-	ff := x.items[f].f
+	ff := x.filterAt(f)
 	p := x.search(&x.fwd)
 	if ff.Len() == 0 { // the empty filter covers every filter
 		for i := range x.items {
-			if it := &x.items[i]; it.refs > 0 && it.witness < 0 {
+			if x.forwards(int32(i)) {
 				p.cands = append(p.cands, int32(i))
 			}
 		}
@@ -403,19 +386,19 @@ func (x *CoverIndex) displacedBy(f int32) []int32 {
 }
 
 // drops reports whether a's presence forces o out of the cover set: a
-// strictly covers o, or the two cover each other and a wins the
-// deterministic smaller-ID tie-break.
+// strictly covers o, or the two cover each other and a comes first in
+// canonical order.
 func (x *CoverIndex) drops(a, o int32) bool {
-	ai, oi := &x.items[a], &x.items[o]
+	af, of := x.filterAt(a), x.filterAt(o)
 	x.checks++
-	if !ai.f.Covers(oi.f) {
+	if !af.Covers(of) {
 		return false
 	}
 	x.checks++
-	if !oi.f.Covers(ai.f) {
+	if !of.Covers(af) {
 		return true
 	}
-	return ai.f.ID() < oi.f.ID() // mutual covers are rare: IDs are built on demand
+	return cmpFilterCanonical(af, of) < 0 // mutual covers are rare: IDs are built on demand
 }
 
 // ---------------------------------------------------------------------------
@@ -571,10 +554,45 @@ func (fa *fwdAttr) coveredCost(c *filter.Constraint, ai *attrIndex) float64 {
 	return n
 }
 
-// sortFiltersByID orders filters by canonical identity, the package's
-// deterministic wire order for administrative traffic.
-func sortFiltersByID(fs []filter.Filter) {
-	slices.SortFunc(fs, func(a, b filter.Filter) int {
-		return strings.Compare(a.ID(), b.ID())
-	})
+// sortFiltersByID puts filters in canonical order, the package's
+// deterministic wire order for administrative traffic (cmpFilterCanonical).
+func sortFiltersByID(fs []filter.Filter) { slices.SortFunc(fs, cmpFilterCanonical) }
+
+// cmpFilterCanonical is the canonical order: by rendered ID, and by
+// cmpFilterIdent between distinct filters whose IDs collide. It is 0 only
+// for identical filters, which it tells without rendering IDs.
+func cmpFilterCanonical(a, b filter.Filter) int {
+	if identFilterEqual(a, b) {
+		return 0
+	}
+	if c := strings.Compare(a.ID(), b.ID()); c != 0 {
+		return c
+	}
+	return cmpFilterIdent(a, b)
+}
+
+// diffCanonical merge-walks two lists in canonical order, returning the
+// filters only in a and those only in b, both in canonical order.
+func diffCanonical(a, b []filter.Filter) (onlyA, onlyB []filter.Filter) {
+	i, j := 0, 0
+	for i < len(a) || j < len(b) {
+		c := -1
+		switch {
+		case i == len(a):
+			c = 1
+		case j < len(b):
+			c = cmpFilterCanonical(a[i], b[j])
+		}
+		switch {
+		case c < 0:
+			onlyA = append(onlyA, a[i])
+			i++
+		case c > 0:
+			onlyB = append(onlyB, b[j])
+			j++
+		default:
+			i, j = i+1, j+1
+		}
+	}
+	return onlyA, onlyB
 }

@@ -166,7 +166,8 @@ func TestCoverIndexChecksOnlyProbeCandidates(t *testing.T) {
 // x in [5, 5] and a float 5 that equals none of them, !=, exists, NaN as
 // a bound, a value and an in member, prefixes extending each other and
 // the empty prefix, string and bool intervals, two constraints on one
-// attribute, and filters lacking the other side's probe attribute.
+// attribute, filters lacking the other side's probe attribute, and two
+// distinct filters whose rendered IDs collide (collidingPair).
 func coverEdgeFilters() []filter.Filter {
 	i, fl, s := message.Int, message.Float, message.String
 	nan := fl(math.NaN())
@@ -218,6 +219,8 @@ func coverEdgeFilters() []filter.Filter {
 	for k, cs := range shapes {
 		out[k] = filter.MustNew(cs...)
 	}
+	one, two := collidingPair()
+	out = append(out, one, two)
 	return out
 }
 
@@ -226,9 +229,9 @@ func coverEdgeFilters() []filter.Filter {
 type coverOracle struct {
 	t    testing.TB
 	x    *CoverIndex
-	refs map[string]int
-	fs   map[string]filter.Filter
-	fwd  []string // forwarded IDs before the step, sorted
+	refs map[string]int           // identity key -> references
+	fs   map[string]filter.Filter // identity key -> filter
+	fwd  []string                 // forwarded identity keys before the step, sorted
 }
 
 func newCoverOracle(t testing.TB) *coverOracle {
@@ -236,15 +239,17 @@ func newCoverOracle(t testing.TB) *coverOracle {
 }
 
 func (o *coverOracle) add(f filter.Filter) {
-	o.refs[f.ID()]++
-	o.fs[f.ID()] = f
+	o.refs[identKey(f)]++
+	o.fs[identKey(f)] = f
 	o.check("add "+f.String(), o.x.Add(f))
 }
 
 func (o *coverOracle) remove(f filter.Filter) {
-	if o.refs[f.ID()]--; o.refs[f.ID()] <= 0 {
-		delete(o.refs, f.ID())
-		delete(o.fs, f.ID())
+	if k := identKey(f); o.refs[k] > 1 {
+		o.refs[k]--
+	} else {
+		delete(o.refs, k)
+		delete(o.fs, k)
 	}
 	o.check("remove "+f.String(), o.x.Remove(f))
 }
@@ -256,19 +261,24 @@ func (o *coverOracle) check(op string, d CoverDelta) {
 		distinct = append(distinct, f)
 	}
 	want := sortedIDs(removeCovered(distinct))
-	got := idsOf(o.x.Forwarded())
-	if !reflect.DeepEqual(got, want) {
+	fwd := o.x.Forwarded()
+	if got := sortedIDs(fwd); !reflect.DeepEqual(got, want) {
 		o.t.Fatalf("%s: forwarded\n got  %v\n want %v", op, got, want)
 	}
 	wantFwd, wantRet := setDiff(want, o.fwd), setDiff(o.fwd, want)
-	if gf, gr := idsOf(d.Forward), idsOf(d.Retract); !reflect.DeepEqual(gf, wantFwd) || !reflect.DeepEqual(gr, wantRet) {
+	if gf, gr := sortedIDs(d.Forward), sortedIDs(d.Retract); !reflect.DeepEqual(gf, wantFwd) || !reflect.DeepEqual(gr, wantRet) {
 		o.t.Fatalf("%s: delta +%v -%v, want +%v -%v", op, gf, gr, wantFwd, wantRet)
+	}
+	for _, fs := range [][]filter.Filter{fwd, d.Forward, d.Retract} {
+		if !slices.IsSortedFunc(fs, cmpFilterCanonical) {
+			o.t.Fatalf("%s: %v not in canonical order", op, idsOf(fs))
+		}
 	}
 	o.fwd = want
 	checkCoverInvariants(o.t, o.x)
 }
 
-// drain removes every tracked reference, in ID order, and checks nothing
+// drain removes every tracked reference, in key order, and checks nothing
 // is left behind.
 func (o *coverOracle) drain() {
 	ids := make([]string, 0, len(o.refs))
@@ -284,7 +294,7 @@ func (o *coverOracle) drain() {
 	checkCoverDrained(o.t, o.x)
 }
 
-// setDiff returns the sorted IDs in a but not in b.
+// setDiff returns the sorted keys in a but not in b.
 func setDiff(a, b []string) []string {
 	out := []string{}
 	for _, id := range a {
@@ -303,14 +313,14 @@ func checkCoverInvariants(t testing.TB, x *CoverIndex) {
 	t.Helper()
 	deps, fwd := 0, 0
 	for i := range x.items {
-		it := &x.items[i]
-		if it.refs == 0 {
+		it, f := &x.items[i], x.filterAt(int32(i))
+		if x.set.items[i].refs == 0 {
 			continue
 		}
 		for o, prev := it.firstDep, int32(-1); o >= 0; prev, o = o, x.items[o].nextDep {
-			if oi := &x.items[o]; oi.refs == 0 || oi.witness != int32(i) || oi.prevDep != prev {
+			if oi := &x.items[o]; x.set.items[o].refs == 0 || oi.witness != int32(i) || oi.prevDep != prev {
 				t.Fatalf("%s lists dependent slot %d, which points at witness %d (prev %d, want %d)",
-					it.f, o, oi.witness, oi.prevDep, prev)
+					f, o, oi.witness, oi.prevDep, prev)
 			}
 			if deps++; deps > len(x.items) {
 				t.Fatal("dependent lists cycle")
@@ -320,13 +330,13 @@ func checkCoverInvariants(t testing.TB, x *CoverIndex) {
 			fwd++
 			continue
 		}
-		w := &x.items[it.witness]
-		if w.refs == 0 || !w.f.Covers(it.f) || (it.f.Covers(w.f) && w.f.ID() > it.f.ID()) {
-			t.Fatalf("%s records witness %s, which does not drop it", it.f, w.f)
+		w := x.filterAt(it.witness)
+		if x.set.items[it.witness].refs == 0 || !w.Covers(f) || (f.Covers(w) && cmpFilterCanonical(w, f) > 0) {
+			t.Fatalf("%s records witness %s, which does not drop it", f, w)
 		}
 	}
-	if fwd != x.forwarded || deps != len(x.ids)-fwd {
-		t.Fatalf("%d forwarded (counter %d), %d dependents for %d covered", fwd, x.forwarded, deps, len(x.ids)-fwd)
+	if fwd != x.forwarded || deps != x.Len()-fwd {
+		t.Fatalf("%d forwarded (counter %d), %d dependents for %d covered", fwd, x.forwarded, deps, x.Len()-fwd)
 	}
 }
 
@@ -334,12 +344,12 @@ func checkCoverInvariants(t testing.TB, x *CoverIndex) {
 // no item, dependent, attribute entry or match-all slot.
 func checkCoverDrained(t testing.TB, x *CoverIndex) {
 	t.Helper()
-	if len(x.ids) != 0 || x.forwarded != 0 || x.wit.all != -1 || len(x.wit.attrs) != 0 || len(x.fwd.attrs) != 0 {
-		t.Fatalf("not drained: %d ids, %d forwarded, all=%d, %d witness attrs, %d displacement attrs",
-			len(x.ids), x.forwarded, x.wit.all, len(x.wit.attrs), len(x.fwd.attrs))
+	if x.Len() != 0 || x.forwarded != 0 || x.wit.all != -1 || len(x.wit.attrs) != 0 || len(x.fwd.attrs) != 0 {
+		t.Fatalf("not drained: %d items, %d forwarded, all=%d, %d witness attrs, %d displacement attrs",
+			x.Len(), x.forwarded, x.wit.all, len(x.wit.attrs), len(x.fwd.attrs))
 	}
 	for i := range x.items {
-		if it := &x.items[i]; it.refs != 0 || it.firstDep != 0 {
+		if it := &x.items[i]; x.set.items[i].refs != 0 || it.firstDep != 0 {
 			t.Fatalf("slot %d not freed: %+v", i, it)
 		}
 	}

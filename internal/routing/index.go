@@ -30,11 +30,11 @@ import (
 // row.
 //
 // Storage is struct-of-arrays, sized for 10⁶ entries: rows live in a paged
-// vector indexed by int32 slot, hops and owner identities are interned
-// once into append-only side tables, and every posting is an 8-byte
-// slot+generation pair. There are no per-entry heap nodes and no rendered
-// key strings; row identity is a 64-bit content hash resolved through an
-// open-addressed identity table.
+// vector indexed by int32 slot, hops are interned once into an append-only
+// side table and owner identities into a reference-counted one, and every
+// posting is an 8-byte slot+generation pair. There are no per-entry heap
+// nodes and no rendered key strings; row identity is a 64-bit content hash
+// resolved through an open-addressed identity table.
 //
 // Posting lists by operator class:
 //
@@ -72,21 +72,23 @@ type matchIndex struct {
 	liveRows int
 
 	// Mutation-plane state: never read on the match path.
-	ident   identTable
-	hops    []hopInfo // append-only hop intern table
-	hopIDs  map[wire.Hop]int32
-	idents  []identKey // append-only owner intern table
-	identID map[identKey]int32
+	ident  identTable
+	hops   []hopInfo // append-only hop intern table
+	hopIDs map[wire.Hop]int32
+	// owners interns owner identities; an owner goes back on ownerFree,
+	// and out of ownerIDs (identity hash -> owner id), with its last row.
+	owners    []owner
+	ownerFree []int32
+	ownerIDs  identTable
 
-	// identPosts / hopPosts are the per-owner and per-hop slot posting
+	// owner.posts / hopPosts are the per-owner and per-hop slot posting
 	// lists behind the O(k) enumeration paths (ClientEntries,
 	// RemoveClient, RemoveHop, hop-overlap checks) — see postings.go.
-	// Indexed by intern id, parallel to idents/hops. The empty owner
-	// identity is never posted: every aggregate entry shares it, so its
-	// list would be the table over again (those callers keep the scan
+	// hopPosts is indexed by hop intern id, parallel to hops. The empty
+	// owner identity is never posted: every aggregate entry shares it, so
+	// its list would be the table over again (those callers keep the scan
 	// path). identPostLive/hopPostLive aggregate the live posting counts
 	// so IndexStats stays O(1) and leak tests can assert drain-to-zero.
-	identPosts    []mutPostings
 	hopPosts      []mutPostings
 	identPostLive int
 	hopPostLive   int
@@ -119,9 +121,17 @@ type hopInfo struct {
 	key string // hop.String(), rendered once: hop-ordered outputs sort by it
 }
 
-type identKey struct {
-	c wire.ClientID
-	s wire.SubID
+// owner is one interned owner identity (client subscription) with the
+// number of live rows it owns and their enumeration postings.
+type owner struct {
+	c     wire.ClientID
+	s     wire.SubID
+	rows  int32
+	posts mutPostings
+}
+
+func ownerHash(c wire.ClientID, s wire.SubID) uint64 {
+	return hashStr(hashU8(hashStr(fnvOffset64, string(c)), '/'), string(s))
 }
 
 // attrRef pairs an indexed attribute name with its posting lists; the
@@ -153,7 +163,6 @@ type attrIndex struct {
 func newMatchIndex() *matchIndex {
 	return &matchIndex{
 		hopIDs:  make(map[wire.Hop]int32),
-		identID: make(map[identKey]int32),
 		scratch: scratch{hopSeen: make(map[int32]struct{})},
 	}
 }
@@ -166,7 +175,7 @@ func (x *matchIndex) rowLive(sg slotGen) bool {
 
 func (x *matchIndex) fillEntry(slot int32, e *Entry) {
 	r := x.rows.at(slot)
-	id := x.idents[r.identID]
+	id := &x.owners[r.identID]
 	e.Filter = r.f
 	e.Hop = x.hops[r.hopID].hop
 	e.Client = id.c
@@ -237,17 +246,48 @@ func (x *matchIndex) internHop(h wire.Hop) int32 {
 	return id
 }
 
-func (x *matchIndex) internIdent(c wire.ClientID, s wire.SubID) int32 {
-	k := identKey{c: c, s: s}
-	if id, ok := x.identID[k]; ok {
+// lookupOwner returns the id of a live owner identity, or -1.
+func (x *matchIndex) lookupOwner(c wire.ClientID, s wire.SubID) int32 {
+	return x.ownerIDs.lookup(ownerHash(c, s), func(id int32) bool {
+		return x.owners[id].c == c && x.owners[id].s == s
+	})
+}
+
+func (x *matchIndex) ownerHashAt(id int32) uint64 {
+	return ownerHash(x.owners[id].c, x.owners[id].s)
+}
+
+// acquireOwner counts one more row for the owner identity, interning it
+// if it has none, and returns its id.
+func (x *matchIndex) acquireOwner(c wire.ClientID, s wire.SubID) int32 {
+	if id := x.lookupOwner(c, s); id >= 0 {
+		x.owners[id].rows++
 		return id
 	}
-	id := int32(len(x.idents))
-	x.idents = append(x.idents, k)
-	x.identPosts = append(x.identPosts, mutPostings{})
-	x.identID[k] = id
+	var id int32
+	if n := len(x.ownerFree); n > 0 {
+		id, x.ownerFree = x.ownerFree[n-1], x.ownerFree[:n-1]
+	} else {
+		id = int32(len(x.owners))
+		x.owners = append(x.owners, owner{})
+	}
+	x.owners[id] = owner{c: c, s: s, rows: 1}
+	x.ownerIDs.insert(ownerHash(c, s), id, x.ownerHashAt)
 	return id
 }
+
+// releaseOwner uncounts one row of the owner; its last row frees it.
+func (x *matchIndex) releaseOwner(id int32) {
+	o := &x.owners[id]
+	if o.rows--; o.rows > 0 {
+		return
+	}
+	x.ownerIDs.remove(ownerHash(o.c, o.s), id)
+	*o = owner{}
+	x.ownerFree = append(x.ownerFree, id)
+}
+
+func (x *matchIndex) rowHash(slot int32) uint64 { return x.rows.at(slot).hash }
 
 // lookupSlot finds the row holding exactly this entry, or -1.
 func (x *matchIndex) lookupSlot(e Entry, hash uint64) int32 {
@@ -256,7 +296,7 @@ func (x *matchIndex) lookupSlot(e Entry, hash uint64) int32 {
 		if r.hash != hash || r.hopID < 0 || x.hops[r.hopID].hop != e.Hop {
 			return false
 		}
-		if id := x.idents[r.identID]; id.c != e.Client || id.s != e.SubID {
+		if id := &x.owners[r.identID]; id.c != e.Client || id.s != e.SubID {
 			return false
 		}
 		return identFilterEqual(r.f, e.Filter)
@@ -274,7 +314,7 @@ func (x *matchIndex) insertEntry(e Entry) bool {
 		return false
 	}
 	hopID := x.internHop(e.Hop)
-	identID := x.internIdent(e.Client, e.SubID)
+	identID := x.acquireOwner(e.Client, e.SubID)
 	var slot int32
 	if n := len(x.free); n > 0 {
 		slot = x.free[n-1]
@@ -291,7 +331,7 @@ func (x *matchIndex) insertEntry(e Entry) bool {
 	x.hopPosts[hopID].add(sg)
 	x.hopPostLive++
 	if e.Client != "" {
-		x.identPosts[identID].add(sg)
+		x.owners[identID].posts.add(sg)
 		x.identPostLive++
 	}
 	if e.Filter.Len() == 0 {
@@ -302,7 +342,7 @@ func (x *matchIndex) insertEntry(e Entry) bool {
 		x.postings += ch.post(x, sg, e.Filter)
 		*x.needs.at(slot) = ch.need
 	}
-	x.ident.insert(x, h, slot)
+	x.ident.insert(h, slot, x.rowHash)
 	return true
 }
 
@@ -491,10 +531,11 @@ func (x *matchIndex) removeSlot(slot int32) {
 	// postings; this is accounting plus amortized compaction.
 	x.hopPosts[hopID].removeLazy(x)
 	x.hopPostLive--
-	if x.idents[identID].c != "" {
-		x.identPosts[identID].removeLazy(x)
+	if x.owners[identID].c != "" {
+		x.owners[identID].posts.removeLazy(x)
 		x.identPostLive--
 	}
+	x.releaseOwner(identID)
 	if f.Len() == 0 {
 		x.matchAll.removeLazy(x)
 	} else {

@@ -29,9 +29,11 @@ import (
 // untouched — and unsubscribing out of a group recomputes the exact
 // pre-merge representation of the remaining members (unmerge).
 //
-// Group emissions are refcounted globally — nothing rules out distinct
-// groups producing byte-identical emissions, and the cover index must see
-// each distinct filter exactly once — and fed through a private
+// Inputs and emissions are told apart by identity (filterSet), not by
+// rendered ID; only the group key is a rendered string. Group emissions
+// are refcounted globally — nothing rules out distinct groups producing
+// identical emissions, and the cover index must see each distinct filter
+// exactly once — and fed through a private
 // CoverIndex, so the forwarded set is the cover-minimal subset of the
 // merged representations: exactly removeCovered(groupMerge(...)), the
 // batch Merging.Reduce, maintained per-delta.
@@ -118,24 +120,26 @@ func mergeConstraintSet(cs []filter.Constraint) []filter.Constraint {
 
 // groupEmit computes the forwarded representation of one merge group:
 // each canonical union piece of the members' merge-attribute constraints,
-// attached to the shared base. Members must be sorted by ID. A group that
-// cannot represent its union (With rejecting a merged constraint — not
-// reachable for the mergeable operator classes, kept as a safety net)
-// falls back to emitting its members verbatim, which is always sound.
+// attached to the shared base. Members must be in canonical order. A group
+// that cannot represent its union — members whose bases differ though
+// their rendered group keys collide, or With rejecting a merged constraint
+// (not reachable for the mergeable operator classes, kept as a safety
+// net) — falls back to emitting its members verbatim, which is always
+// sound.
 func groupEmit(cattr string, members []filter.Filter) []filter.Filter {
 	if len(members) == 1 {
 		return []filter.Filter{members[0]}
 	}
+	base := members[0].Without(cattr)
 	cs := make([]filter.Constraint, 0, len(members))
 	for _, m := range members {
 		on := m.ConstraintsOn(cattr)
-		if len(on) != 1 {
+		if len(on) != 1 || !identFilterEqual(m.Without(cattr), base) {
 			return slices.Clone(members)
 		}
 		cs = append(cs, on[0])
 	}
 	cs = mergeConstraintSet(cs)
-	base := members[0].Without(cattr)
 	out := make([]filter.Filter, 0, len(cs))
 	for _, c := range cs {
 		m, err := base.With(c)
@@ -177,62 +181,41 @@ func groupMerge(fs []filter.Filter) []filter.Filter {
 
 // mergeGroup is the live state of one merge group.
 type mergeGroup struct {
+	key     string
 	cattr   string
-	members map[string]filter.Filter // distinct input ID -> filter
-	emits   map[string]filter.Filter // current emission ID -> filter
-	covered int                      // members whose ID is not emitted
+	members map[int32]filter.Filter // input slot -> filter
+	emits   []filter.Filter         // current emissions, canonical order
+	covered int                     // members not among the emissions
 }
 
-// netEnt accumulates the net forward-set movement of one filter ID across
-// the several cover-index operations a single plane delta can trigger: a
+// accumulate appends one cover-index delta to the plane update's total.
+func accumulate(total *CoverDelta, d CoverDelta) {
+	total.Forward = append(total.Forward, d.Forward...)
+	total.Retract = append(total.Retract, d.Retract...)
+}
+
+// netDelta nets the cover-index deltas one plane update accumulated: a
 // retired emission's retraction can re-forward a filter a fresh emission
-// then covers again, and the wire must only see the net effect.
-type netEnt struct {
-	n int
-	f filter.Filter
-}
-
-func accumulate(net map[string]netEnt, d CoverDelta) {
-	for _, f := range d.Forward {
-		e := net[f.ID()]
-		e.n++
-		e.f = f
-		net[f.ID()] = e
-	}
-	for _, f := range d.Retract {
-		e := net[f.ID()]
-		e.n--
-		e.f = f
-		net[f.ID()] = e
-	}
-}
-
-func netDelta(net map[string]netEnt) CoverDelta {
+// then covers again, and the wire must only see the net effect. A
+// filter's moves alternate, so a retraction cancels one forward.
+func netDelta(total CoverDelta) CoverDelta {
+	sortFiltersByID(total.Forward)
+	sortFiltersByID(total.Retract)
 	var d CoverDelta
-	for _, e := range net {
-		switch {
-		case e.n > 0:
-			d.Forward = append(d.Forward, e.f)
-		case e.n < 0:
-			d.Retract = append(d.Retract, e.f)
-		}
-	}
-	sortFiltersByID(d.Forward)
-	sortFiltersByID(d.Retract)
+	d.Retract, d.Forward = diffCanonical(total.Retract, total.Forward)
 	return d
 }
 
 // mergePlane implements Merging incrementally: inputs are refcounted by
-// canonical ID, distinct inputs live in merge groups, group emissions are
+// identity, distinct inputs live in merge groups, group emissions are
 // refcounted globally and cover-minimized through a private CoverIndex.
 // Every delta touches one group and the emissions it shares.
 type mergePlane struct {
-	refs    map[string]int           // input ID -> multiset refcount
-	fs      map[string]filter.Filter // input ID -> filter
-	keyOf   map[string]string        // input ID -> group key
-	groups  map[string]*mergeGroup   // group key -> state
-	emitRef map[string]int           // emission ID -> #groups emitting it
-	idx     *CoverIndex              // cover-minimal set over emissions
+	inputs  filterSet              // distinct inputs
+	groupOf []*mergeGroup          // input slot -> its group
+	groups  map[string]*mergeGroup // group key -> state
+	emitted filterSet              // emissions, one reference per emitting group
+	idx     *CoverIndex            // cover-minimal set over emissions
 
 	active   int    // groups currently suppressing >= 1 member
 	covered  int    // members suppressed behind a merged emission
@@ -240,120 +223,83 @@ type mergePlane struct {
 }
 
 func newMergePlane() *mergePlane {
-	return &mergePlane{
-		refs:    make(map[string]int),
-		fs:      make(map[string]filter.Filter),
-		keyOf:   make(map[string]string),
-		groups:  make(map[string]*mergeGroup),
-		emitRef: make(map[string]int),
-		idx:     NewCoverIndex(),
-	}
+	return &mergePlane{groups: make(map[string]*mergeGroup), idx: NewCoverIndex()}
 }
 
 func (p *mergePlane) add(f filter.Filter) CoverDelta {
-	id := f.ID()
-	if p.refs[id]++; p.refs[id] > 1 {
+	slot, fresh := p.inputs.add(f)
+	if !fresh {
 		return CoverDelta{} // distinct input set unchanged
 	}
-	p.fs[id] = f
 	cattr, key := mergeGroupKey(f)
-	p.keyOf[id] = key
 	g := p.groups[key]
 	if g == nil {
-		g = &mergeGroup{
-			cattr:   cattr,
-			members: make(map[string]filter.Filter, 1),
-			emits:   make(map[string]filter.Filter, 1),
-		}
+		g = &mergeGroup{key: key, cattr: cattr, members: make(map[int32]filter.Filter, 1)}
 		p.groups[key] = g
 	}
-	g.members[id] = f
-	net := make(map[string]netEnt)
-	p.refreshGroup(key, g, net)
-	return netDelta(net)
+	g.members[slot] = f
+	if int(slot) == len(p.groupOf) {
+		p.groupOf = append(p.groupOf, nil)
+	}
+	p.groupOf[slot] = g
+	var total CoverDelta
+	p.refreshGroup(g, &total)
+	return netDelta(total)
 }
 
 func (p *mergePlane) remove(f filter.Filter) CoverDelta {
-	id := f.ID()
-	if p.refs[id] == 0 {
+	slot, _, last := p.inputs.remove(f)
+	if !last {
 		return CoverDelta{}
 	}
-	if p.refs[id]--; p.refs[id] > 0 {
-		return CoverDelta{}
-	}
-	delete(p.refs, id)
-	delete(p.fs, id)
-	key := p.keyOf[id]
-	delete(p.keyOf, id)
-	g := p.groups[key]
-	delete(g.members, id)
-	net := make(map[string]netEnt)
-	if p.refreshGroup(key, g, net) > 0 {
+	g := p.groupOf[slot]
+	p.groupOf[slot] = nil
+	delete(g.members, slot)
+	var total CoverDelta
+	if p.refreshGroup(g, &total) > 0 {
 		p.unmerges++ // narrower filters had to be re-forwarded
 	}
-	return netDelta(net)
+	return netDelta(total)
 }
 
 // refreshGroup recomputes one group's emissions after a membership change
 // and routes the emission diff through the global emission refcounts and
-// the cover index, accumulating the net forward-set movement in net. It
-// returns the number of emission IDs new to the group (the unmerge signal
-// on the remove path) and deletes the group when its last member left.
-func (p *mergePlane) refreshGroup(key string, g *mergeGroup, net map[string]netEnt) int {
-	newEmits := make(map[string]filter.Filter, len(g.emits))
-	if len(g.members) > 0 {
-		members := make([]filter.Filter, 0, len(g.members))
-		for _, m := range g.members {
-			members = append(members, m)
-		}
-		sortFiltersByID(members)
-		for _, e := range groupEmit(g.cattr, members) {
-			newEmits[e.ID()] = e
-		}
+// the cover index, accumulating the forward-set movement in total. It
+// returns the number of emissions new to the group (the unmerge signal on
+// the remove path) and deletes the group when its last member left.
+func (p *mergePlane) refreshGroup(g *mergeGroup, total *CoverDelta) int {
+	members := make([]filter.Filter, 0, len(g.members))
+	for _, m := range g.members {
+		members = append(members, m)
 	}
-	var retired, fresh []filter.Filter
-	for id, e := range g.emits {
-		if _, ok := newEmits[id]; !ok {
-			retired = append(retired, e)
-		}
+	sortFiltersByID(members)
+	var emits []filter.Filter
+	if len(members) > 0 {
+		emits = groupEmit(g.cattr, members)
 	}
-	for id, e := range newEmits {
-		if _, ok := g.emits[id]; !ok {
-			fresh = append(fresh, e)
-		}
-	}
-	sortFiltersByID(retired)
-	sortFiltersByID(fresh)
+	retired, fresh := diffCanonical(g.emits, emits)
 	for _, e := range retired {
-		id := e.ID()
-		if p.emitRef[id]--; p.emitRef[id] == 0 {
-			delete(p.emitRef, id)
-			accumulate(net, p.idx.Remove(e))
+		if _, _, last := p.emitted.remove(e); last {
+			accumulate(total, p.idx.Remove(e))
 		}
 	}
 	for _, e := range fresh {
-		id := e.ID()
-		if p.emitRef[id]++; p.emitRef[id] == 1 {
-			accumulate(net, p.idx.Add(e))
+		if _, first := p.emitted.add(e); first {
+			accumulate(total, p.idx.Add(e))
 		}
 	}
-	cov := 0
-	for id := range g.members {
-		if _, ok := newEmits[id]; !ok {
-			cov++
-		}
-	}
-	p.covered += cov - g.covered
+	cov, _ := diffCanonical(members, emits)
+	p.covered += len(cov) - g.covered
 	if g.covered > 0 {
 		p.active--
 	}
-	if cov > 0 {
+	if len(cov) > 0 {
 		p.active++
 	}
-	g.covered = cov
-	g.emits = newEmits
+	g.covered = len(cov)
+	g.emits = emits
 	if len(g.members) == 0 {
-		delete(p.groups, key)
+		delete(p.groups, g.key)
 	}
 	return len(fresh)
 }
@@ -369,7 +315,8 @@ func (p *mergePlane) reset(inputs []filter.Filter) {
 }
 
 func (p *mergePlane) desired() []filter.Filter { return p.idx.Forwarded() }
-func (p *mergePlane) size() int                { return len(p.fs) }
+func (p *mergePlane) size() int                { return p.inputs.len() }
+func (p *mergePlane) forwarded() int           { return p.idx.forwarded }
 func (p *mergePlane) coverChecks() uint64      { return p.idx.checks }
 
 // mergeStats reports the plane's merge shape: groups currently

@@ -204,3 +204,68 @@ func TestRemoveHopAfterSlotReuse(t *testing.T) {
 		t.Fatalf("table not empty: %d", tbl.Len())
 	}
 }
+
+// TestOwnerTableDrains churns 10 000 distinct (client, subscription)
+// owners through a table, 100 live at a time, each with two rows removed
+// one by one or by RemoveClient. An owner's last row frees its slot, so
+// the owner table's live count returns to its baseline and its capacity
+// stays at the high-water mark of one round instead of growing with every
+// owner the table has ever seen.
+func TestOwnerTableDrains(t *testing.T) {
+	tbl := NewTable()
+	x := tbl.idx
+	keep := []Entry{
+		{Filter: mkFilter(`k = 1`), Hop: wire.BrokerHop("b1")},
+		{Filter: mkFilter(`k = 2`), Hop: wire.ClientHop("keep"), Client: "keep", SubID: "s"},
+	}
+	for _, e := range keep {
+		tbl.Add(e)
+	}
+	liveOwners := func() int { return len(x.owners) - len(x.ownerFree) }
+	baseLive, baseTable := liveOwners(), x.ownerIDs.live
+	entries := func(i int) []Entry {
+		c := wire.ClientID(fmt.Sprintf("c%d", i))
+		s := wire.SubID(fmt.Sprintf("s%d", i))
+		return []Entry{
+			{Filter: mkFilter(fmt.Sprintf(`p = %d`, i)), Hop: wire.ClientHop(c), Client: c, SubID: s},
+			{Filter: mkFilter(fmt.Sprintf(`p = %d`, i)), Hop: wire.BrokerHop("b2"), Client: c, SubID: s},
+		}
+	}
+	highOwners, highSlots := 0, 0
+	for round := 0; round < 100; round++ {
+		for i := round * 100; i < (round+1)*100; i++ {
+			for _, e := range entries(i) {
+				tbl.Add(e)
+			}
+		}
+		if round == 0 {
+			highOwners, highSlots = len(x.owners), len(x.ownerIDs.slots)
+		}
+		for i := round * 100; i < (round+1)*100; i++ {
+			if es := entries(i); i%2 == 0 {
+				for _, e := range es {
+					tbl.Remove(e)
+				}
+			} else if got := tbl.RemoveClient(es[0].Client, es[0].SubID); len(got) != 2 {
+				t.Fatalf("RemoveClient(%s/%s) removed %d entries, want 2", es[0].Client, es[0].SubID, len(got))
+			}
+		}
+		if liveOwners() != baseLive || x.ownerIDs.live != baseTable {
+			t.Fatalf("round %d: %d live owners, %d in the table; want the baseline %d/%d",
+				round, liveOwners(), x.ownerIDs.live, baseLive, baseTable)
+		}
+	}
+	if len(x.owners) > highOwners || len(x.ownerIDs.slots) > highSlots {
+		t.Errorf("owner table grew with churn: %d owners, %d slots; high-water mark %d/%d",
+			len(x.owners), len(x.ownerIDs.slots), highOwners, highSlots)
+	}
+	for _, e := range keep {
+		tbl.Remove(e)
+	}
+	if st := tbl.IndexStats(); st != (IndexStats{}) {
+		t.Errorf("after drain IndexStats = %+v, want zero", st)
+	}
+	if liveOwners() != 0 || x.ownerIDs.live != 0 {
+		t.Errorf("after drain %d owners live, %d in the table", liveOwners(), x.ownerIDs.live)
+	}
+}

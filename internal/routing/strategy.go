@@ -111,13 +111,12 @@ func (s Strategy) Reduce(fs []filter.Filter) []filter.Filter {
 	}
 }
 
+// dedupIdentical keeps the first of each set of identical filters.
 func dedupIdentical(fs []filter.Filter) []filter.Filter {
-	seen := make(map[string]bool, len(fs))
+	var seen filterSet
 	out := make([]filter.Filter, 0, len(fs))
 	for _, f := range fs {
-		id := f.ID()
-		if !seen[id] {
-			seen[id] = true
+		if _, fresh := seen.add(f); fresh {
 			out = append(out, f)
 		}
 	}
@@ -126,15 +125,11 @@ func dedupIdentical(fs []filter.Filter) []filter.Filter {
 
 // removeCovered drops every filter that is covered by another (distinct)
 // filter in the set. Mutually covering filters (equal accepted sets, e.g.
-// `x = 5` and `x in {5}`) keep the one with the lexicographically smallest
-// canonical ID, so the result is a deterministic function of the input
-// *set* — the property the incremental CoverIndex relies on to stay
-// byte-identical to this batch oracle.
+// `x = 5` and `x in {5}`) keep the one first in canonical order, so the
+// result is a deterministic function of the input *set* — the property the
+// incremental CoverIndex relies on to stay byte-identical to this batch
+// oracle.
 func removeCovered(fs []filter.Filter) []filter.Filter {
-	ids := make([]string, len(fs))
-	for i, f := range fs {
-		ids[i] = f.ID()
-	}
 	out := make([]filter.Filter, 0, len(fs))
 	for i, f := range fs {
 		covered := false
@@ -143,11 +138,13 @@ func removeCovered(fs []filter.Filter) []filter.Filter {
 				continue
 			}
 			if g.Covers(f) {
-				// Mutual covers: keep the smaller ID (input order for
-				// identical duplicates, which dedupIdentical removes
+				// Mutual covers: keep the canonically first (input order
+				// for identical duplicates, which dedupIdentical removes
 				// upstream anyway).
-				if f.Covers(g) && (ids[i] < ids[j] || (ids[i] == ids[j] && i < j)) {
-					continue
+				if f.Covers(g) {
+					if c := cmpFilterCanonical(f, g); c < 0 || (c == 0 && i < j) {
+						continue
+					}
 				}
 				covered = true
 				break
@@ -161,9 +158,11 @@ func removeCovered(fs []filter.Filter) []filter.Filter {
 }
 
 // Update is the diff a Forwarder emits for one neighbor: filters to newly
-// subscribe and filters to retract. Both lists are sorted by canonical
-// filter ID, so the administrative wire traffic a table change produces
-// is deterministic and transcripts can be compared byte-for-byte.
+// subscribe and filters to retract. Both lists are in canonical order
+// (sortFiltersByID: by rendered ID, ties between distinct filters whose
+// IDs collide broken by content), so the administrative wire traffic a
+// table change produces is deterministic and transcripts can be compared
+// byte-for-byte.
 type Update struct {
 	Hop         wire.Hop
 	Subscribe   []filter.Filter
@@ -177,7 +176,9 @@ func (u Update) Empty() bool { return len(u.Subscribe) == 0 && len(u.Unsubscribe
 // forwarded (its provisioned upstream interest) together with the input
 // filters that justify it, and computes minimal sub/unsub diffs when the
 // local routing table changes. It implements the strategy-specific
-// administrative traffic that Figure 9 counts.
+// administrative traffic that Figure 9 counts. Each neighbor's plane is
+// the only copy of its forward set: filters are told apart by identity
+// (filterSet), never by a rendered ID.
 //
 // The primary API is the delta one — AddFilter/RemoveFilter apply a
 // single routing-entry change at a cost proportional to the change:
@@ -191,29 +192,26 @@ func (u Update) Empty() bool { return len(u.Subscribe) == 0 && len(u.Unsubscribe
 type Forwarder struct {
 	strategy Strategy
 
-	mu        sync.Mutex
-	forwarded map[string]map[string]filter.Filter // hop -> filterID -> filter
-	planes    map[string]plane                    // hop -> tracked-input state
+	mu     sync.Mutex
+	planes map[string]plane // hop -> tracked inputs and forward set
 }
 
 // plane is the per-neighbor input state behind the delta API: add and
-// remove report the forward-set delta one input change causes.
+// remove report the exact forward-set delta one input change causes, and
+// desired is the forward set itself.
 type plane interface {
 	add(f filter.Filter) CoverDelta
 	remove(f filter.Filter) CoverDelta
 	reset(inputs []filter.Filter)
 	desired() []filter.Filter
 	size() int
+	forwarded() int
 	coverChecks() uint64
 }
 
 // NewForwarder returns a Forwarder for the given strategy.
 func NewForwarder(s Strategy) *Forwarder {
-	return &Forwarder{
-		strategy:  s,
-		forwarded: make(map[string]map[string]filter.Filter),
-		planes:    make(map[string]plane),
-	}
+	return &Forwarder{strategy: s, planes: make(map[string]plane)}
 }
 
 // Strategy returns the forwarder's strategy.
@@ -224,8 +222,7 @@ func (f *Forwarder) Strategy() Strategy { return f.strategy }
 func (f *Forwarder) AddFilter(hop wire.Hop, fl filter.Filter) Update {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	hk := hop.String()
-	return f.applyDeltaLocked(hop, hk, f.planeLocked(hk).add(fl))
+	return updateOf(hop, f.planeLocked(hop.String()).add(fl))
 }
 
 // RemoveFilter records that one routing-table entry carrying fl is gone
@@ -233,8 +230,7 @@ func (f *Forwarder) AddFilter(hop wire.Hop, fl filter.Filter) Update {
 func (f *Forwarder) RemoveFilter(hop wire.Hop, fl filter.Filter) Update {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	hk := hop.String()
-	return f.applyDeltaLocked(hop, hk, f.planeLocked(hk).remove(fl))
+	return updateOf(hop, f.planeLocked(hop.String()).remove(fl))
 }
 
 // Recompute replaces the neighbor's tracked inputs with the given
@@ -246,10 +242,12 @@ func (f *Forwarder) RemoveFilter(hop wire.Hop, fl filter.Filter) Update {
 func (f *Forwarder) Recompute(hop wire.Hop, inputs []filter.Filter) Update {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	hk := hop.String()
-	p := f.planeLocked(hk)
+	p := f.planeLocked(hop.String())
+	before := p.desired()
 	p.reset(inputs)
-	return f.diffLocked(hop, hk, p.desired())
+	u := Update{Hop: hop}
+	u.Unsubscribe, u.Subscribe = diffCanonical(before, p.desired())
+	return u
 }
 
 // planeLocked returns (creating on first use) the tracked-input state for
@@ -263,87 +261,27 @@ func (f *Forwarder) planeLocked(hk string) plane {
 	return p
 }
 
-// applyDeltaLocked turns an incremental forward-set delta into an Update,
-// mutating the neighbor's forwarded set. Callers hold f.mu.
-func (f *Forwarder) applyDeltaLocked(hop wire.Hop, hk string, d CoverDelta) Update {
-	u := Update{Hop: hop}
-	if d.Empty() {
-		return u
-	}
-	have := f.forwarded[hk]
-	if have == nil {
-		have = make(map[string]filter.Filter)
-		f.forwarded[hk] = have
-	}
-	for _, fl := range d.Forward {
-		id := fl.ID()
-		if _, ok := have[id]; !ok {
-			have[id] = fl
-			u.Subscribe = append(u.Subscribe, fl)
-		}
-	}
-	for _, fl := range d.Retract {
-		id := fl.ID()
-		if _, ok := have[id]; ok {
-			delete(have, id)
-			u.Unsubscribe = append(u.Unsubscribe, fl)
-		}
-	}
-	return u
+// updateOf turns a plane's exact forward-set delta into an Update.
+func updateOf(hop wire.Hop, d CoverDelta) Update {
+	return Update{Hop: hop, Subscribe: d.Forward, Unsubscribe: d.Retract}
 }
 
-// diffLocked diffs a freshly computed desired forward set against the
-// neighbor's forwarded set, sorted for deterministic wire order. Callers
-// hold f.mu.
-func (f *Forwarder) diffLocked(hop wire.Hop, hk string, desired []filter.Filter) Update {
-	want := make(map[string]filter.Filter, len(desired))
-	for _, d := range desired {
-		want[d.ID()] = d
-	}
-	have := f.forwarded[hk]
-	if have == nil {
-		have = make(map[string]filter.Filter)
-		f.forwarded[hk] = have
-	}
-	u := Update{Hop: hop}
-	for id, fl := range want {
-		if _, ok := have[id]; !ok {
-			u.Subscribe = append(u.Subscribe, fl)
-			have[id] = fl
-		}
-	}
-	for id, fl := range have {
-		if _, ok := want[id]; !ok {
-			u.Unsubscribe = append(u.Unsubscribe, fl)
-			delete(have, id)
-		}
-	}
-	sortFiltersByID(u.Subscribe)
-	sortFiltersByID(u.Unsubscribe)
-	return u
-}
-
-// Forwarded returns the filters currently forwarded to the neighbor,
-// sorted by canonical ID.
+// Forwarded returns the filters currently forwarded to the neighbor, in
+// canonical order.
 func (f *Forwarder) Forwarded(hop wire.Hop) []filter.Filter {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	m := f.forwarded[hop.String()]
-	out := make([]filter.Filter, 0, len(m))
-	for _, fl := range m {
-		out = append(out, fl)
+	if p, ok := f.planes[hop.String()]; ok {
+		return p.desired()
 	}
-	sortFiltersByID(out)
-	return out
+	return nil
 }
 
 // DropHop forgets all forwarding state for a neighbor (link teardown).
 func (f *Forwarder) DropHop(hop wire.Hop) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	hk := hop.String()
-	delete(f.forwarded, hk)
-	delete(f.planes, hk)
+	delete(f.planes, hop.String())
 }
 
 // ForwarderStats describes the control plane's shape and its pairwise
@@ -374,6 +312,7 @@ func (f *Forwarder) Stats() ForwarderStats {
 	s := ForwarderStats{Strategy: f.strategy, Hops: len(f.planes)}
 	for _, p := range f.planes {
 		s.TrackedFilters += p.size()
+		s.ForwardedFilters += p.forwarded()
 		s.CoverChecks += p.coverChecks()
 		if mp, ok := p.(*mergePlane); ok {
 			active, covered, unmerges := mp.mergeStats()
@@ -381,9 +320,6 @@ func (f *Forwarder) Stats() ForwarderStats {
 			s.MergeCovered += covered
 			s.Unmerges += unmerges
 		}
-	}
-	for _, m := range f.forwarded {
-		s.ForwardedFilters += len(m)
 	}
 	return s
 }
@@ -403,7 +339,7 @@ func newPlane(s Strategy) plane {
 	case Merging:
 		return newMergePlane()
 	default: // Simple, Identity
-		return &dedupPlane{refPlane: newRefPlane()}
+		return &dedupPlane{}
 	}
 }
 
@@ -414,86 +350,39 @@ func (floodPlane) add(filter.Filter) CoverDelta    { return CoverDelta{} }
 func (floodPlane) remove(filter.Filter) CoverDelta { return CoverDelta{} }
 func (floodPlane) reset([]filter.Filter)           {}
 func (floodPlane) desired() []filter.Filter        { return nil }
+func (floodPlane) forwarded() int                  { return 0 }
 func (floodPlane) size() int                       { return 0 }
 func (floodPlane) coverChecks() uint64             { return 0 }
 
-// refPlane reference-counts distinct filters, the shared bookkeeping of
-// the dedup and merge planes.
-type refPlane struct {
-	refs map[string]int
-	fs   map[string]filter.Filter
-}
-
-func newRefPlane() refPlane {
-	return refPlane{refs: make(map[string]int), fs: make(map[string]filter.Filter)}
-}
-
-// track adds one reference, reporting whether the filter is new.
-func (p *refPlane) track(f filter.Filter) bool {
-	id := f.ID()
-	p.refs[id]++
-	if p.refs[id] == 1 {
-		p.fs[id] = f
-		return true
-	}
-	return false
-}
-
-// untrack drops one reference, reporting whether the filter is gone.
-func (p *refPlane) untrack(f filter.Filter) bool {
-	id := f.ID()
-	if p.refs[id] == 0 {
-		return false
-	}
-	if p.refs[id]--; p.refs[id] > 0 {
-		return false
-	}
-	delete(p.refs, id)
-	delete(p.fs, id)
-	return true
-}
-
-func (p *refPlane) reset(inputs []filter.Filter) {
-	clear(p.refs)
-	clear(p.fs)
-	for _, f := range inputs {
-		p.track(f)
-	}
-}
-
-// distinct returns the tracked filters sorted by ID, the canonical
-// forward order.
-func (p *refPlane) distinct() []filter.Filter {
-	out := make([]filter.Filter, 0, len(p.fs))
-	for _, f := range p.fs {
-		out = append(out, f)
-	}
-	sortFiltersByID(out)
-	return out
-}
-
-func (p *refPlane) size() int           { return len(p.fs) }
-func (p *refPlane) coverChecks() uint64 { return 0 }
-
 // dedupPlane implements Simple and Identity: forward every distinct
 // filter once.
-type dedupPlane struct{ refPlane }
+type dedupPlane struct{ fs filterSet }
 
 func (p *dedupPlane) add(f filter.Filter) CoverDelta {
-	if p.track(f) {
+	if _, fresh := p.fs.add(f); fresh {
 		return CoverDelta{Forward: []filter.Filter{f}}
 	}
 	return CoverDelta{}
 }
 
 func (p *dedupPlane) remove(f filter.Filter) CoverDelta {
-	if p.untrack(f) {
-		return CoverDelta{Retract: []filter.Filter{f}}
+	if _, held, last := p.fs.remove(f); last {
+		return CoverDelta{Retract: []filter.Filter{held}}
 	}
 	return CoverDelta{}
 }
 
-func (p *dedupPlane) desired() []filter.Filter { return p.distinct() }
+func (p *dedupPlane) reset(inputs []filter.Filter) {
+	p.fs = filterSet{}
+	for _, f := range inputs {
+		p.fs.add(f)
+	}
+}
+
+func (p *dedupPlane) desired() []filter.Filter { return p.fs.filters() }
+func (p *dedupPlane) size() int                { return p.fs.len() }
+func (p *dedupPlane) forwarded() int           { return p.fs.len() }
+func (p *dedupPlane) coverChecks() uint64      { return 0 }
 
 // coverPlane implements Covering through the incremental CoverIndex.
 type coverPlane struct{ idx *CoverIndex }
@@ -512,6 +401,7 @@ func (p *coverPlane) reset(inputs []filter.Filter) {
 
 func (p *coverPlane) desired() []filter.Filter { return p.idx.Forwarded() }
 func (p *coverPlane) size() int                { return p.idx.Len() }
+func (p *coverPlane) forwarded() int           { return p.idx.forwarded }
 func (p *coverPlane) coverChecks() uint64      { return p.idx.checks }
 
 // mergePlane (Merging) lives in mergeplane.go: refcounted merge groups

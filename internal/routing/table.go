@@ -178,8 +178,8 @@ func (t *Table) EachRoute(n message.Notification, from wire.Hop, visit func(*Ent
 // stays scale-independent; the empty owner identity, shared by every
 // aggregate entry, keeps the full-scan path (see postings.go).
 func (t *Table) ClientEntries(c wire.ClientID, id wire.SubID) []Entry {
-	iid, ok := t.idx.identID[identKey{c: c, s: id}]
-	if !ok {
+	iid := t.idx.lookupOwner(c, id)
+	if iid < 0 {
 		return nil
 	}
 	var out []Entry
@@ -190,7 +190,7 @@ func (t *Table) ClientEntries(c wire.ClientID, id wire.SubID) []Entry {
 			}
 		})
 	} else {
-		for _, sg := range t.idx.identPosts[iid].s {
+		for _, sg := range t.idx.owners[iid].posts.s {
 			// A live generation implies the row is still the one the
 			// posting was created for, so its identID is iid.
 			if t.idx.rowLive(sg) {
@@ -206,14 +206,14 @@ func (t *Table) ClientEntries(c wire.ClientID, id wire.SubID) []Entry {
 // and returns them. O(entries for that client) via the owner posting list;
 // the empty owner identity falls back to the scan (see ClientEntries).
 func (t *Table) RemoveClient(c wire.ClientID, id wire.SubID) []Entry {
-	iid, ok := t.idx.identID[identKey{c: c, s: id}]
-	if !ok {
+	iid := t.idx.lookupOwner(c, id)
+	if iid < 0 {
 		return nil
 	}
 	if c == "" {
 		return t.removeSelected(func(r *row) bool { return r.identID == iid })
 	}
-	return t.removeSlots(t.idx.identPosts[iid].liveSlots(t.idx, nil))
+	return t.removeSlots(t.idx.owners[iid].posts.liveSlots(t.idx, nil))
 }
 
 // RemoveHop deletes all entries pointing along the given hop and returns

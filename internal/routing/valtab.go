@@ -673,21 +673,22 @@ func (t *pairTable) probe(v message.Value, n message.Notification, s candSink) {
 }
 
 // ---------------------------------------------------------------------------
-// identTable: entry-identity hash table (mutation plane only).
+// identTable: identity-hash slot table (mutation plane only).
 // ---------------------------------------------------------------------------
 
-// identTable maps entry identity hashes to row slots for duplicate
-// detection and exact Remove. It lives on the mutation plane: matching
+// identTable maps 64-bit identity hashes to slots of its holder's array
+// for duplicate detection and exact lookup: the match index's rows and
+// owners, a filterSet's filters. It lives on the mutation plane: matching
 // never reads it.
 //
-// A bucket is just the row slot — 4 bytes, not a (hash, slot) pair. The
-// identity hash already lives in the row itself, so lookups read it
-// through the slot (every slot in the table references a live row:
-// removeSlot unlinks the table entry before scrubbing the row) and grow
-// re-derives it the same way. At two buckets per row this halves and then
-// halves again what a 10⁶-entry table spends on duplicate detection.
+// A bucket is just the slot — 4 bytes, not a (hash, slot) pair. The holder
+// keeps (or can recompute) each slot's hash, so lookups verify it through
+// the slot (every slot in the table references a live element: holders
+// remove the table entry before freeing the slot) and grow re-derives it
+// through hashOf. At two buckets per element this halves and then halves
+// again what a 10⁶-entry table spends on duplicate detection.
 type identTable struct {
-	slots []int32 // row slot; idEmpty / idTomb are sentinels
+	slots []int32 // slot; idEmpty / idTomb are sentinels
 	used  int     // live + tombstones
 	live  int
 }
@@ -697,9 +698,9 @@ const (
 	idTomb  int32 = -2
 )
 
-// lookup finds the row slot of the entry with the given identity hash for
-// which eq returns true, or -1. eq must verify the hash along with the
-// content (the table no longer pre-filters collisions).
+// lookup finds the slot with the given identity hash for which eq returns
+// true, or -1. eq must verify the hash along with the content (the table
+// does not pre-filter collisions).
 func (t *identTable) lookup(hash uint64, eq func(slot int32) bool) int32 {
 	if len(t.slots) == 0 {
 		return -1
@@ -716,9 +717,11 @@ func (t *identTable) lookup(hash uint64, eq func(slot int32) bool) int32 {
 	}
 }
 
-func (t *identTable) insert(x *matchIndex, hash uint64, slot int32) {
+// insert adds slot under hash; hashOf returns the hash of any slot in the
+// table, for rehashing when it grows.
+func (t *identTable) insert(hash uint64, slot int32, hashOf func(slot int32) uint64) {
 	if len(t.slots) == 0 || (t.used+1)*4 > len(t.slots)*3 {
-		t.grow(x)
+		t.grow(hashOf)
 	}
 	mask := len(t.slots) - 1
 	for i := int(hash) & mask; ; i = (i + 1) & mask {
@@ -749,7 +752,9 @@ func (t *identTable) remove(hash uint64, slot int32) {
 	}
 }
 
-func (t *identTable) grow(x *matchIndex) {
+// grow rehashes into a table sized for the live slots, dropping tombstones:
+// a table whose elements come and go stays sized by what is live.
+func (t *identTable) grow(hashOf func(slot int32) uint64) {
 	n := 8
 	for n*3 < (t.live+1)*4 {
 		n *= 2
@@ -762,7 +767,89 @@ func (t *identTable) grow(x *matchIndex) {
 	t.used, t.live = 0, 0
 	for _, sl := range old {
 		if sl >= 0 {
-			t.insert(x, x.rows.at(sl).hash, sl)
+			t.insert(hashOf(sl), sl, hashOf)
 		}
 	}
+}
+
+// ---------------------------------------------------------------------------
+// filterSet: distinct filters by identity.
+// ---------------------------------------------------------------------------
+
+// filterSet holds distinct filters by identity — hashFilterIdent, verified
+// with identFilterEqual — each reference counted in a stable slot. It is
+// the routing package's notion of "the same filter": no rendered ID is
+// stored, and two filters whose IDs collide stay apart.
+type filterSet struct {
+	items []setItem
+	free  []int32
+	ids   identTable
+}
+
+type setItem struct {
+	f    filter.Filter
+	hash uint64
+	refs int32 // 0 marks a free slot
+}
+
+func (s *filterSet) len() int                 { return s.ids.live }
+func (s *filterSet) hashAt(slot int32) uint64 { return s.items[slot].hash }
+
+// find returns the slot holding f, whose identity hash is h, or -1.
+func (s *filterSet) find(f filter.Filter, h uint64) int32 {
+	return s.ids.lookup(h, func(slot int32) bool {
+		it := &s.items[slot]
+		return it.hash == h && identFilterEqual(it.f, f)
+	})
+}
+
+// add takes one more reference to f and returns its slot, reporting
+// whether f is new to the set.
+func (s *filterSet) add(f filter.Filter) (int32, bool) {
+	h := hashFilterIdent(fnvOffset64, f)
+	if slot := s.find(f, h); slot >= 0 {
+		s.items[slot].refs++
+		return slot, false
+	}
+	var slot int32
+	if n := len(s.free); n > 0 {
+		slot, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		slot = int32(len(s.items))
+		s.items = append(s.items, setItem{})
+	}
+	s.items[slot] = setItem{f: f, hash: h, refs: 1}
+	s.ids.insert(h, slot, s.hashAt)
+	return slot, true
+}
+
+// remove drops one reference to f and returns its slot (-1 if f is not
+// held), reporting whether it was the last. The last reference frees the
+// slot and hands back the filter it held.
+func (s *filterSet) remove(f filter.Filter) (slot int32, held filter.Filter, last bool) {
+	h := hashFilterIdent(fnvOffset64, f)
+	if slot = s.find(f, h); slot < 0 {
+		return -1, filter.Filter{}, false
+	}
+	it := &s.items[slot]
+	if it.refs--; it.refs > 0 {
+		return slot, filter.Filter{}, false
+	}
+	held = it.f
+	s.ids.remove(h, slot)
+	*it = setItem{}
+	s.free = append(s.free, slot)
+	return slot, held, true
+}
+
+// filters returns the held filters in canonical order.
+func (s *filterSet) filters() []filter.Filter {
+	out := make([]filter.Filter, 0, s.len())
+	for i := range s.items {
+		if s.items[i].refs > 0 {
+			out = append(out, s.items[i].f)
+		}
+	}
+	sortFiltersByID(out)
+	return out
 }

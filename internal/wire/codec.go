@@ -172,9 +172,10 @@ func (d *decoder) val() message.Value {
 func (d *decoder) boolean() bool { return d.u8() != 0 }
 
 func encodeFilter(e *encoder, f filter.Filter) {
-	cs := f.Constraints()
-	e.uv(uint64(len(cs)))
-	for _, c := range cs {
+	n := f.Len()
+	e.uv(uint64(n))
+	for i := 0; i < n; i++ {
+		c := f.At(i)
 		e.str(c.Attr)
 		e.u8(uint8(c.Op))
 		switch c.Op {
