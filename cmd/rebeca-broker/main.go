@@ -55,9 +55,7 @@ type brokerFlags struct {
 	heartbeat      time.Duration
 	strategyName   string
 	statsEvery     time.Duration
-	maxBatch       int
 	mailboxCap     int
-	mailboxPolicy  string
 	sendWindow     int
 	sendPolicy     string
 	relocBufferCap int
@@ -77,12 +75,8 @@ func newFlagSet() (*flag.FlagSet, *brokerFlags) {
 	fs.StringVar(&cfg.strategyName, "strategy", "covering",
 		"routing strategy: "+strings.Join(routing.StrategyNames(), ", ")+" (case-insensitive)")
 	fs.DurationVar(&cfg.statsEvery, "stats", 30*time.Second, "stats print interval")
-	fs.IntVar(&cfg.maxBatch, "maxbatch", 0,
-		"max tasks drained from the mailbox per batch (0 = unlimited, 1 = one message per lock)")
 	fs.IntVar(&cfg.mailboxCap, "mailbox-cap", 0,
-		"mailbox capacity in tasks (0 = unbounded)")
-	fs.StringVar(&cfg.mailboxPolicy, "mailbox-policy", flow.ShedNewest.String(),
-		"bounded-mailbox overload policy: "+strings.Join(flow.PolicyNames(), ", "))
+		"mailbox capacity in tasks, shedding the newest notification when full (0 = unbounded)")
 	fs.IntVar(&cfg.sendWindow, "send-window", transport.DefaultSendWindow,
 		"per-peer TCP send window in frames")
 	fs.StringVar(&cfg.sendPolicy, "send-policy", flow.Block.String(),
@@ -107,9 +101,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if cfg.maxBatch < 0 {
-		return fmt.Errorf("-maxbatch must be >= 0, got %d", cfg.maxBatch)
-	}
 	if cfg.mailboxCap < 0 {
 		return fmt.Errorf("-mailbox-cap must be >= 0, got %d", cfg.mailboxCap)
 	}
@@ -121,16 +112,6 @@ func run(args []string) error {
 	}
 	if cfg.statsEvery <= 0 {
 		return fmt.Errorf("-stats must be positive, got %v", cfg.statsEvery)
-	}
-	boxPolicy, err := flow.ParsePolicy(cfg.mailboxPolicy)
-	if err != nil {
-		return fmt.Errorf("-mailbox-policy: %w", err)
-	}
-	// Block mailboxes are deadlock-prone on bidirectional broker flows
-	// (see broker.Options.MailboxPolicy); the daemon refuses the footgun.
-	if cfg.mailboxCap > 0 && boxPolicy == flow.Block {
-		return fmt.Errorf("-mailbox-policy block is not supported on a networked broker (deadlocks on bidirectional flows); use %s or %s",
-			flow.DropOldest, flow.ShedNewest)
 	}
 	ringPolicy, err := flow.ParsePolicy(cfg.sendPolicy)
 	if err != nil {
@@ -144,9 +125,7 @@ func run(args []string) error {
 	self := wire.BrokerID(cfg.id)
 	b := broker.New(self, broker.Options{
 		Strategy:        strategy,
-		MaxBatch:        cfg.maxBatch,
 		MailboxCapacity: cfg.mailboxCap,
-		MailboxPolicy:   boxPolicy,
 		RelocBufferCap:  cfg.relocBufferCap,
 	})
 	b.Start()
@@ -159,10 +138,10 @@ func run(args []string) error {
 	defer ln.Close()
 	box := "unbounded"
 	if cfg.mailboxCap > 0 {
-		box = fmt.Sprintf("%d tasks, %s", cfg.mailboxCap, boxPolicy)
+		box = fmt.Sprintf("%d tasks, %s", cfg.mailboxCap, flow.ShedNewest)
 	}
-	log.Printf("broker %s listening on %s (strategy %s, maxbatch %d, mailbox %s, send window %d frames %s)",
-		cfg.id, ln.Addr(), strategy, cfg.maxBatch, box, cfg.sendWindow, ringPolicy)
+	log.Printf("broker %s listening on %s (strategy %s, mailbox %s, send window %d frames %s)",
+		cfg.id, ln.Addr(), strategy, box, cfg.sendWindow, ringPolicy)
 
 	stop := make(chan struct{})
 	defer close(stop)

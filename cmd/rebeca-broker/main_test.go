@@ -44,7 +44,6 @@ func TestRunRejectsUnreachablePeer(t *testing.T) {
 
 func TestRunRejectsBadFlowFlags(t *testing.T) {
 	cases := [][]string{
-		{"-id", "b1", "-listen", ":0", "-maxbatch", "-1"},
 		{"-id", "b1", "-listen", ":0", "-mailbox-cap", "-2"},
 		{"-id", "b1", "-listen", ":0", "-send-window", "0"},
 		{"-id", "b1", "-listen", ":0", "-send-policy", "bogus"},
@@ -52,9 +51,6 @@ func TestRunRejectsBadFlowFlags(t *testing.T) {
 		// port is bound.
 		{"-id", "b1", "-listen", ":0", "-stats", "0"},
 		{"-id", "b1", "-listen", ":0", "-stats", "-1s"},
-		// Block-bounded mailboxes deadlock on bidirectional broker
-		// flows, so the daemon refuses the combination outright.
-		{"-id", "b1", "-listen", ":0", "-mailbox-cap", "64", "-mailbox-policy", "block"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {
@@ -64,9 +60,9 @@ func TestRunRejectsBadFlowFlags(t *testing.T) {
 }
 
 func TestRunRejectsBadPolicyListingNames(t *testing.T) {
-	err := run([]string{"-id", "b1", "-listen", ":0", "-mailbox-policy", "bogus"})
+	err := run([]string{"-id", "b1", "-listen", ":0", "-send-policy", "bogus"})
 	if err == nil {
-		t.Fatal("bad mailbox policy should fail")
+		t.Fatal("bad send policy should fail")
 	}
 	// The error names the valid policies, so typos are self-documenting.
 	for _, name := range flow.PolicyNames() {

@@ -15,14 +15,14 @@ import (
 )
 
 // TestBackpressureStalledLeaf is the adversarial flow-control scenario: a
-// hub fans out to several leaves, every queue in the path is bounded, and
-// one leaf stops consuming mid-stream. The healthy leaves sit behind
-// lossless Block windows, so they must receive every notification; the
-// stalled leaf sits behind a DropOldest window, so the hub must never
-// block on it — its queue depth stays bounded by the window capacity and
-// every overflowed notification is visible in the hub's flow stats. Once
-// the leaf resumes, delivered plus dropped must account for exactly the
-// published count.
+// hub fans out to several leaves over Block windows, and one leaf stops
+// consuming mid-stream. The healthy leaves sit behind lossless Block
+// windows, so they must receive every notification; the stalled leaf has
+// a bounded mailbox, so it sheds there and the hub never blocks on it —
+// its mailbox depth stays bounded by the capacity and every shed
+// notification is visible in the leaf's flow stats. Once the leaf
+// resumes, delivered plus shed must account for exactly the published
+// count.
 func TestBackpressureStalledLeaf(t *testing.T) {
 	const (
 		leaves = 4
@@ -30,7 +30,7 @@ func TestBackpressureStalledLeaf(t *testing.T) {
 		window = 64
 	)
 
-	hub := New("hub", Options{MailboxCapacity: 64, MailboxPolicy: flow.Block, MaxBatch: 16})
+	hub := New("hub", Options{})
 	hub.Start()
 	t.Cleanup(hub.Close)
 
@@ -43,22 +43,20 @@ func TestBackpressureStalledLeaf(t *testing.T) {
 	links := make([]*transport.ChanLink, 0, 2*leaves)
 	for i := 0; i < leaves; i++ {
 		i := i
-		leaf := New(wire.BrokerID(fmt.Sprintf("l%d", i)), Options{
-			MailboxCapacity: 64, MailboxPolicy: flow.Block,
-		})
+		var opts Options
+		if i == 0 {
+			// The adversarial leaf: overflow sheds at its mailbox
+			// instead of wedging the hub's window.
+			opts.MailboxCapacity = window
+		}
+		leaf := New(wire.BrokerID(fmt.Sprintf("l%d", i)), opts)
 		leaf.Start()
 		t.Cleanup(leaf.Close)
 		leafBrokers[i] = leaf
 
-		w := flow.Options{Capacity: window, Policy: flow.Block}
-		if i == 0 {
-			// The adversarial link: overflow sheds here instead of
-			// wedging the hub.
-			w.Policy = flow.DropOldest
-		}
 		lh, ll := transport.Pipe(
 			wire.BrokerHop(hub.ID()), wire.BrokerHop(leaf.ID()),
-			hub, leaf, transport.WithWindow(w))
+			hub, leaf, transport.WithWindow(flow.Options{Capacity: window, Policy: flow.Block}))
 		links = append(links, lh, ll)
 		if err := hub.AddLink(leaf.ID(), lh); err != nil {
 			t.Fatal(err)
@@ -140,44 +138,36 @@ func TestBackpressureStalledLeaf(t *testing.T) {
 	})
 
 	mid := hub.Stats()
-	stalledID := leafBrokers[0].ID()
-	if got := mid.LinkFlow[stalledID].DroppedOldest; got == 0 {
-		t.Fatalf("stalled link dropped nothing; want DropOldest overflow (flow %+v)", mid.LinkFlow[stalledID])
-	}
 	if hw := mid.LinkQueueHighWater; hw > window+2 {
 		t.Fatalf("link queue high water %d exceeds window %d", hw, window)
 	}
 	for i := 1; i < leaves; i++ {
-		fs := mid.LinkFlow[leafBrokers[i].ID()]
-		if fs.DroppedOldest != 0 || fs.ShedNewest != 0 {
+		if fs := mid.LinkFlow[leafBrokers[i].ID()]; fs.ShedNewest != 0 {
 			t.Fatalf("healthy leaf %d lost messages: %+v", i, fs)
 		}
 	}
-	if mid.LinkDroppedOldest != mid.LinkFlow[stalledID].DroppedOldest {
-		t.Fatalf("aggregate drops %d != stalled link drops %d",
-			mid.LinkDroppedOldest, mid.LinkFlow[stalledID].DroppedOldest)
+	// The stalled leaf's run loop is parked, so Stats (which runs on it)
+	// would wait for the gate; its mailbox counters are read directly.
+	stalled := leafBrokers[0]
+	if box := stalled.box.flowStats(); box.ShedNewest == 0 {
+		t.Fatalf("stalled leaf shed nothing; want mailbox overflow (mailbox %+v)", box)
 	}
 
 	// Resume the leaf: every publish must now be accounted for as either
-	// delivered or dropped at the stalled link — nothing lost elsewhere.
+	// delivered or shed at the stalled leaf's mailbox — nothing lost
+	// elsewhere.
 	release()
 	waitFor("stalled leaf to drain", func() bool {
-		s := hub.Stats()
-		return delivered[0].Load()+int64(s.LinkFlow[stalledID].DroppedOldest) == pubN
+		return delivered[0].Load()+int64(stalled.Stats().Mailbox.ShedNewest) == pubN
 	})
 
-	final := hub.Stats()
-	if final.Mailbox.HighWater > 64+2 {
-		t.Fatalf("hub mailbox high water %d exceeds capacity", final.Mailbox.HighWater)
-	}
-	leafStats := leafBrokers[0].Stats()
-	if leafStats.Mailbox.HighWater > 64+2 {
-		t.Fatalf("stalled leaf mailbox high water %d exceeds capacity", leafStats.Mailbox.HighWater)
+	box := stalled.Stats().Mailbox
+	if box.HighWater > window+2 {
+		t.Fatalf("stalled leaf mailbox high water %d exceeds capacity %d", box.HighWater, window)
 	}
 	if delivered[0].Load() == 0 {
 		t.Fatal("stalled leaf delivered nothing after resuming")
 	}
-	t.Logf("stalled leaf: delivered=%d dropped=%d highWater=%d creditStalls=%d",
-		delivered[0].Load(), final.LinkFlow[stalledID].DroppedOldest,
-		final.LinkQueueHighWater, final.LinkCreditStalls)
+	t.Logf("stalled leaf: delivered=%d shed=%d mailboxHighWater=%d hubCreditStalls=%d",
+		delivered[0].Load(), box.ShedNewest, box.HighWater, hub.Stats().LinkCreditStalls)
 }

@@ -14,10 +14,10 @@ import (
 )
 
 // TestBatchedDeliveryParity is the randomized parity test for the batched
-// pipeline: the same multi-broker publish workload runs through the
-// unbatched one-message-per-lock path (MaxBatch 1) and the batched path
-// (MaxBatch 0), and every subscription's delivery sequence — payloads and
-// sequence numbers — must be byte-identical across both.
+// pipeline: a multi-broker publish workload runs through drain-all
+// mailboxes, and every subscription's delivery sequence — payloads and
+// sequence numbers — must be byte-identical to the one computed from the
+// workload alone (parityOracle).
 //
 // Each subscription is pinned to a single producer (an equality constraint
 // on the producer attribute), so its delivery sequence is determined by
@@ -31,16 +31,29 @@ func TestBatchedDeliveryParity(t *testing.T) {
 		trial := trial
 		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
 			cfg := genParityWorkload(rand.New(rand.NewSource(0xba7c4 + int64(trial))))
-			runs := map[string]map[string][]string{
-				"unbatched": runParityWorkload(t, cfg, Options{MaxBatch: 1}),
-				"batched":   runParityWorkload(t, cfg, Options{}),
-			}
-			want := runs["unbatched"]
-			for mode, got := range runs {
-				assertParity(t, mode, got, want)
-			}
+			assertParity(t, "batched", runParityWorkload(t, cfg, Options{}), parityOracle(cfg))
 		})
 	}
+}
+
+// parityOracle computes each subscription's expected delivery sequence
+// from the workload: the values its producer publishes, in order, that
+// its filter matches, numbered from 1 and rendered as runParityWorkload
+// records deliveries.
+func parityOracle(w parityWorkload) map[string][]string {
+	want := make(map[string][]string, len(w.subs))
+	for s, sub := range w.subs {
+		f := parityFilter(sub)
+		var seqs []string
+		for i, v := range w.pubVals[sub.producer] {
+			n := parityNotif(sub.producer, i, v)
+			if f.Matches(n) {
+				seqs = append(seqs, fmt.Sprintf("seq=%d notif=%s", len(seqs)+1, n.String()))
+			}
+		}
+		want[fmt.Sprintf("c%d/s", s)] = seqs
+	}
+	return want
 }
 
 // assertParity fails the test unless got and want contain the same
@@ -51,7 +64,10 @@ func assertParity(t *testing.T, mode string, got, want map[string][]string) {
 		t.Fatalf("%s: subscription sets differ: %d vs %d", mode, len(got), len(want))
 	}
 	for key, ws := range want {
-		gs := got[key]
+		gs, ok := got[key]
+		if !ok {
+			t.Fatalf("%s: subscription %s missing", mode, key)
+		}
 		if len(gs) != len(ws) {
 			t.Fatalf("%s: %s: %d deliveries, want %d", mode, key, len(gs), len(ws))
 		}
@@ -65,41 +81,25 @@ func assertParity(t *testing.T, mode string, got, want map[string][]string) {
 }
 
 // TestBoundedDeliveryParity extends the parity property to bounded Block
-// mailboxes and Block link windows: with a lossless policy, capacity
-// changes scheduling but not content, so every subscription's delivery
-// sequence must stay byte-identical to the unbatched unbounded reference
-// for any capacity.
+// link windows: with a lossless policy, capacity changes scheduling but
+// not content, so every subscription's delivery sequence must match the
+// oracle for any window capacity.
 //
-// The workload is feed-forward — every producer is homed at the tree
-// root, so notification flow is strictly root-to-leaves while the
-// acyclicity of the wait-for graph keeps Block deadlock-free (control
-// traffic flowing up is exempt from capacity). Bidirectional data flows
-// under Block can deadlock by design; see Options.MailboxPolicy.
+// Data flows in both directions across the windows. That cannot
+// deadlock: a full window stalls its sender only until the link's pump
+// hands the burst to the receiver's unbounded mailbox, which never
+// blocks, so the wait-for graph has no cycle.
 func TestBoundedDeliveryParity(t *testing.T) {
 	const trials = 3
 	for trial := 0; trial < trials; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
 			cfg := genParityWorkload(rand.New(rand.NewSource(0xb0b0 + int64(trial))))
-			for p := range cfg.pubHome {
-				cfg.pubHome[p] = 0 // feed-forward: all producers at the root
-			}
-			want := runParityWorkload(t, cfg, Options{MaxBatch: 1})
-			window := transport.WithWindow(flow.Options{Capacity: 4, Policy: flow.Block})
-			runs := map[string]map[string][]string{
-				"cap1": runParityWorkload(t, cfg,
-					Options{MailboxCapacity: 1, MailboxPolicy: flow.Block}),
-				"cap2-smallbatch": runParityWorkload(t, cfg,
-					Options{MailboxCapacity: 2, MailboxPolicy: flow.Block, MaxBatch: 2}),
-				"cap16": runParityWorkload(t, cfg,
-					Options{MailboxCapacity: 16, MailboxPolicy: flow.Block}),
-				"cap8": runParityWorkload(t, cfg,
-					Options{MailboxCapacity: 8, MailboxPolicy: flow.Block}),
-				"cap8-windowed": runParityWorkload(t, cfg,
-					Options{MailboxCapacity: 8, MailboxPolicy: flow.Block}, window),
-			}
-			for mode, got := range runs {
-				assertParity(t, mode, got, want)
+			want := parityOracle(cfg)
+			for _, capacity := range []int{1, 4} {
+				window := transport.WithWindow(flow.Options{Capacity: capacity, Policy: flow.Block})
+				got := runParityWorkload(t, cfg, Options{}, window)
+				assertParity(t, fmt.Sprintf("window%d", capacity), got, want)
 			}
 		})
 	}
@@ -144,6 +144,23 @@ func genParityWorkload(rng *rand.Rand) parityWorkload {
 		})
 	}
 	return w
+}
+
+// parityFilter is a subscription's filter: its producer, and a value range.
+func parityFilter(sub paritySub) filter.Filter {
+	return filter.MustNew(
+		filter.EQ("prod", message.String(fmt.Sprintf("p%d", sub.producer))),
+		filter.Range("val", message.Int(sub.lo), message.Int(sub.hi)),
+	)
+}
+
+// parityNotif is the i-th notification producer p publishes, carrying v.
+func parityNotif(p, i int, v int64) message.Notification {
+	return message.New(map[string]message.Value{
+		"prod": message.String(fmt.Sprintf("p%d", p)),
+		"val":  message.Int(v),
+		"i":    message.Int(int64(i)),
+	})
 }
 
 // runParityWorkload builds the overlay, runs the workload, and returns the
@@ -202,12 +219,8 @@ func runParityWorkload(t *testing.T, w parityWorkload, opts Options, pipeOpts ..
 		if err := brokers[sub.home].AttachClient(client, record); err != nil {
 			t.Fatal(err)
 		}
-		f := filter.MustNew(
-			filter.EQ("prod", message.String(fmt.Sprintf("p%d", sub.producer))),
-			filter.Range("val", message.Int(sub.lo), message.Int(sub.hi)),
-		)
 		err := brokers[sub.home].Subscribe(wire.Subscription{
-			Filter: f, Client: client, ID: "s",
+			Filter: parityFilter(sub), Client: client, ID: "s",
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -228,12 +241,7 @@ func runParityWorkload(t *testing.T, w parityWorkload, opts Options, pipeOpts ..
 			home := brokers[w.pubHome[p]]
 			from := wire.ClientHop(wire.ClientID(fmt.Sprintf("p%d", p)))
 			for i, v := range vals {
-				n := message.New(map[string]message.Value{
-					"prod": message.String(fmt.Sprintf("p%d", p)),
-					"val":  message.Int(v),
-					"i":    message.Int(int64(i)),
-				})
-				home.Receive(transport.Inbound{From: from, Msg: wire.NewPublish(n)})
+				home.Receive(transport.Inbound{From: from, Msg: wire.NewPublish(parityNotif(p, i, v))})
 			}
 		}()
 	}

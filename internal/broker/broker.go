@@ -72,29 +72,13 @@ type Options struct {
 	// limitations", mirroring how Options.RelocTimeout bounds the same
 	// buffers in time. Zero means MaxBufferPerSub.
 	RelocBufferCap int
-	// MaxBatch caps how many queued tasks the message loop drains per
-	// mailbox lock acquisition. Zero (the default) drains everything
-	// pending; 1 reproduces the unbatched one-message-per-lock pipeline
-	// and exists for the delivery-order parity tests and as the benchmark
-	// baseline.
-	MaxBatch int
 	// MailboxCapacity bounds the broker mailbox (tasks); 0 (the default)
-	// keeps it unbounded, the seed behavior. The bound applies to
-	// notifications only: control tasks — closures and every non-publish
-	// message — are always admitted (see internal/flow).
+	// keeps it unbounded, the seed behavior. A full bounded mailbox sheds
+	// the newest notification (counted in Stats.Mailbox.ShedNewest);
+	// control tasks — closures and admin messages — are always admitted,
+	// and deliveries stall the pusher instead of being shed (see
+	// internal/flow).
 	MailboxCapacity int
-	// MailboxPolicy selects the overload behavior of a bounded mailbox:
-	// Block (the default) stalls producers with watermark hysteresis,
-	// DropOldest and ShedNewest trade notification loss for bounded
-	// memory. Ignored when MailboxCapacity is 0.
-	//
-	// Block is lossless — delivery output is byte-identical to the
-	// unbounded broker for any capacity — but on topologies where two
-	// neighbors push data at each other it can deadlock the pair of run
-	// loops (each blocked pushing into the other's full mailbox). Use it
-	// on feed-forward flows, or prefer the shedding policies for
-	// arbitrary traffic.
-	MailboxPolicy flow.Policy
 	// RelocTimeout bounds how long a relocation re-subscription's pending
 	// buffer waits for the replay from the old border broker. The planned
 	// relocation protocol always produces a replay, but after an unplanned
@@ -292,13 +276,12 @@ type Stats struct {
 	// TCPLink frame ring), keyed by neighbor — the per-link queue-depth
 	// distribution that makes a slow consumer visible at its own link.
 	LinkFlow map[wire.BrokerID]flow.Stats
-	// LinkCreditStalls, LinkDroppedOldest and LinkShedNewest aggregate
-	// the per-link counters across LinkFlow: how often this broker was
-	// stalled waiting for link credit, and how many notifications its
-	// link windows dropped, by policy. LinkQueueHighWater is the largest
-	// send-window depth any link reached.
+	// LinkCreditStalls and LinkShedNewest aggregate the per-link
+	// counters across LinkFlow: how often this broker was stalled waiting
+	// for link credit, and how many notifications its link windows shed.
+	// LinkQueueHighWater is the largest send-window depth any link
+	// reached.
 	LinkCreditStalls   uint64
-	LinkDroppedOldest  uint64
 	LinkShedNewest     uint64
 	LinkQueueHighWater int
 	// FlushMaxBurst and FlushMeanBurst describe the per-link bursts
@@ -384,7 +367,7 @@ func New(id wire.BrokerID, opts Options) *Broker {
 	b := &Broker{
 		id:           id,
 		opts:         opts,
-		box:          newMailbox(opts.MaxBatch, opts.MailboxCapacity, opts.MailboxPolicy),
+		box:          newMailbox(opts.MailboxCapacity),
 		done:         make(chan struct{}),
 		links:        make(map[wire.BrokerID]transport.Link),
 		clients:      make(map[wire.ClientID]*clientState),
@@ -927,7 +910,6 @@ func (b *Broker) Stats() Stats {
 			}
 			s.LinkFlow[id] = fs
 			s.LinkCreditStalls += fs.CreditStalls
-			s.LinkDroppedOldest += fs.DroppedOldest
 			s.LinkShedNewest += fs.ShedNewest
 			if fs.HighWater > s.LinkQueueHighWater {
 				s.LinkQueueHighWater = fs.HighWater

@@ -8,25 +8,22 @@ import (
 // mailbox is the broker's task queue: a flow.Queue of tasks consumed by
 // the run goroutine, which makes every routing decision atomic (the
 // paper's "routing decision is assumed to be an atomic operation",
-// Section 2.2). It keeps the two-list drain-batch design — producers
+// Section 2.2). It keeps the two-list drain-all design — producers
 // append under the lock, the consumer swaps the whole pending list out
 // with one popBatch acquisition and iterates it lock-free, recycle
-// ping-pongs the backing arrays so the steady state allocates nothing —
-// and adds the shared flow-control semantics: an optional capacity with
-// an overload policy from broker.Options.
+// ping-pongs the backing arrays so the steady state allocates nothing.
 //
 // The default stays unbounded: the system model assumes error-free FIFO
 // links, so out of the box backpressure is modeled as latency, not loss,
-// and links can push without ever blocking. A bounded mailbox makes the
-// overload behavior explicit instead: Block stalls link readers and
-// publishers at the mailbox (lossless backpressure, deadlock-free on
-// feed-forward flows), DropOldest/ShedNewest trade notification loss for
-// bounded memory. Control tasks — closures and admin messages — are
-// always admitted, whatever the policy: shedding them would corrupt
-// routing state, and blocking them would deadlock exec/Barrier.
-// Deliveries (which a broker mailbox essentially never sees — they
-// terminate at clients) are lossless: never shed, but they stall the
-// pusher when the mailbox is full.
+// and links can push without ever blocking. A bounded mailbox
+// (Options.MailboxCapacity) sheds the newest notification when full,
+// trading loss for bounded memory; it never stalls a link reader on
+// data, so two neighbors pushing at each other cannot deadlock. Control
+// tasks — closures and admin messages — are always admitted: shedding
+// them would corrupt routing state, and blocking them would deadlock
+// exec/Barrier. Deliveries (which a broker mailbox essentially never
+// sees — they terminate at clients) are lossless: never shed, but they
+// stall the pusher when the mailbox is full.
 type mailbox struct {
 	q *flow.Queue[task]
 }
@@ -49,31 +46,27 @@ func taskClass(t task) flow.Class {
 	return t.in.Msg.Type.FlowClass()
 }
 
-// newMailbox creates a mailbox. maxBatch caps how many tasks one popBatch
-// drains (0 = unlimited; 1 reproduces the seed's one-message-per-lock
-// behavior, used by the parity tests and the fan-out benchmark baseline).
-// capacity bounds the queue (0 = unbounded) under the given overload
-// policy.
-func newMailbox(maxBatch, capacity int, policy flow.Policy) *mailbox {
+// newMailbox creates a mailbox. capacity bounds the queue (0 =
+// unbounded); a bounded mailbox sheds the newest notification when full.
+func newMailbox(capacity int) *mailbox {
 	return &mailbox{q: flow.NewQueue[task](flow.Options{
 		Capacity: capacity,
-		Policy:   policy,
-		MaxDrain: maxBatch,
+		Policy:   flow.ShedNewest,
 	}, taskClass)}
 }
 
 // push enqueues a task. Pushing to a closed mailbox is a silent no-op
 // (late messages during shutdown are dropped, mirroring a closed link),
-// as is a push shed by the overload policy (the drop is counted in the
+// as is a push shed by a full bounded mailbox (the drop is counted in the
 // queue's flow stats).
 func (m *mailbox) push(t task) {
 	_ = m.q.Push(t)
 }
 
 // pushBurst enqueues a burst of messages from one hop under one lock
-// acquisition (the receiving half of a link-level batch send). The
-// overload policy applies per message, so control messages inside a
-// burst are admitted even when notifications around them are shed.
+// acquisition (the receiving half of a link-level batch send). Admission
+// applies per message, so control messages inside a burst are admitted
+// even when notifications around them are shed.
 func (m *mailbox) pushBurst(from wire.Hop, ms []wire.Message) {
 	if len(ms) == 0 {
 		return
@@ -85,8 +78,8 @@ func (m *mailbox) pushBurst(from wire.Hop, ms []wire.Message) {
 
 // popBatch blocks until tasks are available or the mailbox is closed and
 // drained; ok is false in the latter case. On success it returns the
-// entire pending queue (up to maxBatch tasks) in FIFO order; the caller
-// owns the slice and should hand it back via recycle when done.
+// entire pending queue in FIFO order; the caller owns the slice and
+// should hand it back via recycle when done.
 func (m *mailbox) popBatch() ([]task, bool) { return m.q.PopBatch() }
 
 // recycle keeps a drained batch's backing array for future pushes.

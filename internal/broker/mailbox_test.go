@@ -32,7 +32,7 @@ func drainAll(t *testing.T, m *mailbox, n int) []task {
 }
 
 func TestMailboxBatchFIFO(t *testing.T) {
-	m := newMailbox(0, 0, flow.Block)
+	m := newMailbox(0)
 	const n = 100
 	var got []int
 	for i := 0; i < n; i++ {
@@ -52,40 +52,8 @@ func TestMailboxBatchFIFO(t *testing.T) {
 	}
 }
 
-// TestMailboxMaxBatch verifies the drain cap used by the parity tests:
-// every batch is at most max tasks and order is still exact FIFO.
-func TestMailboxMaxBatch(t *testing.T) {
-	m := newMailbox(3, 0, flow.Block)
-	const n = 10
-	var got []int
-	for i := 0; i < n; i++ {
-		i := i
-		m.push(task{fn: func() { got = append(got, i) }})
-	}
-	consumed := 0
-	for consumed < n {
-		batch, ok := m.popBatch()
-		if !ok {
-			t.Fatal("popBatch reported done early")
-		}
-		if len(batch) > 3 {
-			t.Fatalf("batch of %d exceeds max 3", len(batch))
-		}
-		for _, tk := range batch {
-			tk.fn()
-		}
-		consumed += len(batch)
-		m.recycle(batch)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("FIFO violated under max batch: %v", got)
-		}
-	}
-}
-
 func TestMailboxCloseDrains(t *testing.T) {
-	m := newMailbox(0, 0, flow.Block)
+	m := newMailbox(0)
 	m.push(task{fn: func() {}})
 	m.push(task{fn: func() {}})
 	m.close()
@@ -112,7 +80,7 @@ func TestMailboxCloseDrains(t *testing.T) {
 func TestMailboxDrainBatchProperty(t *testing.T) {
 	const producers, each = 8, 500
 	for trial := 0; trial < 5; trial++ {
-		m := newMailbox(0, 0, flow.Block)
+		m := newMailbox(0)
 		var wg sync.WaitGroup
 		for p := 0; p < producers; p++ {
 			p := p
@@ -198,7 +166,7 @@ func tagOf(in inbound) (p, i int) {
 }
 
 func TestMailboxPopBlocksUntilPush(t *testing.T) {
-	m := newMailbox(0, 0, flow.Block)
+	m := newMailbox(0)
 	got := make(chan struct{})
 	go func() {
 		if _, ok := m.popBatch(); ok {
@@ -213,7 +181,7 @@ func TestMailboxPopBlocksUntilPush(t *testing.T) {
 // backing arrays: after a push/pop/recycle cycle the next drain returns a
 // slice with the recycled capacity.
 func TestMailboxRecycleReuse(t *testing.T) {
-	m := newMailbox(0, 0, flow.Block)
+	m := newMailbox(0)
 	for i := 0; i < 64; i++ {
 		m.push(task{fn: func() {}})
 	}
@@ -239,7 +207,7 @@ func TestMailboxRecycleReuse(t *testing.T) {
 
 // TestMailboxRecycleCap checks that spike-sized batches are not retained.
 func TestMailboxRecycleCap(t *testing.T) {
-	m := newMailbox(0, 0, flow.Block)
+	m := newMailbox(0)
 	for i := 0; i < flow.MaxRecycledCap+1; i++ {
 		m.push(task{fn: func() {}})
 	}
@@ -252,10 +220,10 @@ func TestMailboxRecycleCap(t *testing.T) {
 	}
 }
 
-// TestMailboxBoundedShedsNotifications: a bounded shed-newest mailbox
-// drops excess publishes but keeps every control task.
+// TestMailboxBoundedShedsNotifications: a bounded mailbox sheds excess
+// publishes but keeps every control task.
 func TestMailboxBoundedShedsNotifications(t *testing.T) {
-	m := newMailbox(0, 2, flow.ShedNewest)
+	m := newMailbox(2)
 	pub := wire.NewPublish(message.Notification{})
 	for i := 0; i < 5; i++ {
 		m.push(task{in: inbound{From: wire.BrokerHop("x"), Msg: pub}})
@@ -274,10 +242,10 @@ func TestMailboxBoundedShedsNotifications(t *testing.T) {
 }
 
 // TestMailboxBoundedClosureNeverBlocks: exec/Barrier closures must land
-// immediately even when a Block mailbox is full, or Stats and Barrier
+// immediately even when a bounded mailbox is full, or Stats and Barrier
 // would deadlock against a stalled consumer.
 func TestMailboxBoundedClosureNeverBlocks(t *testing.T) {
-	m := newMailbox(0, 1, flow.Block)
+	m := newMailbox(1)
 	pub := wire.NewPublish(message.Notification{})
 	m.push(task{in: inbound{From: wire.BrokerHop("x"), Msg: pub}})
 	done := make(chan struct{})
@@ -295,7 +263,7 @@ func TestMailboxBoundedClosureNeverBlocks(t *testing.T) {
 // TestMailboxBoundedBurstPolicyPerMessage: a burst mixing publishes and
 // control through a full mailbox sheds only the publishes.
 func TestMailboxBoundedBurstPolicyPerMessage(t *testing.T) {
-	m := newMailbox(0, 1, flow.ShedNewest)
+	m := newMailbox(1)
 	ms := []wire.Message{
 		wire.NewPublish(message.Notification{}),
 		wire.NewPublish(message.Notification{}), // shed: over capacity

@@ -1,10 +1,8 @@
 package flow
 
 import (
-	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -69,69 +67,6 @@ func TestQueuePushBurstFIFO(t *testing.T) {
 	}
 }
 
-func TestQueueMaxDrain(t *testing.T) {
-	q := NewQueue[item](Options{MaxDrain: 3}, classify)
-	for i := 0; i < 8; i++ {
-		_ = q.Push(item{seq: i})
-	}
-	batch, ok := q.PopBatch()
-	if !ok || len(batch) != 3 {
-		t.Fatalf("first drain = %d items (ok=%v), want 3", len(batch), ok)
-	}
-	// A recycled split batch must not be able to append into the live
-	// remainder (3-index slice).
-	if cap(batch) != 3 {
-		t.Errorf("split batch cap = %d, want 3", cap(batch))
-	}
-	rest := drainAll(t, q)
-	if len(rest) != 5 {
-		t.Fatalf("remainder = %d items, want 5", len(rest))
-	}
-	if rest[0].seq != 3 || rest[4].seq != 7 {
-		t.Errorf("remainder out of order: %+v", rest)
-	}
-}
-
-// TestQueueSplitDrainRecycleRace recycles a split-drain batch while a Push
-// grows the live array. The batch shares that array with the remainder,
-// and append's growth copies the whole array, the batch's cells included,
-// so clearing the batch outside the lock would race with it (meaningful
-// under -race). Each round fills the array to capacity with more than
-// twice the batch, so the concurrent Push grows it rather than compacting
-// the live tail away; the pusher is already running when Recycle starts,
-// and the batch is large, so the clearing takes long enough for the Push
-// to land inside it.
-func TestQueueSplitDrainRecycleRace(t *testing.T) {
-	const maxDrain = 4096
-	for round := 0; round < 20; round++ {
-		q := NewQueue[item](Options{MaxDrain: maxDrain}, classify)
-		for i := 0; q.Len() <= 2*maxDrain || len(q.items) < cap(q.items); i++ {
-			_ = q.Push(item{seq: i})
-		}
-		depth := q.Len()
-		batch, _ := q.PopBatch()
-		var start atomic.Bool
-		ready, pushed := make(chan struct{}), make(chan struct{})
-		go func() {
-			close(ready)
-			for !start.Load() {
-				runtime.Gosched()
-			}
-			_ = q.Push(item{seq: depth})
-			close(pushed)
-		}()
-		<-ready
-		start.Store(true)
-		q.Recycle(batch)
-		<-pushed
-		rest := drainAll(t, q)
-		if len(rest) != depth-maxDrain+1 || rest[0].seq != maxDrain || rest[len(rest)-1].seq != depth {
-			t.Fatalf("round %d: remainder of %d items runs %d..%d, want %d..%d",
-				round, len(rest), rest[0].seq, rest[len(rest)-1].seq, maxDrain, depth)
-		}
-	}
-}
-
 func TestQueueShedNewest(t *testing.T) {
 	q := NewQueue[item](Options{Capacity: 3, Policy: ShedNewest}, classify)
 	var shed int
@@ -153,68 +88,8 @@ func TestQueueShedNewest(t *testing.T) {
 		}
 	}
 	s := q.Stats()
-	if s.ShedNewest != 3 || s.DroppedOldest != 0 || s.HighWater != 3 {
-		t.Errorf("stats = %+v, want shed=3 dropped=0 highwater=3", s)
-	}
-}
-
-func TestQueueDropOldest(t *testing.T) {
-	q := NewQueue[item](Options{Capacity: 3, Policy: DropOldest}, classify)
-	for i := 0; i < 6; i++ {
-		if err := q.Push(item{seq: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := drainAll(t, q)
-	if len(got) != 3 {
-		t.Fatalf("kept %d items, want 3", len(got))
-	}
-	for i, v := range got {
-		if v.seq != i+3 { // head drop keeps the freshest
-			t.Errorf("item %d has seq %d, want %d", i, v.seq, i+3)
-		}
-	}
-	if s := q.Stats(); s.DroppedOldest != 3 || s.HighWater != 3 {
-		t.Errorf("stats = %+v, want droppedOldest=3 highwater=3", s)
-	}
-}
-
-// TestQueueDropOldestSkipsControl fills a queue so that control items sit
-// at the head: eviction must hop over them and drop the oldest *data*
-// item, preserving overall FIFO order of the survivors.
-func TestQueueDropOldestSkipsControl(t *testing.T) {
-	q := NewQueue[item](Options{Capacity: 4, Policy: DropOldest}, classify)
-	_ = q.Push(item{seq: 0, class: Control})
-	_ = q.Push(item{seq: 1, class: Control})
-	_ = q.Push(item{seq: 2})
-	_ = q.Push(item{seq: 3})
-	_ = q.Push(item{seq: 4}) // evicts seq 2, not the control head
-	got := drainAll(t, q)
-	want := []int{0, 1, 3, 4}
-	if len(got) != len(want) {
-		t.Fatalf("kept %d items, want %d (%+v)", len(got), len(want), got)
-	}
-	for i, v := range got {
-		if v.seq != want[i] {
-			t.Errorf("item %d has seq %d, want %d", i, v.seq, want[i])
-		}
-	}
-	if got[0].class != Control || got[1].class != Control {
-		t.Error("control items were evicted")
-	}
-}
-
-// TestQueueDropOldestAllControl: with nothing evictable the newcomer is
-// admitted over capacity rather than lost.
-func TestQueueDropOldestAllControl(t *testing.T) {
-	q := NewQueue[item](Options{Capacity: 2, Policy: DropOldest}, classify)
-	_ = q.Push(item{seq: 0, class: Control})
-	_ = q.Push(item{seq: 1, class: Control})
-	if err := q.Push(item{seq: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if got := drainAll(t, q); len(got) != 3 {
-		t.Fatalf("kept %d items, want 3", len(got))
+	if s.ShedNewest != 3 || s.HighWater != 3 {
+		t.Errorf("stats = %+v, want shed=3 highwater=3", s)
 	}
 }
 
@@ -253,11 +128,11 @@ func TestQueueControlNeverBlocks(t *testing.T) {
 }
 
 // TestQueueBlockWatermark checks the credit cycle: a full queue stalls the
-// producer, and the stall resolves only after the consumer drains to the
-// low-water mark. Everything arrives, in order, with depth bounded.
+// producer, and the stall resolves only after the consumer drains.
+// Everything arrives, in order, with depth bounded.
 func TestQueueBlockWatermark(t *testing.T) {
 	const capacity, total = 4, 100
-	q := NewQueue[item](Options{Capacity: capacity, Policy: Block, LowWater: 2}, classify)
+	q := NewQueue[item](Options{Capacity: capacity, Policy: Block}, classify)
 	go func() {
 		for i := 0; i < total; i++ {
 			if err := q.Push(item{seq: i}); err != nil {
@@ -290,7 +165,7 @@ func TestQueueBlockWatermark(t *testing.T) {
 	if s.CreditStalls == 0 {
 		t.Error("expected credit stalls with a slow consumer")
 	}
-	if s.DroppedOldest != 0 || s.ShedNewest != 0 {
+	if s.ShedNewest != 0 {
 		t.Errorf("Block policy lost items: %+v", s)
 	}
 }
@@ -408,13 +283,13 @@ func TestQueueRecycleCap(t *testing.T) {
 }
 
 func TestParsePolicy(t *testing.T) {
-	for _, p := range []Policy{Block, DropOldest, ShedNewest} {
+	for _, p := range []Policy{Block, ShedNewest} {
 		got, err := ParsePolicy(p.String())
 		if err != nil || got != p {
 			t.Errorf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
 		}
 	}
-	if got, err := ParsePolicy(" Drop-Oldest "); err != nil || got != DropOldest {
+	if got, err := ParsePolicy(" Shed-Newest "); err != nil || got != ShedNewest {
 		t.Errorf("ParsePolicy is not case/space tolerant: %v, %v", got, err)
 	}
 	_, err := ParsePolicy("bogus")
@@ -428,140 +303,53 @@ func TestParsePolicy(t *testing.T) {
 	}
 }
 
-// TestDropOldestSustainedEviction runs a DropOldest queue far past the
-// compaction threshold with the consumer absent: a long eviction run must
-// keep FIFO order, keep early control alive, and leave exactly the last
-// data items — exercising compactLocked, which stops the backing array
-// from growing linearly when evictions advance head without any pops.
-func TestDropOldestSustainedEviction(t *testing.T) {
-	q := NewQueue[item](Options{Capacity: 4, Policy: DropOldest}, classify)
-	if err := q.Push(item{seq: -1, class: Control}); err != nil {
-		t.Fatal(err)
-	}
-	const n = 10_000
-	for i := 0; i < n; i++ {
-		if err := q.Push(item{seq: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := drainAll(t, q)
-	want := []item{{seq: -1, class: Control}, {seq: n - 3}, {seq: n - 2}, {seq: n - 1}}
-	if len(got) != len(want) {
-		t.Fatalf("drained %d items %v, want %v", len(got), got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("item %d = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if s := q.Stats(); s.DroppedOldest != n-3 {
-		t.Fatalf("DroppedOldest = %d, want %d", s.DroppedOldest, n-3)
-	}
-}
-
 // TestQueueLosslessStallsUnderDropPolicies: lossless items must never be
-// dropped or shed — under the drop policies they stall the producer like
-// Block credit until the consumer drains, and every item arrives.
+// shed — under the drop policy they stall the producer like Block credit
+// until the consumer drains, and every item arrives.
 func TestQueueLosslessStallsUnderDropPolicies(t *testing.T) {
-	for _, policy := range []Policy{DropOldest, ShedNewest} {
-		q := NewQueue[item](Options{Capacity: 2, Policy: policy, LowWater: 1}, classify)
-		const total = 20
-		pushErr := make(chan error, 1)
-		go func() {
-			for i := 0; i < total; i++ {
-				if err := q.Push(item{seq: i, class: Lossless}); err != nil {
-					pushErr <- err
-					return
-				}
-			}
-			q.Close()
-		}()
-		var got []item
-		for {
-			batch, ok := q.PopBatch()
-			if !ok {
-				break
-			}
-			got = append(got, batch...)
-			q.Recycle(batch)
-			time.Sleep(time.Millisecond) // keep the producer stalling
-		}
-		select {
-		case err := <-pushErr:
-			t.Fatalf("%v: lossless push failed: %v", policy, err)
-		default:
-		}
-		if len(got) != total {
-			t.Fatalf("%v: received %d items, want %d", policy, len(got), total)
-		}
-		for i, v := range got {
-			if v.seq != i {
-				t.Fatalf("%v: item %d has seq %d, want %d", policy, i, v.seq, i)
+	q := NewQueue[item](Options{Capacity: 2, Policy: ShedNewest}, classify)
+	const total = 20
+	pushErr := make(chan error, 1)
+	go func() {
+		for i := 0; i < total; i++ {
+			if err := q.Push(item{seq: i, class: Lossless}); err != nil {
+				pushErr <- err
+				return
 			}
 		}
-		s := q.Stats()
-		if s.DroppedOldest != 0 || s.ShedNewest != 0 {
-			t.Errorf("%v: lossless items were lost: %+v", policy, s)
+		q.Close()
+	}()
+	var got []item
+	for {
+		batch, ok := q.PopBatch()
+		if !ok {
+			break
 		}
-		if s.CreditStalls == 0 {
-			t.Errorf("%v: expected credit stalls from the full queue", policy)
-		}
-		if s.HighWater > 2 {
-			t.Errorf("%v: high water %d exceeds capacity 2", policy, s.HighWater)
-		}
+		got = append(got, batch...)
+		q.Recycle(batch)
+		time.Sleep(time.Millisecond) // keep the producer stalling
 	}
-}
-
-// TestQueueDropOldestSkipsLossless: eviction must hop over a lossless
-// head and drop the oldest *data* item.
-func TestQueueDropOldestSkipsLossless(t *testing.T) {
-	q := NewQueue[item](Options{Capacity: 3, Policy: DropOldest}, classify)
-	_ = q.Push(item{seq: 0, class: Lossless})
-	_ = q.Push(item{seq: 1})
-	_ = q.Push(item{seq: 2})
-	_ = q.Push(item{seq: 3}) // evicts seq 1, not the lossless head
-	got := drainAll(t, q)
-	want := []int{0, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("kept %d items, want %d (%+v)", len(got), len(want), got)
+	select {
+	case err := <-pushErr:
+		t.Fatalf("lossless push failed: %v", err)
+	default:
+	}
+	if len(got) != total {
+		t.Fatalf("received %d items, want %d", len(got), total)
 	}
 	for i, v := range got {
-		if v.seq != want[i] {
-			t.Errorf("item %d has seq %d, want %d", i, v.seq, want[i])
-		}
-	}
-	if got[0].class != Lossless {
-		t.Error("lossless item was evicted")
-	}
-}
-
-// TestQueueOnEvict: the eviction hook must observe every DropOldest
-// victim exactly once, in eviction (= FIFO) order, so owners can release
-// per-item resources for items that never reach PopBatch.
-func TestQueueOnEvict(t *testing.T) {
-	q := NewQueue[item](Options{Capacity: 3, Policy: DropOldest}, classify)
-	var evicted []item
-	q.OnEvict(func(v item) { evicted = append(evicted, v) })
-	for i := 0; i < 8; i++ {
-		if err := q.Push(item{seq: i}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(evicted) != 5 {
-		t.Fatalf("hook saw %d evictions, want 5", len(evicted))
-	}
-	for i, v := range evicted {
 		if v.seq != i {
-			t.Errorf("eviction %d has seq %d, want %d", i, v.seq, i)
+			t.Fatalf("item %d has seq %d, want %d", i, v.seq, i)
 		}
 	}
-	if s := q.Stats(); s.DroppedOldest != uint64(len(evicted)) {
-		t.Errorf("DroppedOldest = %d, hook saw %d", s.DroppedOldest, len(evicted))
+	s := q.Stats()
+	if s.ShedNewest != 0 {
+		t.Errorf("lossless items were lost: %+v", s)
 	}
-	got := drainAll(t, q)
-	for i, v := range got {
-		if v.seq != i+5 {
-			t.Errorf("survivor %d has seq %d, want %d", i, v.seq, i+5)
-		}
+	if s.CreditStalls == 0 {
+		t.Error("expected credit stalls from the full queue")
+	}
+	if s.HighWater > 2 {
+		t.Errorf("high water %d exceeds capacity 2", s.HighWater)
 	}
 }

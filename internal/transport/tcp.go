@@ -116,17 +116,15 @@ const clientHandshakePrefix = "client/"
 type TCPOption func(*tcpConfig)
 
 type tcpConfig struct {
-	ring    flow.Options
-	ringSet bool
+	ring flow.Options
 }
 
 // WithSendWindow overrides the frame ring's capacity and overload policy
-// (Capacity 0 = unbounded; MaxDrain is ignored). The default is
-// {Capacity: DefaultSendWindow, Policy: Block}.
+// (Capacity 0 = unbounded). The default is {Capacity: DefaultSendWindow,
+// Policy: Block}.
 func WithSendWindow(o flow.Options) TCPOption {
 	return func(c *tcpConfig) {
 		c.ring = o
-		c.ringSet = true
 	}
 }
 
@@ -164,7 +162,6 @@ func newTCPLink(conn net.Conn, self string, recv Receiver, opts []TCPOption) (*T
 	for _, o := range opts {
 		o(&cfg)
 	}
-	cfg.ring.MaxDrain = 0 // the writer always drains wholesale
 	// A conn without deadlines (none in this repository) keeps an
 	// unbounded handshake; nothing else changes for it.
 	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
@@ -198,22 +195,9 @@ func newTCPLink(conn net.Conn, self string, recv Receiver, opts []TCPOption) (*T
 		done:       make(chan struct{}),
 	}
 	l.flushCond = sync.NewCond(&l.mu)
-	l.ring.OnEvict(l.frameEvicted)
 	go l.writeLoop()
 	go l.readLoop(recv)
 	return l, nil
-}
-
-// frameEvicted releases a frame the ring's DropOldest policy discarded:
-// its pooled encode buffer goes back to the pool and its flush slot is
-// given back — the frame will never reach releaseBatch, and leaking the
-// slot would wedge every later Flush. Called with the ring's lock held;
-// l.mu nests under it (no path holds l.mu while calling into the ring).
-func (l *TCPLink) frameEvicted(f tcpFrame) {
-	if f.pooled != nil {
-		wire.PutEncodeBuf(f.pooled)
-	}
-	l.unreserve()
 }
 
 // Peer returns the remote broker's identity as learned in the handshake.

@@ -150,8 +150,8 @@ func WithCounter(cnt *metrics.Counter) PipeOption {
 // WithWindow gives both directions of the pipe a bounded send window with
 // the given capacity and overload policy: a sender gets at most Capacity
 // notifications of headroom before the policy engages (Block stalls the
-// sender, DropOldest/ShedNewest shed). Deliveries decouple from Send onto
-// the pump goroutine, like a latency pipe's. MaxDrain is ignored.
+// sender, ShedNewest sheds). Deliveries decouple from Send onto the pump
+// goroutine, like a latency pipe's.
 func WithWindow(o flow.Options) PipeOption {
 	return func(c *pipeConfig) { c.window = &o }
 }
@@ -385,7 +385,6 @@ func newLinkPump(window *flow.Options) *linkPump {
 	var o flow.Options
 	if window != nil {
 		o = *window
-		o.MaxDrain = 0 // the pump always drains wholesale
 	}
 	return &linkPump{
 		q:    flow.NewQueue[timedMsg](o, timedClass),

@@ -563,33 +563,6 @@ func TestPipeWindowShedNewest(t *testing.T) {
 	}
 }
 
-// TestPipeWindowDropOldest: head drop keeps the freshest window.
-func TestPipeWindowDropOldest(t *testing.T) {
-	b := newGatedSink()
-	la, _ := Pipe(wire.BrokerHop("A"), wire.BrokerHop("B"), &sink{}, b,
-		WithWindow(flow.Options{Capacity: 2, Policy: flow.DropOldest}))
-	defer la.Close()
-	if err := la.Send(pubMsg(0)); err != nil {
-		t.Fatal(err)
-	}
-	<-b.started
-	for i := int64(1); i <= 5; i++ {
-		if err := la.Send(pubMsg(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(b.release)
-	waitSinkLen(t, b, 3)
-	for i, want := range []int64{0, 4, 5} {
-		if got := msgIndex(b.at(i)); got != want {
-			t.Errorf("message %d = %d, want %d", i, got, want)
-		}
-	}
-	if s := la.FlowStats(); s.DroppedOldest != 3 {
-		t.Errorf("flow stats = %+v, want droppedOldest=3", s)
-	}
-}
-
 // TestPipeWindowControlNeverShed: a control message (subscribe) crosses a
 // full window that is shedding notifications.
 func TestPipeWindowControlNeverShed(t *testing.T) {
@@ -652,7 +625,7 @@ func TestPipeWindowBlockBackpressure(t *testing.T) {
 		}
 	}
 	s := la.FlowStats()
-	if s.HighWater > 2 || s.DroppedOldest != 0 || s.ShedNewest != 0 {
+	if s.HighWater > 2 || s.ShedNewest != 0 {
 		t.Errorf("flow stats = %+v, want lossless with highWater<=2", s)
 	}
 }
@@ -804,8 +777,9 @@ func TestTCPLinkSendWindowShed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	stopRead := make(chan struct{})
+	stopRead, peerClosed := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(peerClosed)
 		conn, err := ln.Accept()
 		if err != nil {
 			return
@@ -815,13 +789,19 @@ func TestTCPLinkSendWindowShed(t *testing.T) {
 		<-stopRead // never read frames; keep the connection open
 		_ = conn.Close()
 	}()
-	defer close(stopRead)
 	cl, err := DialTCP(ln.Addr().String(), "client", &sink{},
 		WithSendWindow(flow.Options{Capacity: 4, Policy: flow.ShedNewest}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	// Deferred last, so it runs before cl.Close: with the peer gone the
+	// writer's pending write fails at once, and Close does not wait out
+	// closeDrainTimeout against a peer that never reads.
+	defer func() {
+		close(stopRead)
+		<-peerClosed
+	}()
 
 	big := wire.NewPublish(message.New(map[string]message.Value{
 		"pad": message.String(strings.Repeat("x", 1<<18)),
@@ -838,64 +818,6 @@ func TestTCPLinkSendWindowShed(t *testing.T) {
 	}
 	if s.HighWater > 4 {
 		t.Errorf("ring high water %d exceeds capacity 4", s.HighWater)
-	}
-}
-
-// TestTCPLinkDropOldestEvictionReleasesFlush: frames evicted by a
-// DropOldest ring never reach the writer, so their flush slots (and
-// pooled encode buffers) must be released at eviction time — leaking
-// them would wedge every later Flush once the peer resumes.
-func TestTCPLinkDropOldestEvictionReleasesFlush(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	resume := make(chan struct{})
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		_, _ = readFrame(conn, maxFrameSize)
-		_ = writeFrame(conn, []byte("server"))
-		<-resume // stall: no reads while the client fills socket + ring
-		for {
-			if _, err := readFrame(conn, maxFrameSize); err != nil {
-				return
-			}
-		}
-	}()
-	cl, err := DialTCP(ln.Addr().String(), "client", &sink{},
-		WithSendWindow(flow.Options{Capacity: 4, Policy: flow.DropOldest}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-
-	big := wire.NewPublish(message.New(map[string]message.Value{
-		"pad": message.String(strings.Repeat("x", 1<<18)),
-	}))
-	deadline := time.Now().Add(10 * time.Second)
-	for cl.FlowStats().DroppedOldest < 8 && time.Now().Before(deadline) {
-		if err := cl.Send(big); err != nil {
-			t.Fatalf("Send failed before the ring evicted: %v", err)
-		}
-	}
-	if cl.FlowStats().DroppedOldest < 8 {
-		t.Fatal("ring never evicted with an unread peer")
-	}
-	close(resume)
-	flushErr := make(chan error, 1)
-	go func() { flushErr <- cl.Flush() }()
-	select {
-	case err := <-flushErr:
-		if err != nil {
-			t.Fatalf("Flush after evictions = %v, want nil", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Flush deadlocked: evicted frames leaked pending flush slots")
 	}
 }
 
@@ -938,7 +860,7 @@ func TestTCPLinkFlushAfterCleanClose(t *testing.T) {
 // link must not bypass the send window (the old control classification
 // let a dead client grow the ring without bound) and must not be dropped
 // (a gap would skip client sequence numbers): with a stalled peer and a
-// DropOldest ring, the sender stalls on credit, the ring depth stays at
+// ShedNewest ring, the sender stalls on credit, the ring depth stays at
 // capacity, and after the peer resumes every delivery arrives in order.
 func TestTCPLinkDeliverLosslessBounded(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -973,7 +895,7 @@ func TestTCPLinkDeliverLosslessBounded(t *testing.T) {
 	}()
 	const capacity, total = 2, 16
 	cl, err := DialTCP(ln.Addr().String(), "client", &sink{},
-		WithSendWindow(flow.Options{Capacity: capacity, Policy: flow.DropOldest}))
+		WithSendWindow(flow.Options{Capacity: capacity, Policy: flow.ShedNewest}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1036,19 +958,19 @@ func TestTCPLinkDeliverLosslessBounded(t *testing.T) {
 			t.Fatalf("delivery %d has seq %d, want %d (sequence gap)", i, seq, i+1)
 		}
 	}
-	if s := cl.FlowStats(); s.DroppedOldest != 0 || s.ShedNewest != 0 {
+	if s := cl.FlowStats(); s.ShedNewest != 0 {
 		t.Errorf("deliveries were dropped: %+v", s)
 	}
 }
 
 // TestChanLinkWaitIdleExact: WaitIdle must not return while a message
-// accepted before the call is still undelivered — even when concurrent
-// window evictions keep the drop counters moving — and must return once
-// everything pre-call has been delivered or evicted.
+// accepted before the call is still undelivered — even when the window
+// sheds around it — and must return once everything pre-call has been
+// delivered.
 func TestChanLinkWaitIdleExact(t *testing.T) {
 	b := newGatedSink()
 	la, _ := Pipe(wire.BrokerHop("A"), wire.BrokerHop("B"), &sink{}, b,
-		WithWindow(flow.Options{Capacity: 2, Policy: flow.DropOldest}))
+		WithWindow(flow.Options{Capacity: 2, Policy: flow.ShedNewest}))
 	if err := la.Send(pubMsg(0)); err != nil {
 		t.Fatal(err)
 	}
@@ -1071,18 +993,18 @@ func TestChanLinkWaitIdleExact(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("WaitIdle did not return after the pump drained")
 	}
-	// Everything accepted before WaitIdle is now accounted: delivered
-	// {0, 4, 5}, evicted {1, 2, 3}.
+	// Everything accepted before WaitIdle is now delivered: {0, 1, 2};
+	// {3, 4, 5} were shed at the full window.
 	if got := b.len(); got != 3 {
 		t.Fatalf("delivered %d messages, want 3", got)
 	}
-	for i, want := range []int64{0, 4, 5} {
+	for i, want := range []int64{0, 1, 2} {
 		if got := msgIndex(b.at(i)); got != want {
 			t.Errorf("message %d = %d, want %d", i, got, want)
 		}
 	}
-	if s := la.FlowStats(); s.DroppedOldest != 3 {
-		t.Errorf("flow stats = %+v, want droppedOldest=3", s)
+	if s := la.FlowStats(); s.ShedNewest != 3 {
+		t.Errorf("flow stats = %+v, want shedNewest=3", s)
 	}
 	if err := la.Close(); err != nil {
 		t.Fatal(err)
