@@ -5,6 +5,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -79,12 +80,20 @@ func hasNeighbor(t *testing.T, b *broker.Broker, want wire.BrokerID) bool {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		for _, id := range b.Neighbors() {
-			if id == want {
-				return true
-			}
+		if hasNeighborNow(b, want) {
+			return true
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	return false
+}
+
+// hasNeighborNow reports whether want is in the broker's neighbor set.
+func hasNeighborNow(b *broker.Broker, want wire.BrokerID) bool {
+	for _, id := range b.Neighbors() {
+		if id == want {
+			return true
+		}
 	}
 	return false
 }
@@ -112,7 +121,6 @@ func TestJoinerAttachesAndRejoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j2.close()
 	if err := j2.join(); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +133,6 @@ func TestJoinerAttachesAndRejoins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j3.close()
 	if err := j3.join(); err != nil {
 		t.Fatal(err)
 	}
@@ -138,6 +145,127 @@ func TestJoinerAttachesAndRejoins(t *testing.T) {
 	b2.kill()
 	if !hasNeighbor(t, b3.b, "b1") {
 		t.Fatal("b3 did not re-attach to b1 after b2 crashed")
+	}
+}
+
+// TestJoinerRetriesUnreadableFile: a member file that does not read
+// cleanly when the upstream dies (an operator saving a half-written
+// file) must not be taken for "I am the root". The joiner keeps
+// retrying, and once the file is restored b3 re-attaches to b1.
+func TestJoinerRetriesUnreadableFile(t *testing.T) {
+	b1 := startNode(t, "b1")
+	b2 := startNode(t, "b2")
+	b3 := startNode(t, "b3")
+
+	regPath := filepath.Join(t.TempDir(), "members.txt")
+	reg := fmt.Sprintf("b1 %s\nb2 %s\nb3 %s\n", b1.addr(), b2.addr(), b3.addr())
+	if err := os.WriteFile(regPath, []byte(reg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	defer close(stop)
+	ring := flow.Options{Capacity: transport.DefaultSendWindow, Policy: flow.Block}
+	const retry = 20 * time.Millisecond
+
+	// b3 joins under b2 while the file is whole.
+	j3, err := newJoiner(regPath, "b3", b3.b, ring, retry, stop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j3.join(); err != nil {
+		t.Fatal(err)
+	}
+	if !hasNeighbor(t, b3.b, "b2") {
+		t.Fatal("b3 did not attach to b2")
+	}
+
+	// Break the file mid-line, then kill b3's upstream.
+	half := fmt.Sprintf("b1 %s\nb2", b1.addr())
+	if err := os.WriteFile(regPath, []byte(half), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b2.kill()
+	deadline := time.Now().Add(5 * time.Second)
+	for hasNeighborNow(b3.b, "b2") {
+		if time.Now().After(deadline) {
+			t.Fatal("b3 never retracted its dead upstream link")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// Let several rejoin attempts see the broken file; none may attach.
+	time.Sleep(5 * retry)
+	if hasNeighborNow(b3.b, "b1") {
+		t.Fatal("b3 attached while the member file was unreadable")
+	}
+
+	// Restore it the way an operator should: write aside, then rename.
+	fixed := regPath + ".new"
+	if err := os.WriteFile(fixed, []byte(reg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(fixed, regPath); err != nil {
+		t.Fatal(err)
+	}
+	if !hasNeighbor(t, b3.b, "b1") {
+		t.Fatal("b3 did not re-attach to b1 once the member file was restored")
+	}
+}
+
+func writeMemberFile(t *testing.T, content string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "members")
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+func TestReadMembersParseAndRank(t *testing.T) {
+	path := writeMemberFile(t, `
+# overlay bootstrap order: root first
+b1 host1:7001
+b2 host2:7002   # transit
+b3 host3:7003
+`)
+	ms, err := readMembers(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) != 3 {
+		t.Fatalf("want 3 members, got %v", ms)
+	}
+	// File order is rank order, not ID order.
+	for i, want := range []member{
+		{id: "b1", addr: "host1:7001"},
+		{id: "b2", addr: "host2:7002"},
+		{id: "b3", addr: "host3:7003"},
+	} {
+		if ms[i] != want {
+			t.Fatalf("member %d: want %+v, got %+v", i, want, ms[i])
+		}
+	}
+}
+
+func TestReadMembersParseErrors(t *testing.T) {
+	for name, tc := range map[string]struct{ content, at string }{
+		"missing addr": {"b1\n", ":1:"},
+		"extra field":  {"b1 host:1 extra\n", ":1:"},
+		"duplicate id": {"b1 host:1\nb1 host:2\n", ":2:"},
+		"no members":   {"# emptied\n", ":"},
+	} {
+		path := writeMemberFile(t, tc.content)
+		_, err := readMembers(path)
+		if err == nil {
+			t.Errorf("%s: want parse error, got nil", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), path+tc.at) {
+			t.Errorf("%s: error %q does not name %s%s", name, err, path, tc.at)
+		}
+	}
+	if _, err := readMembers(filepath.Join(t.TempDir(), "absent")); err == nil {
+		t.Error("absent file: want error, got nil")
 	}
 }
 

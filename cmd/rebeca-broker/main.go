@@ -2,7 +2,7 @@
 // distributed overlay with peers. Brokers listen for peer connections and
 // either dial peers given explicitly with -peer (the overlay must be
 // built as a tree: dial each new broker to exactly one existing broker)
-// or join through a shared registry file with -registry, which also
+// or join through a shared membership file with -registry, which also
 // re-attaches them when their upstream peer dies.
 //
 // Usage:
@@ -25,13 +25,11 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/broker"
 	"repro/internal/flow"
-	"repro/internal/registry"
 	"repro/internal/routing"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -71,7 +69,7 @@ func newFlagSet() (*flag.FlagSet, *brokerFlags) {
 	fs.StringVar(&cfg.registryPath, "registry", "",
 		"membership file (one '<id> <addr>' per line); join the overlay through it instead of -peer")
 	fs.DurationVar(&cfg.heartbeat, "heartbeat", 2*time.Second,
-		"registry heartbeat and rejoin-retry interval (with -registry)")
+		"rejoin-retry interval (with -registry)")
 	fs.StringVar(&cfg.strategyName, "strategy", "covering",
 		"routing strategy: "+strings.Join(routing.StrategyNames(), ", ")+" (case-insensitive)")
 	fs.DurationVar(&cfg.statsEvery, "stats", 30*time.Second, "stats print interval")
@@ -170,7 +168,6 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		defer j.close()
 		if err := j.join(); err != nil {
 			return err
 		}
@@ -285,135 +282,4 @@ func watchClientLink(b *broker.Broker, client wire.ClientID, link *transport.TCP
 			onDown()
 		}
 	}()
-}
-
-// joiner keeps a broker attached to the overlay through a registry file:
-// it dials the closest lower-ranked live member (file order is rank), and
-// when that upstream dies it retracts the link and re-attaches, retrying
-// every heartbeat interval until a lower-ranked member answers.
-type joiner struct {
-	reg       *registry.File
-	self      wire.BrokerID
-	b         *broker.Broker
-	ring      flow.Options
-	heartbeat time.Duration
-	stop      <-chan struct{}
-
-	mu     sync.Mutex
-	closed bool
-}
-
-func newJoiner(path string, self wire.BrokerID, b *broker.Broker, ring flow.Options, heartbeat time.Duration, stop <-chan struct{}) (*joiner, error) {
-	reg, err := registry.NewFile(path, registry.FileOptions{})
-	if err != nil {
-		return nil, fmt.Errorf("-registry: %w", err)
-	}
-	j := &joiner{reg: reg, self: self, b: b, ring: ring, heartbeat: heartbeat, stop: stop}
-	members := reg.Members()
-	var me *registry.Member
-	for i := range members {
-		if members[i].ID == self {
-			me = &members[i]
-			break
-		}
-	}
-	if me == nil {
-		_ = reg.Close()
-		return nil, fmt.Errorf("-registry: broker %s is not listed in %s", self, path)
-	}
-	if err := reg.Register(*me); err != nil {
-		_ = reg.Close()
-		return nil, fmt.Errorf("-registry: %w", err)
-	}
-	go j.heartbeatLoop()
-	return j, nil
-}
-
-// rank returns this broker's position in the membership file and the
-// current member list (the file is re-read, so edits are honored).
-func (j *joiner) rank() (int, []registry.Member) {
-	members := j.reg.Members()
-	for i, m := range members {
-		if m.ID == j.self {
-			return i, members
-		}
-	}
-	return -1, members
-}
-
-// join dials the closest lower-ranked live member and watches the
-// resulting upstream link; rank 0 (or a broker no longer listed) owns the
-// root of the tree and dials nobody. Retries every heartbeat interval —
-// lower-ranked members may simply not have started yet.
-func (j *joiner) join() error {
-	for {
-		rank, members := j.rank()
-		if rank <= 0 {
-			return nil
-		}
-		for i := rank - 1; i >= 0; i-- {
-			m := members[i]
-			link, err := transport.DialTCP(m.Addr, j.self, j.b, transport.WithSendWindow(j.ring))
-			if err != nil {
-				log.Printf("join: dial %s (%s): %v", m.ID, m.Addr, err)
-				continue
-			}
-			peer := link.Peer().Broker
-			if err := j.b.AddLink(peer, link); err != nil {
-				_ = link.Close()
-				return err
-			}
-			watchPeerLink(j.b, peer, link, j.stop, j.rejoin)
-			log.Printf("join: attached to %s at %s (rank %d -> %d)", peer, m.Addr, rank, i)
-			return nil
-		}
-		log.Printf("join: no lower-ranked member of %d reachable, retrying in %v", rank, j.heartbeat)
-		select {
-		case <-j.stop:
-			return nil
-		case <-time.After(j.heartbeat):
-		}
-	}
-}
-
-// rejoin re-attaches after the upstream link died.
-func (j *joiner) rejoin() {
-	j.mu.Lock()
-	closed := j.closed
-	j.mu.Unlock()
-	if closed {
-		return
-	}
-	select {
-	case <-j.stop:
-		return
-	default:
-	}
-	if err := j.join(); err != nil {
-		log.Printf("rejoin: %v", err)
-	}
-}
-
-// heartbeatLoop refreshes the registration until the daemon stops.
-func (j *joiner) heartbeatLoop() {
-	t := time.NewTicker(j.heartbeat)
-	defer t.Stop()
-	for {
-		select {
-		case <-j.stop:
-			return
-		case <-t.C:
-			if err := j.reg.Heartbeat(j.self); err != nil {
-				log.Printf("registry heartbeat: %v", err)
-			}
-		}
-	}
-}
-
-func (j *joiner) close() {
-	j.mu.Lock()
-	j.closed = true
-	j.mu.Unlock()
-	_ = j.reg.Deregister(j.self)
-	_ = j.reg.Close()
 }

@@ -11,10 +11,9 @@
 // the incremental cover/merge control plane (routing), the protocol
 // messages shared by all layers (wire), the bounded-queue flow-control
 // primitive behind every mailbox and send window (flow), in-process and
-// TCP FIFO links (transport), the batched broker engine with serial or
-// sharded-parallel matching, the physical-mobility relocation protocol,
-// and logical-mobility location-dependent filters (broker), pluggable
-// overlay membership with heartbeat failure detection (registry), the
+// TCP FIFO links (transport), the broker engine with its single-owner run
+// loop, the physical-mobility relocation protocol,
+// and logical-mobility location-dependent filters (broker), the
 // embedding API with self-healing overlays and client failover (core),
 // the Section 3 baselines (baseline), a deterministic simulator (sim),
 // the experiment harness regenerating every table and figure
@@ -22,8 +21,8 @@
 // OPERATIONS.md drift guards (doclint, opsdoc).
 //
 // Two binaries wrap the library: cmd/rebeca-broker, a TCP broker daemon
-// that joins a static (-peer) or self-healing registry-backed (-registry)
-// overlay, and cmd/rebeca-client, a shell client with failover across a
+// that joins a static (-peer) overlay or a self-healing one through a
+// shared membership file (-registry), and cmd/rebeca-client, a shell client with failover across a
 // broker list. Runnable embeddings live under examples/.
 //
 // See README.md for a walkthrough, OPERATIONS.md for running and tuning

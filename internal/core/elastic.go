@@ -7,13 +7,12 @@ import (
 	"time"
 
 	"repro/internal/broker"
-	"repro/internal/registry"
 	"repro/internal/wire"
 )
 
 // This file is the elastic-federation layer of the in-process overlay:
-// registry-backed membership with heartbeat failure detection, overlay-
-// tree repair on broker death, and client failover. The repair path is
+// failure detection of killed brokers, overlay-tree repair on broker
+// death, and client failover. The repair path is
 // deliberately thin — it only re-wires topology through the existing
 // primitives (Broker.RemoveLink retracts the dead hop's routing state,
 // Network.Connect / Broker.AddLink re-attach and reseed through the
@@ -22,7 +21,7 @@ import (
 
 // RepairEvent describes one completed overlay repair after a broker
 // failure. Observers registered with WithRepairObserver receive it from
-// the repair goroutine (or synchronously from FailNow).
+// the detector goroutine (or synchronously from FailNow).
 type RepairEvent struct {
 	// Dead is the failed broker.
 	Dead wire.BrokerID
@@ -34,7 +33,8 @@ type RepairEvent struct {
 	Reattached []wire.BrokerID
 	// Clients lists the orphaned clients that failed over.
 	Clients []wire.ClientID
-	// Detected is when the failure reached the repair controller; Done is
+	// Detected is when repair began (the detector declared the broker
+	// failed, or FailNow ran); Done is
 	// when re-wiring and client failover completed (routing convergence
 	// continues asynchronously as the reseed traffic propagates).
 	Detected, Done time.Time
@@ -42,12 +42,13 @@ type RepairEvent struct {
 	Err error
 }
 
-// WithSelfHealing enables the elastic federation layer: every broker is
-// registered with an in-process membership registry and heartbeats it at
-// the given interval; a broker silent for longer than ttl is declared
-// failed and the overlay repairs itself — survivors drop the dead links,
-// the orphaned subtrees re-attach under a surviving parent, and orphaned
-// clients fail over with their subscriptions replayed.
+// WithSelfHealing enables the elastic federation layer: a broker that has
+// been silent (killed with Kill) for longer than ttl is declared failed
+// and the overlay repairs itself — survivors drop the dead links, the
+// orphaned subtrees re-attach under a surviving parent, and orphaned
+// clients fail over with their subscriptions replayed. One detector
+// goroutine checks for silent brokers every heartbeat, so detection
+// lands between ttl and ttl+heartbeat after the crash.
 func WithSelfHealing(heartbeat, ttl time.Duration) NetworkOption {
 	return func(c *networkConfig) {
 		c.healHeartbeat = heartbeat
@@ -57,7 +58,7 @@ func WithSelfHealing(heartbeat, ttl time.Duration) NetworkOption {
 
 // WithRepairObserver registers a callback for completed repairs (used by
 // the blackout experiment to timestamp detection and reconvergence). The
-// callback runs on the repair goroutine and must not call back into the
+// callback runs on the detector goroutine and must not call back into the
 // Network.
 func WithRepairObserver(fn func(RepairEvent)) NetworkOption {
 	return func(c *networkConfig) { c.repairObserver = fn }
@@ -73,110 +74,88 @@ func WithRelocTimeout(d time.Duration) NetworkOption {
 	return func(c *networkConfig) { c.relocTimeout = d }
 }
 
-// elasticState is the Network-side runtime of the self-healing mode.
+// elasticState is the Network-side runtime of the self-healing mode: the
+// brokers Kill silenced, and the detector goroutine that repairs them.
 type elasticState struct {
-	reg      *registry.Memory
-	interval time.Duration
+	heartbeat, ttl time.Duration
 
-	cancelWatch func()
-	failures    chan wire.BrokerID
-	stop        chan struct{}
-	stopOnce    sync.Once
-	ctrlDone    chan struct{}
+	mu       sync.Mutex
+	silenced map[wire.BrokerID]time.Time // broker -> when Kill silenced it
 
-	mu    sync.Mutex
-	beats map[wire.BrokerID]chan struct{}
-	wg    sync.WaitGroup
+	stop     chan struct{}
+	stopOnce sync.Once
+	done     chan struct{}
 }
 
-// startElastic wires the registry, the failure watcher, and the repair
-// controller. Called from NewNetwork when self-healing is enabled.
+// startElastic starts the failure detector. Called from NewNetwork when
+// self-healing is enabled.
 func (n *Network) startElastic() {
 	e := &elasticState{
-		reg:      registry.NewMemory(registry.MemoryOptions{TTL: n.cfg.healTTL}),
-		interval: n.cfg.healHeartbeat,
-		failures: make(chan wire.BrokerID, 1024),
-		stop:     make(chan struct{}),
-		ctrlDone: make(chan struct{}),
-		beats:    make(map[wire.BrokerID]chan struct{}),
+		heartbeat: n.cfg.healHeartbeat,
+		ttl:       n.cfg.healTTL,
+		silenced:  make(map[wire.BrokerID]time.Time),
+		stop:      make(chan struct{}),
+		done:      make(chan struct{}),
 	}
-	// The watcher runs on the registry sweeper goroutine; it must not
-	// repair inline (repair takes locks and seconds), so failures funnel
-	// into the controller's queue.
-	e.cancelWatch, _ = e.reg.Watch(func(ev registry.Event) {
-		if ev.Kind != registry.Failed {
-			return
-		}
+	n.elastic = e
+	go n.detectFailures(e)
+}
+
+// detectFailures repairs, every heartbeat, each broker silent for longer
+// than the TTL. Repairs run inline, one at a time.
+func (n *Network) detectFailures(e *elasticState) {
+	defer close(e.done)
+	t := time.NewTicker(e.heartbeat)
+	defer t.Stop()
+	for {
 		select {
-		case e.failures <- ev.Member.ID:
 		case <-e.stop:
-		}
-	})
-	go func() {
-		defer close(e.ctrlDone)
-		for {
-			select {
-			case <-e.stop:
-				return
-			case id := <-e.failures:
+			return
+		case now := <-t.C:
+			for _, id := range e.expired(now) {
 				n.repairBrokerFailure(id)
 			}
 		}
-	}()
-	n.elastic = e
+	}
 }
 
-// watchBroker registers a broker with the membership and starts its
-// heartbeat goroutine. Called from AddBroker.
-func (e *elasticState) watchBroker(id wire.BrokerID) {
-	_ = e.reg.Register(registry.Member{ID: id})
-	stopBeat := make(chan struct{})
+// expired takes out, in ID order, every broker silent for longer than
+// the TTL at now.
+func (e *elasticState) expired(now time.Time) []wire.BrokerID {
 	e.mu.Lock()
-	e.beats[id] = stopBeat
-	e.mu.Unlock()
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		t := time.NewTicker(e.interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stopBeat:
-				return
-			case <-e.stop:
-				return
-			case <-t.C:
-				_ = e.reg.Heartbeat(id)
-			}
+	defer e.mu.Unlock()
+	var out []wire.BrokerID
+	for id, since := range e.silenced {
+		if now.Sub(since) > e.ttl {
+			out = append(out, id)
+			delete(e.silenced, id)
 		}
-	}()
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
-// silence stops a broker's heartbeat goroutine (crash simulation: the
-// broker goes quiet and the detector notices).
+// silence records that a broker went quiet; a second Kill keeps the
+// first time.
 func (e *elasticState) silence(id wire.BrokerID) {
 	e.mu.Lock()
-	if ch, ok := e.beats[id]; ok {
-		close(ch)
-		delete(e.beats, id)
+	if _, ok := e.silenced[id]; !ok {
+		e.silenced[id] = time.Now()
 	}
 	e.mu.Unlock()
 }
 
-// shutdown stops the detector, the controller, and every heartbeat.
+// shutdown stops the detector, waiting out a repair in progress.
 func (e *elasticState) shutdown() {
 	e.stopOnce.Do(func() {
-		e.cancelWatch()
 		close(e.stop)
-		<-e.ctrlDone
-		e.wg.Wait()
-		_ = e.reg.Close()
+		<-e.done
 	})
 }
 
 // Kill crash-stops a broker (Broker.Kill: queued work is discarded, links
-// die, nothing is flushed) and silences its heartbeat. With self-healing
-// enabled the failure detector notices within the TTL and repairs the
+// die, nothing is flushed) and marks it silent. With self-healing enabled
+// the failure detector notices once the TTL has passed and repairs the
 // overlay asynchronously; without it the overlay stays broken — which is
 // the point of Kill as a fault-injection primitive. Use FailNow for
 // deterministic synchronous repair in tests.
@@ -195,7 +174,7 @@ func (n *Network) Kill(id wire.BrokerID) error {
 }
 
 // FailNow crash-stops a broker and synchronously repairs the overlay,
-// bypassing heartbeat detection. It works with or without self-healing
+// bypassing the failure detector. It works with or without self-healing
 // enabled, which makes deterministic repair tests independent of timers.
 func (n *Network) FailNow(id wire.BrokerID) error {
 	if err := n.Kill(id); err != nil {
@@ -207,7 +186,7 @@ func (n *Network) FailNow(id wire.BrokerID) error {
 
 // repairBrokerFailure excises a dead broker and re-wires the overlay:
 //
-//  1. The dead broker leaves the membership and the topology maps.
+//  1. The dead broker leaves the topology maps.
 //  2. Every surviving neighbor drops its link (Broker.RemoveLink — this
 //     retracts the dead hop's routing entries and the aggregates they
 //     justified, and forgets the per-link propagation dedup so re-offers
@@ -220,8 +199,10 @@ func (n *Network) FailNow(id wire.BrokerID) error {
 //  4. Orphaned clients fail over to the parent (or the lowest-ID survivor
 //     when the dead broker was isolated) and replay their subscriptions.
 //
-// Safe to call for an already-repaired broker (no-op). Runs on the repair
-// controller goroutine, or on the caller's goroutine via FailNow.
+// Both callers, FailNow and the detector, come after Kill. Safe to call
+// for an already-repaired broker (no-op), as the detector does once the
+// TTL of a broker FailNow repaired has passed. Runs on the detector
+// goroutine, or on the caller's goroutine via FailNow.
 func (n *Network) repairBrokerFailure(dead wire.BrokerID) {
 	detected := time.Now()
 	n.mu.Lock()
@@ -262,15 +243,6 @@ func (n *Network) repairBrokerFailure(dead wire.BrokerID) {
 	}
 	sort.Slice(orphans, func(i, j int) bool { return orphans[i].ID() < orphans[j].ID() })
 	n.mu.Unlock()
-
-	// Make sure the dead broker really is dead (idempotent; FailNow and
-	// Kill already did this, a detector-driven repair after a heartbeat
-	// false positive does it here).
-	db.Kill()
-	if n.elastic != nil {
-		_ = n.elastic.reg.Deregister(dead)
-		n.elastic.silence(dead)
-	}
 
 	ev := RepairEvent{Dead: dead, Detected: detected}
 	for _, s := range survivors {

@@ -200,8 +200,8 @@ func TestFailNowStarCenter(t *testing.T) {
 }
 
 // TestSelfHealingDetectsCrash exercises the full detector path: Kill
-// silences the broker's heartbeats, the registry sweeper declares it
-// failed, and the repair controller re-wires the overlay — no FailNow.
+// marks the broker silent, the detector declares it failed once the TTL
+// has passed, and repairs the overlay — no FailNow.
 func TestSelfHealingDetectsCrash(t *testing.T) {
 	var (
 		mu     sync.Mutex
@@ -264,6 +264,86 @@ func TestSelfHealingDetectsCrash(t *testing.T) {
 	net.Settle()
 	if got.len() != 1 {
 		t.Fatalf("post-detection delivery missing: %d events", got.len())
+	}
+}
+
+// repairLog collects repair events from WithRepairObserver.
+type repairLog struct {
+	mu     sync.Mutex
+	events []RepairEvent
+}
+
+func (l *repairLog) add(e RepairEvent) {
+	l.mu.Lock()
+	l.events = append(l.events, e)
+	l.mu.Unlock()
+}
+
+func (l *repairLog) snapshot() []RepairEvent {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]RepairEvent(nil), l.events...)
+}
+
+// TestSelfHealingNoFalsePositives: a self-healing chain under publish
+// load for more than ten TTLs, with no broker killed, must see no repair.
+func TestSelfHealingNoFalsePositives(t *testing.T) {
+	const ttl = 20 * time.Millisecond
+	var repairs repairLog
+	net, ids := newChain(t, 3,
+		WithSelfHealing(2*time.Millisecond, ttl),
+		WithRepairObserver(repairs.add),
+	)
+	var got collector
+	consumer, err := net.NewClient("consumer", ids[0], got.handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	producer, err := net.NewClient("producer", ids[2], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := consumer.Subscribe(SubSpec{ID: "s1", Filter: quoteFilter()}); err != nil {
+		t.Fatal(err)
+	}
+	net.Settle()
+
+	published := 0
+	for end := time.Now().Add(12 * ttl); time.Now().Before(end); published++ {
+		if err := producer.Publish(stockNotif("A", int64(published))); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	net.Settle()
+	if evs := repairs.snapshot(); len(evs) != 0 {
+		t.Fatalf("%d repairs with no broker killed; first: %+v", len(evs), evs[0])
+	}
+	if got.len() != published {
+		t.Fatalf("delivered %d of %d publishes", got.len(), published)
+	}
+}
+
+// TestSelfHealingWaitsForTTL: the detector declares a killed broker
+// failed no sooner than the TTL after the kill.
+func TestSelfHealingWaitsForTTL(t *testing.T) {
+	const ttl = 40 * time.Millisecond
+	var repairs repairLog
+	net, ids := newChain(t, 3,
+		WithSelfHealing(5*time.Millisecond, ttl),
+		WithRepairObserver(repairs.add),
+	)
+	killed := time.Now()
+	if err := net.Kill(ids[1]); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "detector-driven repair", func() bool { return len(repairs.snapshot()) > 0 })
+	evs := repairs.snapshot()
+	if len(evs) != 1 || evs[0].Dead != ids[1] {
+		t.Fatalf("repairs %+v, want one for %s", evs, ids[1])
+	}
+	if d := evs[0].Detected.Sub(killed); d < ttl {
+		t.Fatalf("detected %v after the kill, before the %v TTL", d, ttl)
 	}
 }
 

@@ -80,8 +80,8 @@ type Network struct {
 	registry *locfilter.Registry
 	counter  *metrics.Counter
 
-	// elastic is the self-healing runtime (registry, failure detector,
-	// repair controller); nil unless WithSelfHealing was given.
+	// elastic is the self-healing runtime (the failure detector); nil
+	// unless WithSelfHealing was given.
 	elastic *elasticState
 
 	mu      sync.Mutex
@@ -141,9 +141,6 @@ func (n *Network) AddBroker(id wire.BrokerID) (*broker.Broker, error) {
 	})
 	b.Start()
 	n.brokers[id] = b
-	if n.elastic != nil {
-		n.elastic.watchBroker(id)
-	}
 	return b, nil
 }
 
@@ -236,8 +233,8 @@ func (n *Network) reachableLocked(a, b wire.BrokerID) bool {
 }
 
 // Close shuts down every broker and client. With self-healing enabled the
-// failure detector and repair controller stop first, so teardown is not
-// mistaken for a mass failure.
+// failure detector stops first, so teardown is not mistaken for a mass
+// failure.
 func (n *Network) Close() {
 	if n.elastic != nil {
 		n.elastic.shutdown()

@@ -109,7 +109,7 @@ type BlackoutScaleResult struct {
 	Config BlackoutScaleConfig
 	// Detection is crash-to-detector latency (the repair event's Detected
 	// timestamp minus the kill time); Repair is the re-wiring span the
-	// repair controller reported.
+	// repair reported.
 	Detection, Repair time.Duration
 	// Probe is the far-end plain subscriber, Orphan the mobile subscriber
 	// that was homed on the victim.
