@@ -1525,7 +1525,7 @@ func benchRelocationStorm(b *testing.B, tableSize int) {
 		s := br.Stats()
 		completed += s.RelocationsCompleted
 		expired += s.RelocationsExpired
-		drops += s.RelocBufferDrops
+		drops += s.BufferDrops
 		batches += s.ReplayBatches
 		replayItems += s.ReplayMeanItems * float64(s.ReplayBatches)
 		if s.ReplayMaxItems > replayMax {

@@ -228,7 +228,7 @@ func run(args []string) error {
 				st.Forwarder.MergesActive, st.Forwarder.MergeCovered, st.Forwarder.Unmerges)
 			log.Printf("broker %s: mobility: relocations %d started / %d completed / %d expired, replay %d batches (mean %.1f, max %d items), buffer drops %d",
 				cfg.id, st.RelocationsStarted, st.RelocationsCompleted, st.RelocationsExpired,
-				st.ReplayBatches, st.ReplayMeanItems, st.ReplayMaxItems, st.RelocBufferDrops)
+				st.ReplayBatches, st.ReplayMeanItems, st.ReplayMaxItems, st.BufferDrops)
 		case s := <-sig:
 			log.Printf("broker %s: received %v, shutting down", cfg.id, s)
 			return nil

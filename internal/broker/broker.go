@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,10 +57,11 @@ type Options struct {
 	// Counter, when set, counts client deliveries (link traffic is counted
 	// by the transport pipes).
 	Counter *metrics.Counter
-	// MaxBufferPerSub caps the virtual-counterpart and relocation buffers
-	// per subscription ("completeness within the boundaries of time and/or
-	// space limitations of buffering approaches", Section 4.1). Zero means
-	// DefaultMaxBufferPerSub.
+	// MaxBufferPerSub caps the virtual-counterpart buffer per subscription
+	// ("completeness within the boundaries of time and/or space
+	// limitations of buffering approaches", Section 4.1); overflow drops
+	// the oldest and counts it in Stats.BufferDrops. It is also the
+	// default of RelocBufferCap. Zero means DefaultMaxBufferPerSub.
 	MaxBufferPerSub int
 	// RelocBufferCap caps the two relocation-side buffers per
 	// subscription independently of MaxBufferPerSub: the pending buffer
@@ -67,7 +69,7 @@ type Options struct {
 	// while the replay is outstanding) and replay items parked at
 	// completion for a client that has already disconnected again.
 	// Overflow drops the oldest buffered notification and counts it in
-	// Stats.RelocBufferDrops — the space half of Section 4.1's
+	// Stats.BufferDrops — the space half of Section 4.1's
 	// "completeness within the boundaries of time and/or space
 	// limitations", mirroring how Options.RelocTimeout bounds the same
 	// buffers in time. Zero means MaxBufferPerSub.
@@ -118,11 +120,9 @@ type Broker struct {
 	advFwd  map[string]map[string]bool // advKey -> hops forwarded to
 
 	// Per-client-subscription propagation state.
-	clientSubFwd map[string][]wire.Hop         // key -> hops the sub was forwarded to
-	knownSubs    map[string]wire.Subscription  // key -> last seen per-client subscription
-	locSubs      map[string]*locSubState       // key -> location-dependent state
-	fetched      map[string]uint64             // key -> last relocation epoch fetched
-	pending      map[string]*relocationPending // key -> buffer at the NEW border broker
+	fwdSubs map[string]*fwdSub            // key -> mobile or location-dependent record
+	fetched map[string]uint64             // key -> last relocation epoch fetched
+	pending map[string]*relocationPending // key -> buffer at the NEW border broker
 
 	// processed counts messages handled, by type (observability). An array
 	// instead of a map keeps the per-task bump off the allocator and the
@@ -137,15 +137,14 @@ type Broker struct {
 	batchDepth     metrics.Distribution // tasks per mailbox drain
 	flushDepth     metrics.Distribution // messages per per-link outbox flush burst
 	batchRemaining int                  // unprocessed tail of the current batch, set at closure boundaries
-	relocDrops     uint64               // notifications dropped from relocation-pending buffers
+	bufferDrops    uint64               // notifications dropped by a per-subscription buffer cap
 
 	// Relocation lifecycle counters and the replay-size distribution
 	// (owned by the run goroutine except replaySizes, which is atomic).
-	relocStarted     uint64               // re-subscriptions that opened a pending replay buffer
-	relocCompleted   uint64               // relocations completed by a replay at this broker
-	relocExpired     uint64               // pending buffers flushed by RelocTimeout instead of a replay
-	relocReplayDrops uint64               // replay items dropped by the relocation buffer cap
-	replaySizes      metrics.Distribution // items per replay batch sent from local counterparts
+	relocStarted   uint64               // re-subscriptions that opened a pending replay buffer
+	relocCompleted uint64               // relocations completed by a replay at this broker
+	relocExpired   uint64               // pending buffers flushed by RelocTimeout instead of a replay
+	replaySizes    metrics.Distribution // items per replay batch sent from local counterparts
 
 	// Control-plane admin traffic sent by the forwarding strategy
 	// (aggregate subscribe/unsubscribe messages toward neighbors).
@@ -234,16 +233,12 @@ type Stats struct {
 	BatchesProcessed uint64
 	MaxBatchSize     int
 	MeanBatchSize    float64
-	// RelocationPendingDrops counts notifications dropped from
-	// relocation-pending buffers because they exceeded the relocation
-	// buffer cap (the relocation-side counterpart of clientSub overflow).
-	RelocationPendingDrops uint64
-	// RelocBufferDrops totals the drop-oldest evictions from both
-	// relocation-side buffers under Options.RelocBufferCap: the pending
-	// buffer at the new border broker (also counted in
-	// RelocationPendingDrops) and replay items parked at completion for a
-	// disconnected client.
-	RelocBufferDrops uint64
+	// BufferDrops totals the drop-oldest evictions from the three
+	// per-subscription buffers: a disconnected client's virtual
+	// counterpart under Options.MaxBufferPerSub, and under
+	// Options.RelocBufferCap the pending buffer at the new border broker
+	// and replay items parked at completion for a disconnected client.
+	BufferDrops uint64
 	// RelocationsStarted / RelocationsCompleted / RelocationsExpired
 	// count this broker's border-side relocation lifecycle:
 	// re-subscriptions that opened a pending replay buffer, replays that
@@ -322,10 +317,9 @@ func (cs *clientState) clientFilter(id wire.SubID, st *clientSub) filter.Filter 
 // its delivery sequence numbering and — while the client is disconnected —
 // the virtual counterpart's buffer (Section 4.1).
 type clientSub struct {
-	sub      wire.Subscription
-	nextSeq  uint64
-	buffer   []wire.SeqNotification
-	overflow uint64 // notifications dropped due to the buffer cap
+	sub     wire.Subscription
+	nextSeq uint64
+	buffer  []wire.SeqNotification
 }
 
 // relocationPending buffers notifications arriving over the new path while
@@ -343,16 +337,6 @@ type relocationPending struct {
 	timer  *time.Timer
 }
 
-// locSubState is the per-broker state of a location-dependent subscription
-// passing through this broker.
-type locSubState struct {
-	sub   wire.Subscription // as received (Filter holds the marker template)
-	step  int               // widening step of this broker's table entry
-	entry filter.Filter     // current instantiated entry filter
-	from  wire.Hop          // downstream hop (toward the consumer)
-	fwdTo []wire.Hop        // upstream hops the subscription was forwarded to
-}
-
 // New creates a broker. Call Run (usually via Start) to process messages.
 func New(id wire.BrokerID, opts Options) *Broker {
 	if opts.Strategy == 0 {
@@ -365,23 +349,21 @@ func New(id wire.BrokerID, opts Options) *Broker {
 		opts.RelocBufferCap = opts.MaxBufferPerSub
 	}
 	b := &Broker{
-		id:           id,
-		opts:         opts,
-		box:          newMailbox(opts.MailboxCapacity),
-		done:         make(chan struct{}),
-		links:        make(map[wire.BrokerID]transport.Link),
-		clients:      make(map[wire.ClientID]*clientState),
-		subs:         routing.NewTable(),
-		advs:         routing.NewTable(),
-		fwd:          routing.NewForwarder(opts.Strategy),
-		advFwd:       make(map[string]map[string]bool),
-		clientSubFwd: make(map[string][]wire.Hop),
-		knownSubs:    make(map[string]wire.Subscription),
-		locSubs:      make(map[string]*locSubState),
-		fetched:      make(map[string]uint64),
-		pending:      make(map[string]*relocationPending),
-		out:          outbox{pending: make(map[wire.BrokerID][]wire.Message)},
-		pubSeen:      pubScratch{subs: make(map[subRef]uint64)},
+		id:      id,
+		opts:    opts,
+		box:     newMailbox(opts.MailboxCapacity),
+		done:    make(chan struct{}),
+		links:   make(map[wire.BrokerID]transport.Link),
+		clients: make(map[wire.ClientID]*clientState),
+		subs:    routing.NewTable(),
+		advs:    routing.NewTable(),
+		fwd:     routing.NewForwarder(opts.Strategy),
+		advFwd:  make(map[string]map[string]bool),
+		fwdSubs: make(map[string]*fwdSub),
+		fetched: make(map[string]uint64),
+		pending: make(map[string]*relocationPending),
+		out:     outbox{pending: make(map[wire.BrokerID][]wire.Message)},
+		pubSeen: pubScratch{subs: make(map[subRef]uint64)},
 	}
 	b.pub.visit = b.visitPublishEntry
 	return b
@@ -641,8 +623,8 @@ func (t *linkErrTracker) snapshot() (m map[wire.Hop]uint64, total uint64) {
 //
 //   - aggregate (plain) interest through the batch Recompute oracle,
 //   - known advertisements through the flood dedup (reofferAdvs),
-//   - per-client (mobile) subscriptions this broker holds delivery-path
-//     entries for (reofferClientSubs).
+//   - per-client (mobile and location-dependent) subscriptions, through
+//     the one offer rule (offerEach).
 //
 // The last two make AddLink sufficient as the repair primitive after a
 // broker crash: the surviving subtrees re-exchange everything a new edge
@@ -665,7 +647,7 @@ func (b *Broker) AddLink(peer wire.BrokerID, l transport.Link) error {
 		hop := wire.BrokerHop(peer)
 		b.sendForwardUpdate(b.fwd.Recompute(hop, b.aggregateInputs(hop)))
 		b.reofferAdvs(hop)
-		b.reofferClientSubs(hop)
+		b.offerEach(hop)
 	})
 }
 
@@ -694,66 +676,12 @@ func (b *Broker) reofferAdvs(hop wire.Hop) {
 	}
 }
 
-// reofferClientSubs extends per-client subscription propagation across a
-// new link. A subscription is offered when this broker is on its delivery
-// path (it holds at least one live routing entry for the client/ID pair)
-// and the entry does not already point at the new neighbor (then the
-// neighbor is toward the consumer, not a direction to forward into).
-// Advertisement gating matches propagateClientSub: with advertisements
-// present, the subscription only crosses the link if an advertisement
-// points that way (the late-advertiser case is covered by the peer's
-// flushSubsToward when reofferAdvs lands); without any, it floods.
-// Pre-subscriptions always cross. Runs on the broker goroutine from
-// AddLink.
-func (b *Broker) reofferClientSubs(hop wire.Hop) {
-	for key, sub := range b.knownSubs {
-		entries := b.subs.ClientEntries(sub.Client, sub.ID)
-		if len(entries) == 0 {
-			continue
-		}
-		toward := false
-		for _, e := range entries {
-			if e.Hop == hop {
-				toward = true
-				break
-			}
-		}
-		if toward {
-			continue
-		}
-		already := false
-		for _, h := range b.clientSubFwd[key] {
-			if h == hop {
-				already = true
-				break
-			}
-		}
-		if already {
-			continue
-		}
-		if !sub.Presubscribe && b.advs.Len() > 0 {
-			overlaps := false
-			for _, h := range b.advs.HopsOverlapping(sub.Filter, wire.ClientHop(sub.Client)) {
-				if h == hop {
-					overlaps = true
-					break
-				}
-			}
-			if !overlaps {
-				continue
-			}
-		}
-		b.clientSubFwd[key] = append(b.clientSubFwd[key], hop)
-		b.send(hop, wire.NewSubscribe(sub))
-	}
-}
-
 // RemoveLink drops a neighbor link and its routing state. Plain entries
 // that pointed along the dead link stop being control-plane inputs for
 // the surviving neighbors, so the forwarded aggregates they justified are
 // retracted instead of lingering as over-subscription. The per-link
-// propagation dedup state (advFwd, clientSubFwd, location-dependent
-// fwdTo) forgets the dead hop too, so a later AddLink — to the same
+// propagation dedup state (advFwd, the per-client records' fwdTo)
+// forgets the dead hop too, so a later AddLink — to the same
 // rejoining broker or to a repair parent — re-offers everything instead
 // of assuming the dead link's deliveries happened.
 func (b *Broker) RemoveLink(peer wire.BrokerID) error {
@@ -775,16 +703,15 @@ func (b *Broker) RemoveLink(peer wire.BrokerID) error {
 				b.aggregateEntryRemoved(e)
 			}
 		}
-		b.scrubHopState(hop, removed)
+		b.scrubHopState(hop)
 	})
 }
 
-// scrubHopState forgets a dead hop from the per-client propagation dedup
-// maps, and garbage collects per-client subscriptions this broker no
-// longer lies on the delivery path of (every entry pointed along the dead
-// link and the client is not local). Runs on the broker goroutine from
-// RemoveLink.
-func (b *Broker) scrubHopState(hop wire.Hop, removed []routing.Entry) {
+// scrubHopState forgets a dead hop from the propagation dedup state, and
+// garbage collects the per-client records this broker no longer lies on
+// the delivery path of (no live row is left and the client is not local).
+// Runs on the broker goroutine from RemoveLink.
+func (b *Broker) scrubHopState(hop wire.Hop) {
 	hopStr := hop.String()
 	for key, sent := range b.advFwd {
 		delete(sent, hopStr)
@@ -792,40 +719,15 @@ func (b *Broker) scrubHopState(hop wire.Hop, removed []routing.Entry) {
 			delete(b.advFwd, key)
 		}
 	}
-	for key, fwd := range b.clientSubFwd {
-		kept := fwd[:0]
-		for _, h := range fwd {
-			if h != hop {
-				kept = append(kept, h)
-			}
-		}
-		if len(kept) == 0 {
-			delete(b.clientSubFwd, key)
-		} else {
-			b.clientSubFwd[key] = kept
-		}
-	}
-	for _, ls := range b.locSubs {
-		kept := ls.fwdTo[:0]
-		for _, h := range ls.fwdTo {
-			if h != hop {
-				kept = append(kept, h)
-			}
-		}
-		ls.fwdTo = kept
-	}
-	for _, e := range removed {
-		if e.Client == "" {
+	for key, rec := range b.fwdSubs {
+		rec.fwdTo = slices.DeleteFunc(rec.fwdTo, func(h wire.Hop) bool { return h == hop })
+		if _, local := b.clients[rec.sub.Client]; local {
 			continue
 		}
-		key := subKey(e.Client, e.SubID)
-		if _, local := b.clients[e.Client]; local {
+		if len(b.subs.ClientEntries(rec.sub.Client, rec.sub.ID)) > 0 {
 			continue
 		}
-		if len(b.subs.ClientEntries(e.Client, e.SubID)) > 0 {
-			continue
-		}
-		delete(b.knownSubs, key)
+		delete(b.fwdSubs, key)
 		delete(b.fetched, key)
 		delete(b.pending, key)
 	}
@@ -884,8 +786,7 @@ func (b *Broker) Stats() Stats {
 		s.BatchesProcessed = b.batchDepth.Count()
 		s.MaxBatchSize = int(b.batchDepth.Max())
 		s.MeanBatchSize = b.batchDepth.Mean()
-		s.RelocationPendingDrops = b.relocDrops
-		s.RelocBufferDrops = b.relocDrops + b.relocReplayDrops
+		s.BufferDrops = b.bufferDrops
 		s.RelocationsStarted = b.relocStarted
 		s.RelocationsCompleted = b.relocCompleted
 		s.RelocationsExpired = b.relocExpired

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/filter"
 	"repro/internal/message"
@@ -193,8 +194,7 @@ func (b *Broker) localSubscribe(sub wire.Subscription) error {
 		SubID:  sub.ID,
 	})
 	if sub.Mobile() {
-		b.knownSubs[sub.Key()] = sub
-		b.propagateClientSub(sub, clientHop)
+		b.offerAll(b.record(sub))
 	} else {
 		b.aggregateEntryAdded(routing.Entry{Filter: sub.Filter, Hop: clientHop})
 	}
@@ -212,19 +212,14 @@ func (b *Broker) localUnsubscribe(client wire.ClientID, id wire.SubID) error {
 	}
 	delete(cs.subs, id)
 	delete(cs.locExact, id)
-	key := subKey(client, id)
 	removed := b.subs.RemoveClient(client, id)
-	delete(b.pending, key)
-	delete(b.fetched, key) // the sub is gone; drop its fetch-dedup entry too
-	switch {
-	case state.sub.LocDependent:
-		b.teardownLocSub(key)
-	case state.sub.Mobile():
-		b.retractClientSub(state.sub)
-	default:
-		for _, e := range removed {
-			b.aggregateEntryRemoved(e)
-		}
+	delete(b.pending, subKey(client, id))
+	if state.sub.LocDependent || state.sub.Mobile() {
+		b.withdraw(state.sub)
+		return nil
+	}
+	for _, e := range removed {
+		b.aggregateEntryRemoved(e)
 	}
 	return nil
 }
@@ -246,58 +241,33 @@ func (b *Broker) handleSubscribe(from wire.Hop, sub wire.Subscription) {
 }
 
 func (b *Broker) handleUnsubscribe(from wire.Hop, sub wire.Subscription) {
-	switch {
-	case sub.LocDependent:
-		key := sub.Key()
+	if sub.Client != "" {
+		// Per-client (mobile or location-dependent): only those cross a
+		// link with their client identity.
 		b.subs.RemoveClient(sub.Client, sub.ID)
-		b.teardownLocSub(key)
-	case sub.Client != "":
-		b.subs.RemoveClient(sub.Client, sub.ID)
-		b.retractClientSub(sub)
-	default:
-		e := routing.Entry{Filter: sub.Filter, Hop: from}
-		if b.subs.Remove(e) {
-			b.aggregateEntryRemoved(e)
-		}
+		b.withdraw(sub)
+		return
+	}
+	e := routing.Entry{Filter: sub.Filter, Hop: from}
+	if b.subs.Remove(e) {
+		b.aggregateEntryRemoved(e)
 	}
 }
 
 // handleClientSubscribe implements per-client (mobile) subscription
 // propagation and the relocation junction test of Section 4.1.
 func (b *Broker) handleClientSubscribe(from wire.Hop, sub wire.Subscription) {
-	key := sub.Key()
-	b.knownSubs[key] = sub
-
+	rec := b.record(sub)
 	olds := b.oldEntries(sub.Client, sub.ID, from)
 	// Record the new-path direction.
 	b.subs.Add(routing.Entry{Filter: sub.Filter, Hop: from, Client: sub.Client, SubID: sub.ID})
-
 	if sub.Relocate && len(olds) > 0 {
 		// This broker lies on the old delivery path: it is the junction
-		// broker (B4 in Figure 5). Divert new notifications to the new
-		// path and fetch the buffered ones from the old location.
-		b.fetched[key] = sub.RelocEpoch
-		for _, old := range olds {
-			b.subs.Remove(old)
-			fetch := wire.Fetch{
-				Client:   sub.Client,
-				ID:       sub.ID,
-				Filter:   sub.Filter,
-				LastSeq:  sub.LastSeq,
-				Junction: b.id,
-				Epoch:    sub.RelocEpoch,
-			}
-			if old.Hop.IsClient() {
-				// The old path ends here: this broker is also the old
-				// border broker. Replay locally.
-				b.replayFromCounterpart(fetch, from)
-			} else {
-				b.send(old.Hop, wire.NewFetch(fetch))
-			}
-		}
+		// broker (B4 in Figure 5).
+		b.divert(sub, olds, from)
 		return
 	}
-	b.propagateClientSub(sub, from)
+	b.offerAll(rec)
 }
 
 // oldEntries returns the routing entries for the client subscription that
@@ -312,60 +282,135 @@ func (b *Broker) oldEntries(c wire.ClientID, id wire.SubID, from wire.Hop) []rou
 	return out
 }
 
-// propagateClientSub forwards a per-client subscription toward matching
-// advertisers; when no advertisements exist at all, it floods to all
-// neighbors (advertisement-free operation). Pre-subscribing subscriptions
-// always flood, planting entries at every broker so any future border
-// broker is already a junction.
-func (b *Broker) propagateClientSub(sub wire.Subscription, from wire.Hop) {
-	var hops []wire.Hop
-	if sub.Presubscribe {
-		hops = b.neighborHops(from)
-	} else {
-		hops = b.subForwardHops(sub.Filter, from)
-	}
-	key := sub.Key()
-	fwd := b.clientSubFwd[key]
-	seen := make(map[string]bool, len(fwd))
-	for _, h := range fwd {
-		seen[h.String()] = true
-	}
-	for _, h := range hops {
-		if seen[h.String()] {
-			continue
-		}
-		fwd = append(fwd, h)
-		b.send(h, wire.NewSubscribe(sub))
-	}
-	b.clientSubFwd[key] = fwd
+// ---------------------------------------------------------------------------
+// Per-client subscription forwarding.
+// ---------------------------------------------------------------------------
+
+// fwdSub is this broker's record of a subscription that travels per
+// client instead of by aggregate: a mobile one, whose junction detection
+// needs the client identity at every hop (Section 4.1), or a
+// location-dependent one, whose widening differs per hop (Section 5).
+type fwdSub struct {
+	sub   wire.Subscription // as received (a local relocation's without its one-shot flags); a location-dependent Filter holds the marker template
+	fwdTo []wire.Hop        // hops the subscription was forwarded to
+	// Location-dependent only: the widening step of this broker's table
+	// entry, the instantiated entry, and the hop toward the consumer.
+	step  int
+	entry filter.Filter
+	from  wire.Hop
 }
 
-// subForwardHops computes the hops a subscription should travel along:
-// toward overlapping advertisements if any advertisements are known,
-// otherwise every neighbor (excluding the arrival hop).
-func (b *Broker) subForwardHops(f filter.Filter, from wire.Hop) []wire.Hop {
-	if b.advs.Len() == 0 {
-		return b.neighborHops(from)
+// record stores sub as the subscription's record, keeping the hops an
+// earlier arrival of the same subscription was already forwarded to.
+func (b *Broker) record(sub wire.Subscription) *fwdSub {
+	rec := b.fwdSubs[sub.Key()]
+	if rec == nil {
+		rec = &fwdSub{}
+		b.fwdSubs[sub.Key()] = rec
 	}
-	var out []wire.Hop
-	for _, h := range b.advs.HopsOverlapping(f, from) {
-		if !h.IsClient() {
-			out = append(out, h)
-		}
-	}
-	return out
+	rec.sub = sub
+	return rec
 }
 
-// retractClientSub withdraws a per-client subscription along the hops it
-// was forwarded to.
-func (b *Broker) retractClientSub(sub wire.Subscription) {
-	key := sub.Key()
-	for _, h := range b.clientSubFwd[key] {
-		b.send(h, wire.NewUnsubscribe(sub))
+// offer is the one rule for whether a per-client subscription travels to
+// a hop. It never goes to a client, twice to one hop, back along one of
+// its own rows (toward the consumer), or anywhere once this broker holds
+// no row for it. Otherwise it goes when it pre-subscribes (mobile only),
+// when no advertisement is known (advertisement-free flooding), or when
+// an advertisement from the hop overlaps it. Every trigger asks it: an
+// arrival for every neighbor (offerAll), AddLink and a new advertisement
+// for their hop (offerEach).
+func (b *Broker) offer(rec *fwdSub, hop wire.Hop) {
+	if hop.IsClient() || slices.Contains(rec.fwdTo, hop) {
+		return
 	}
-	delete(b.clientSubFwd, key)
-	delete(b.knownSubs, key)
+	sub := rec.sub
+	overlap, presubscribe := sub.Filter, sub.Presubscribe
+	if sub.LocDependent {
+		// Any location could become relevant: drop the marker. A
+		// location-dependent subscription never roams, so it does not
+		// pre-subscribe even when its flags ask to.
+		overlap, presubscribe = sub.Filter.Without(sub.LocAttr), false
+	}
+	if !presubscribe && b.advs.Len() > 0 && !b.advs.OverlapsHop(overlap, hop) {
+		return
+	}
+	rows := b.subs.ClientEntries(sub.Client, sub.ID)
+	if len(rows) == 0 {
+		return
+	}
+	for _, e := range rows {
+		if e.Hop == hop {
+			return
+		}
+	}
+	rec.fwdTo = append(rec.fwdTo, hop)
+	if sub.LocDependent {
+		sub = b.advanceStep(sub)
+	}
+	b.send(hop, wire.NewSubscribe(sub))
+}
+
+// offerAll offers a newly arrived subscription to every neighbor; the
+// arrival hop is skipped because the row just added points at it.
+func (b *Broker) offerAll(rec *fwdSub) {
+	for id := range b.links {
+		b.offer(rec, wire.BrokerHop(id))
+	}
+}
+
+// offerEach offers every record to one hop: a new link (AddLink) or a new
+// advertisement direction.
+func (b *Broker) offerEach(hop wire.Hop) {
+	for _, rec := range b.fwdSubs {
+		b.offer(rec, hop)
+	}
+}
+
+// withdraw drops a per-client subscription's record and sends the
+// unsubscribe along every hop the subscription was forwarded to.
+func (b *Broker) withdraw(unsub wire.Subscription) {
+	key := unsub.Key()
 	delete(b.fetched, key)
+	rec, ok := b.fwdSubs[key]
+	if !ok {
+		return
+	}
+	delete(b.fwdSubs, key)
+	if rec.sub.LocDependent {
+		// A location-dependent unsubscribe names the subscription as this
+		// broker holds it (its current location).
+		unsub = rec.sub
+	}
+	for _, h := range rec.fwdTo {
+		b.send(h, wire.NewUnsubscribe(unsub))
+	}
+}
+
+// divert makes this broker the junction of a relocation (Section 4.1): the
+// old delivery path's entries are removed, so new notifications follow
+// the row toward the new location, and a fetch travels along each old
+// entry to collect the buffered ones. An old entry pointing at a local
+// client means this broker is also the old border broker: it replays
+// toward the new path itself.
+func (b *Broker) divert(sub wire.Subscription, olds []routing.Entry, toward wire.Hop) {
+	b.fetched[sub.Key()] = sub.RelocEpoch
+	fetch := wire.Fetch{
+		Client:   sub.Client,
+		ID:       sub.ID,
+		Filter:   sub.Filter,
+		LastSeq:  sub.LastSeq,
+		Junction: b.id,
+		Epoch:    sub.RelocEpoch,
+	}
+	for _, old := range olds {
+		b.subs.Remove(old)
+		if old.Hop.IsClient() {
+			b.replayFromCounterpart(fetch, toward)
+		} else {
+			b.send(old.Hop, wire.NewFetch(fetch))
+		}
+	}
 }
 
 // aggregateEntryAdded feeds one new plain routing entry through the
@@ -426,10 +471,7 @@ func (b *Broker) isPerClientEntry(e routing.Entry) bool {
 	if e.Client == "" {
 		return false
 	}
-	if _, ok := b.knownSubs[subKey(e.Client, e.SubID)]; ok {
-		return true
-	}
-	if _, ok := b.locSubs[subKey(e.Client, e.SubID)]; ok {
+	if _, ok := b.fwdSubs[subKey(e.Client, e.SubID)]; ok {
 		return true
 	}
 	// Local plain client subscriptions carry client identity for delivery
@@ -465,9 +507,9 @@ func (b *Broker) handleAdvertise(from wire.Hop, adv wire.Subscription) {
 		sent[h.String()] = true
 		b.send(h, wire.NewAdvertise(adv))
 	}
-	// Flush known per-client subscriptions toward the new advertiser if
-	// they overlap and have not traveled that way yet.
-	b.flushSubsToward(from, adv.Filter)
+	// Known per-client subscriptions may now have a reason to travel
+	// toward the new advertiser.
+	b.offerEach(from)
 }
 
 func (b *Broker) handleUnadvertise(from wire.Hop, adv wire.Subscription) {
@@ -477,45 +519,6 @@ func (b *Broker) handleUnadvertise(from wire.Hop, adv wire.Subscription) {
 	key := "adv:" + adv.Key() + ":" + adv.Filter.ID()
 	delete(b.advFwd, key)
 	b.broadcast(wire.NewUnadvertise(adv), from)
-}
-
-// flushSubsToward forwards already-known per-client subscriptions toward a
-// newly learned advertisement direction.
-func (b *Broker) flushSubsToward(advHop wire.Hop, advFilter filter.Filter) {
-	if advHop.IsClient() {
-		// Local producers: subscriptions need not travel anywhere to reach
-		// them; publish routing consults the local table directly.
-		return
-	}
-	for key, sub := range b.knownSubs {
-		overlap := sub.Filter.Overlaps(advFilter)
-		if !overlap {
-			continue
-		}
-		already := false
-		for _, h := range b.clientSubFwd[key] {
-			if h == advHop {
-				already = true
-				break
-			}
-		}
-		// Do not forward a subscription back where it came from.
-		cameFrom := false
-		for _, e := range b.subs.ClientEntries(sub.Client, sub.ID) {
-			if e.Hop == advHop {
-				cameFrom = true
-				break
-			}
-		}
-		if already || cameFrom {
-			continue
-		}
-		b.clientSubFwd[key] = append(b.clientSubFwd[key], advHop)
-		b.send(advHop, wire.NewSubscribe(sub))
-	}
-	for key, ls := range b.locSubs {
-		b.flushLocSubToward(key, ls, advHop, advFilter)
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -555,7 +558,7 @@ func (b *Broker) handlePublish(from wire.Hop, n message.Notification, env wire.M
 	b.pub.deliveries = b.pub.deliveries[:0]
 	b.subs.EachRoute(n, from, b.pub.visit)
 	for _, ref := range b.pub.deliveries {
-		b.deliverTo(ref.client, ref.id, n, false)
+		b.deliverTo(ref.client, ref.id, n)
 	}
 	if cap(b.pub.deliveries) > maxOutboxRetainCap {
 		b.pub.deliveries = nil // shed spike-sized buffers like the outbox does
@@ -597,7 +600,7 @@ func (b *Broker) deliverFlooded(n message.Notification) {
 	for _, cs := range b.clients {
 		for id, st := range cs.subs {
 			if cs.clientFilter(id, st).Matches(n) {
-				b.deliverTo(cs.id, id, n, false)
+				b.deliverTo(cs.id, id, n)
 			}
 		}
 	}
@@ -614,7 +617,7 @@ func (b *Broker) deliverFlooded(n message.Notification) {
 // location-dependent subscriptions only ever point at broker hops — or,
 // under flooding, by evaluating it. Notifications buffered while a
 // relocation is pending were admitted the same way.
-func (b *Broker) deliverTo(client wire.ClientID, id wire.SubID, n message.Notification, replayed bool) {
+func (b *Broker) deliverTo(client wire.ClientID, id wire.SubID, n message.Notification) {
 	cs, ok := b.clients[client]
 	if !ok {
 		return
@@ -625,28 +628,37 @@ func (b *Broker) deliverTo(client wire.ClientID, id wire.SubID, n message.Notifi
 	}
 	// len check first: no relocation in progress (the common case) must
 	// not pay the subKey concatenation per delivery.
-	if len(b.pending) != 0 && !replayed {
+	if len(b.pending) != 0 {
 		if p, relocating := b.pending[subKey(client, id)]; relocating {
-			p.notifs = append(p.notifs, n)
-			if len(p.notifs) > b.opts.RelocBufferCap {
-				p.notifs = p.notifs[1:]
-				b.relocDrops++
-			}
+			p.notifs = appendCapped(b, p.notifs, n, b.opts.RelocBufferCap)
 			return
 		}
 	}
 	item := wire.SeqNotification{Seq: st.nextSeq, Notif: n}
 	st.nextSeq++
 	if !cs.connected || cs.deliver == nil {
-		st.buffer = append(st.buffer, item)
-		if len(st.buffer) > b.opts.MaxBufferPerSub {
-			st.buffer = st.buffer[1:]
-			st.overflow++
-		}
+		st.buffer = appendCapped(b, st.buffer, item, b.opts.MaxBufferPerSub)
 		return
 	}
+	b.handOver(cs, wire.Deliver{Client: client, ID: id, Item: item})
+}
+
+// handOver passes one item to a connected client and counts the delivery.
+func (b *Broker) handOver(cs *clientState, d wire.Deliver) {
 	if b.opts.Counter != nil {
 		b.opts.Counter.Inc(metrics.CategoryDeliver)
 	}
-	cs.deliver(wire.Deliver{Client: client, ID: id, Item: item, Replayed: replayed})
+	cs.deliver(d)
+}
+
+// appendCapped appends x to a per-subscription buffer holding at most max
+// items: on overflow the oldest is dropped and counted in
+// Stats.BufferDrops.
+func appendCapped[T any](b *Broker, buf []T, x T, max int) []T {
+	buf = append(buf, x)
+	if len(buf) > max {
+		buf = buf[1:]
+		b.bufferDrops++
+	}
+	return buf
 }

@@ -45,9 +45,7 @@ func (b *Broker) localSubscribeLocDep(cs *clientState, sub wire.Subscription) er
 	if err != nil {
 		return err
 	}
-	key := subKey(sub.Client, sub.ID)
 	clientHop := wire.ClientHop(sub.Client)
-
 	cs.subs[sub.ID] = &clientSub{sub: sub, nextSeq: 1}
 	if cs.locExact == nil {
 		cs.locExact = make(map[wire.SubID]filter.Filter)
@@ -55,53 +53,29 @@ func (b *Broker) localSubscribeLocDep(cs *clientState, sub wire.Subscription) er
 	cs.locExact[sub.ID] = exact
 	b.subs.Add(routing.Entry{Filter: exact, Hop: clientHop, Client: sub.Client, SubID: sub.ID})
 
-	ls := &locSubState{sub: sub, step: 0, entry: exact, from: clientHop}
-	b.locSubs[key] = ls
-	b.forwardLocSub(ls, clientHop)
+	rec := b.record(sub)
+	rec.step, rec.entry, rec.from = 0, exact, clientHop
+	b.offerAll(rec)
 	return nil
 }
 
-// forwardLocSub advances the adaptivity state by this broker's δ and
-// forwards the subscription toward producers.
-func (b *Broker) forwardLocSub(ls *locSubState, from wire.Hop) {
-	next := ls.sub
+// advanceStep returns the subscription as forwarded upstream: its
+// adaptivity state advanced by this broker's δ (Section 5.3).
+func (b *Broker) advanceStep(sub wire.Subscription) wire.Subscription {
 	state := locfilter.StepState{
-		Delta:        next.Delta,
-		CumDelay:     next.CumDelay,
-		Steps:        next.Steps,
-		NextMultiple: next.NextMultiple,
+		Delta:        sub.Delta,
+		CumDelay:     sub.CumDelay,
+		Steps:        sub.Steps,
+		NextMultiple: sub.NextMultiple,
 	}
 	if state.NextMultiple == 0 {
 		state.NextMultiple = 1
 	}
 	state = state.Advance(b.opts.ProcDelay)
-	next.CumDelay = state.CumDelay
-	next.Steps = state.Steps
-	next.NextMultiple = state.NextMultiple
-
-	for _, h := range b.subForwardHops(b.locOverlapFilter(ls.sub), from) {
-		if h.IsClient() || b.alreadyForwarded(ls, h) {
-			continue
-		}
-		ls.fwdTo = append(ls.fwdTo, h)
-		b.send(h, wire.NewSubscribe(next))
-	}
-}
-
-// locOverlapFilter is the filter used to decide which advertisers a
-// location-dependent subscription must travel toward: the base filter with
-// the location marker removed (any location could become relevant).
-func (b *Broker) locOverlapFilter(sub wire.Subscription) filter.Filter {
-	return sub.Filter.Without(sub.LocAttr)
-}
-
-func (b *Broker) alreadyForwarded(ls *locSubState, h wire.Hop) bool {
-	for _, f := range ls.fwdTo {
-		if f == h {
-			return true
-		}
-	}
-	return false
+	sub.CumDelay = state.CumDelay
+	sub.Steps = state.Steps
+	sub.NextMultiple = state.NextMultiple
+	return sub
 }
 
 // handleLocSubscribe processes a location-dependent subscription arriving
@@ -123,48 +97,43 @@ func (b *Broker) handleLocSubscribe(from wire.Hop, sub wire.Subscription) {
 	if err != nil {
 		return
 	}
-	key := sub.Key()
-	if old, ok := b.locSubs[key]; ok {
+	if old, ok := b.fwdSubs[sub.Key()]; ok && old.sub.LocDependent {
 		// Re-subscription (e.g. refresh): replace the old entry.
 		b.subs.Remove(routing.Entry{Filter: old.entry, Hop: old.from, Client: sub.Client, SubID: sub.ID})
 	}
 	b.subs.Add(routing.Entry{Filter: entry, Hop: from, Client: sub.Client, SubID: sub.ID})
-	ls := &locSubState{sub: sub, step: step, entry: entry, from: from}
-	if old, ok := b.locSubs[key]; ok {
-		ls.fwdTo = old.fwdTo
-	}
-	b.locSubs[key] = ls
-	b.forwardLocSub(ls, from)
+	rec := b.record(sub)
+	rec.step, rec.entry, rec.from = step, entry, from
+	b.offerAll(rec)
 }
 
 // handleLocUpdate applies a location change at this broker's widening step
 // and propagates it while it still changes something.
 func (b *Broker) handleLocUpdate(from wire.Hop, lu wire.LocUpdate) {
-	key := subKey(lu.Client, lu.ID)
-	ls, ok := b.locSubs[key]
-	if !ok {
+	rec, ok := b.fwdSubs[subKey(lu.Client, lu.ID)]
+	if !ok || !rec.sub.LocDependent {
 		return
 	}
-	g, err := b.opts.Registry.Lookup(ls.sub.GraphName)
+	g, err := b.opts.Registry.Lookup(rec.sub.GraphName)
 	if err != nil {
 		return
 	}
-	cur := ls.sub.Loc
-	delta := locfilter.MoveDelta(g, cur, lu.NewLoc, ls.step)
-	ls.sub.Loc = lu.NewLoc
+	cur := rec.sub.Loc
+	delta := locfilter.MoveDelta(g, cur, lu.NewLoc, rec.step)
+	rec.sub.Loc = lu.NewLoc
 	if delta.Empty() {
 		// ploc(cur, s) == ploc(new, s) implies equality at every larger
 		// step upstream: stop propagating (restricted flooding).
 		return
 	}
-	newEntry, err := locfilter.Instantiate(ls.sub.Filter, ls.sub.LocAttr, g, lu.NewLoc, ls.step)
+	newEntry, err := locfilter.Instantiate(rec.sub.Filter, rec.sub.LocAttr, g, lu.NewLoc, rec.step)
 	if err != nil {
 		return
 	}
-	b.subs.Remove(routing.Entry{Filter: ls.entry, Hop: ls.from, Client: lu.Client, SubID: lu.ID})
-	b.subs.Add(routing.Entry{Filter: newEntry, Hop: ls.from, Client: lu.Client, SubID: lu.ID})
-	ls.entry = newEntry
-	for _, h := range ls.fwdTo {
+	b.subs.Remove(routing.Entry{Filter: rec.entry, Hop: rec.from, Client: lu.Client, SubID: lu.ID})
+	b.subs.Add(routing.Entry{Filter: newEntry, Hop: rec.from, Client: lu.Client, SubID: lu.ID})
+	rec.entry = newEntry
+	for _, h := range rec.fwdTo {
 		b.send(h, wire.NewLocUpdate(lu))
 	}
 }
@@ -205,8 +174,7 @@ func (b *Broker) setLocation(client wire.ClientID, id wire.SubID, newLoc locatio
 	if err != nil {
 		return err
 	}
-	key := subKey(client, id)
-	ls := b.locSubs[key]
+	rec := b.fwdSubs[subKey(client, id)]
 	clientHop := wire.ClientHop(client)
 
 	// Instant switch of the client-side filter: this is what removes the
@@ -215,53 +183,13 @@ func (b *Broker) setLocation(client wire.ClientID, id wire.SubID, newLoc locatio
 	b.subs.Add(routing.Entry{Filter: exact, Hop: clientHop, Client: client, SubID: id})
 	cs.locExact[id] = exact
 	st.sub.Loc = newLoc
-	if ls != nil {
-		ls.sub.Loc = newLoc
-		ls.entry = exact
+	if rec != nil {
+		rec.sub.Loc = newLoc
+		rec.entry = exact
 		lu := wire.LocUpdate{Client: client, ID: id, OldLoc: old, NewLoc: newLoc}
-		for _, h := range ls.fwdTo {
+		for _, h := range rec.fwdTo {
 			b.send(h, wire.NewLocUpdate(lu))
 		}
 	}
 	return nil
-}
-
-// teardownLocSub withdraws a location-dependent subscription upstream.
-func (b *Broker) teardownLocSub(key string) {
-	ls, ok := b.locSubs[key]
-	if !ok {
-		return
-	}
-	delete(b.locSubs, key)
-	for _, h := range ls.fwdTo {
-		b.send(h, wire.NewUnsubscribe(ls.sub))
-	}
-}
-
-// flushLocSubToward forwards a known location-dependent subscription
-// toward a newly learned advertiser direction.
-func (b *Broker) flushLocSubToward(key string, ls *locSubState, advHop wire.Hop, advFilter filter.Filter) {
-	if advHop.IsClient() || advHop == ls.from || b.alreadyForwarded(ls, advHop) {
-		return
-	}
-	if !b.locOverlapFilter(ls.sub).Overlaps(advFilter) {
-		return
-	}
-	next := ls.sub
-	state := locfilter.StepState{
-		Delta:        next.Delta,
-		CumDelay:     next.CumDelay,
-		Steps:        next.Steps,
-		NextMultiple: next.NextMultiple,
-	}
-	if state.NextMultiple == 0 {
-		state.NextMultiple = 1
-	}
-	state = state.Advance(b.opts.ProcDelay)
-	next.CumDelay = state.CumDelay
-	next.Steps = state.Steps
-	next.NextMultiple = state.NextMultiple
-	ls.fwdTo = append(ls.fwdTo, advHop)
-	b.send(advHop, wire.NewSubscribe(next))
-	_ = key
 }

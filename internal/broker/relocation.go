@@ -3,7 +3,6 @@ package broker
 import (
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/routing"
 	"repro/internal/wire"
 )
@@ -49,9 +48,8 @@ func (b *Broker) localRelocateSubscribe(cs *clientState, sub wire.Subscription) 
 		return nil
 	}
 
-	state := &clientSub{sub: sub, nextSeq: sub.LastSeq + 1}
-	cs.subs[sub.ID] = state
-	b.knownSubs[key] = persistentForm(sub)
+	cs.subs[sub.ID] = &clientSub{sub: sub, nextSeq: sub.LastSeq + 1}
+	rec := b.record(sub)
 
 	olds := b.oldEntries(sub.Client, sub.ID, clientHop)
 	b.subs.Add(routing.Entry{Filter: sub.Filter, Hop: clientHop, Client: sub.Client, SubID: sub.ID})
@@ -71,22 +69,13 @@ func (b *Broker) localRelocateSubscribe(cs *clientState, sub wire.Subscription) 
 	if len(olds) > 0 {
 		// The new border broker itself lies on the old delivery path: it
 		// is its own junction.
-		b.fetched[key] = sub.RelocEpoch
-		for _, old := range olds {
-			b.subs.Remove(old)
-			fetch := wire.Fetch{
-				Client:   sub.Client,
-				ID:       sub.ID,
-				Filter:   sub.Filter,
-				LastSeq:  sub.LastSeq,
-				Junction: b.id,
-				Epoch:    sub.RelocEpoch,
-			}
-			b.send(old.Hop, wire.NewFetch(fetch))
-		}
-		return nil
+		b.divert(sub, olds, clientHop)
+	} else {
+		// The relocation flags travel with the arrival only, so the
+		// brokers on the way can detect the junction.
+		b.offerAll(rec)
 	}
-	b.propagateClientSub(sub, clientHop)
+	rec.sub = persistentForm(sub)
 	return nil
 }
 
@@ -114,7 +103,7 @@ func (b *Broker) relocTimeout() time.Duration {
 // limitations of buffering approaches": RelocTimeout bounds how long a
 // relocation may buffer, RelocBufferCap bounds how much, and each drop is
 // counted (RelocationsExpired measures nothing by itself, but the blackout
-// experiment's loss column does; RelocBufferDrops counts the space side
+// experiment's loss column does; BufferDrops counts the space side
 // directly). Runs on the broker goroutine; the epoch check drops stale
 // timers from an earlier relocation of the same subscription.
 func (b *Broker) expireRelocation(key string, epoch uint64) {
@@ -126,12 +115,12 @@ func (b *Broker) expireRelocation(key string, epoch uint64) {
 	delete(b.fetched, key) // relocation over; allow future epochs to refetch
 	b.relocExpired++
 	for _, n := range p.notifs {
-		b.deliverTo(p.client, p.id, n, false)
+		b.deliverTo(p.client, p.id, n)
 	}
 }
 
 // persistentForm strips the one-shot relocation flags so the stored
-// subscription can be re-forwarded later (e.g. toward new advertisers).
+// subscription can be re-offered later (e.g. toward new advertisers).
 func persistentForm(sub wire.Subscription) wire.Subscription {
 	sub.Relocate = false
 	sub.LastSeq = 0
@@ -149,10 +138,7 @@ func (b *Broker) drainLocalBuffer(cs *clientState, st *clientSub, lastSeq uint64
 			continue
 		}
 		if cs.connected && cs.deliver != nil {
-			if b.opts.Counter != nil {
-				b.opts.Counter.Inc(metrics.CategoryDeliver)
-			}
-			cs.deliver(wire.Deliver{Client: cs.id, ID: st.sub.ID, Item: it, Replayed: true})
+			b.handOver(cs, wire.Deliver{Client: cs.id, ID: st.sub.ID, Item: it, Replayed: true})
 		}
 	}
 }
@@ -287,17 +273,9 @@ func (b *Broker) completeRelocation(r wire.Replay) {
 	// Old messages first …
 	for _, it := range r.Items {
 		if cs.connected && cs.deliver != nil {
-			if b.opts.Counter != nil {
-				b.opts.Counter.Inc(metrics.CategoryDeliver)
-			}
-			cs.deliver(wire.Deliver{Client: r.Client, ID: r.ID, Item: it, Replayed: true})
+			b.handOver(cs, wire.Deliver{Client: r.Client, ID: r.ID, Item: it, Replayed: true})
 		} else {
-			st.buffer = append(st.buffer, it)
-			if len(st.buffer) > b.opts.RelocBufferCap {
-				st.buffer = st.buffer[1:]
-				st.overflow++
-				b.relocReplayDrops++
-			}
+			st.buffer = appendCapped(b, st.buffer, it, b.opts.RelocBufferCap)
 		}
 	}
 	// … then the ones that arrived over the new path meanwhile (the
@@ -305,7 +283,7 @@ func (b *Broker) completeRelocation(r wire.Replay) {
 	// fresh sequence numbers continuing the old broker's numbering).
 	if p != nil {
 		for _, n := range p.notifs {
-			b.deliverTo(r.Client, r.ID, n, false)
+			b.deliverTo(r.Client, r.ID, n)
 		}
 	}
 }

@@ -63,9 +63,8 @@ func TestRelocBufferCapBoundsPendingBuffer(t *testing.T) {
 	}
 	h.settle()
 	s := b1.Stats()
-	if s.RelocationPendingDrops != 6 || s.RelocBufferDrops != 6 {
-		t.Errorf("drops = %d pending / %d total, want 6 / 6",
-			s.RelocationPendingDrops, s.RelocBufferDrops)
+	if s.BufferDrops != 6 {
+		t.Errorf("BufferDrops = %d, want 6", s.BufferDrops)
 	}
 	if s.RelocationsStarted != 1 || s.RelocationsCompleted != 0 {
 		t.Errorf("lifecycle = %d started / %d completed, want 1 / 0",
@@ -117,8 +116,8 @@ func TestRelocBufferCapBoundsReplayParking(t *testing.T) {
 	if err := b1.exec(func() { b1.completeRelocation(replay) }); err != nil {
 		t.Fatal(err)
 	}
-	if s := b1.Stats(); s.RelocBufferDrops != 6 {
-		t.Errorf("RelocBufferDrops = %d, want 6", s.RelocBufferDrops)
+	if s := b1.Stats(); s.BufferDrops != 6 {
+		t.Errorf("BufferDrops = %d, want 6", s.BufferDrops)
 	}
 	// Reattaching at the same broker takes the local fast path and drains
 	// the surviving tail of the buffer.

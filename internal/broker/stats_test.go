@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/filter"
@@ -73,7 +74,7 @@ func TestBrokerStats(t *testing.T) {
 
 // TestStatsRelocationPendingDrops checks that notifications dropped from a
 // relocation-pending buffer (MaxBufferPerSub exceeded while the replay is
-// outstanding) are surfaced in Stats, mirroring clientSub overflow.
+// outstanding) are surfaced in Stats.BufferDrops.
 func TestStatsRelocationPendingDrops(t *testing.T) {
 	h := newHarness(t, Options{MaxBufferPerSub: 4}, [][2]wire.BrokerID{{"b1", "b2"}})
 	b1 := h.brokers["b1"]
@@ -103,10 +104,58 @@ func TestStatsRelocationPendingDrops(t *testing.T) {
 	h.settle()
 	s := b1.Stats()
 	want := uint64(published - 4)
-	if s.RelocationPendingDrops != want {
-		t.Errorf("RelocationPendingDrops = %d, want %d", s.RelocationPendingDrops, want)
+	if s.BufferDrops != want {
+		t.Errorf("BufferDrops = %d, want %d", s.BufferDrops, want)
 	}
 	if got := rec.len(); got != 0 {
 		t.Errorf("deliveries while relocation pending = %d, want 0", got)
+	}
+}
+
+// TestStatsCounterpartBufferDrops checks that a detached client's virtual
+// counterpart overflowing MaxBufferPerSub counts its drops in
+// Stats.BufferDrops, and that the newest notifications survive for the
+// client's return.
+func TestStatsCounterpartBufferDrops(t *testing.T) {
+	h := newHarness(t, Options{MaxBufferPerSub: 4}, [][2]wire.BrokerID{{"b1", "b2"}})
+	b1 := h.brokers["b1"]
+	var rec recorder
+	if err := b1.AttachClient("c", rec.deliver); err != nil {
+		t.Fatal(err)
+	}
+	if err := b1.Subscribe(wire.Subscription{
+		Filter: filter.MustParse(`k = "v"`), Client: "c", ID: "s", IsMobile: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := b1.DetachClient("c"); err != nil {
+		t.Fatal(err)
+	}
+	if err := b1.AttachClient("p", nil); err != nil {
+		t.Fatal(err)
+	}
+	const published = 10
+	for i := 0; i < published; i++ {
+		if err := b1.Publish("p", message.New(map[string]message.Value{
+			"k": message.String("v"),
+		})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.settle()
+	if s := b1.Stats(); s.BufferDrops != published-4 {
+		t.Errorf("BufferDrops = %d, want %d", s.BufferDrops, published-4)
+	}
+	// Coming back at the same broker drains the four newest.
+	if err := b1.AttachClient("c", rec.deliver); err != nil {
+		t.Fatal(err)
+	}
+	if err := b1.Subscribe(wire.Subscription{
+		Filter: filter.MustParse(`k = "v"`), Client: "c", ID: "s", Relocate: true,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := rec.seqs(), []uint64{7, 8, 9, 10}; !reflect.DeepEqual(got, want) {
+		t.Errorf("drained seqs = %v, want %v", got, want)
 	}
 }

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/filter"
+	"repro/internal/location"
 	"repro/internal/message"
 	"repro/internal/wire"
 )
@@ -59,6 +61,65 @@ func TestFailNowTransitBrokerPlainSubs(t *testing.T) {
 	// Sequence numbering continues: the subscription never moved.
 	if events[1].Seq != events[0].Seq+1 {
 		t.Fatalf("sequence gap after repair: %d then %d", events[0].Seq, events[1].Seq)
+	}
+}
+
+// TestFailNowTransitBrokerLocDepSub kills the middle broker of a chain
+// under a location-dependent subscriber: repair must re-offer the
+// subscription across the new edge like any other per-client one, both
+// when an advertisement points toward the producer and when none is
+// known (the flood fallback).
+func TestFailNowTransitBrokerLocDepSub(t *testing.T) {
+	for _, advertise := range []bool{false, true} {
+		t.Run(fmt.Sprintf("advertise=%v", advertise), func(t *testing.T) {
+			net, ids := newChain(t, 3) // b1 - b2 - b3
+			if err := net.RegisterGraph("abc", location.Complete("A", "B", "C")); err != nil {
+				t.Fatal(err)
+			}
+			var got collector
+			consumer, err := net.NewClient("consumer", ids[0], got.handle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			producer, err := net.NewClient("producer", ids[2], nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if advertise {
+				if err := producer.Advertise("a1", quoteFilter()); err != nil {
+					t.Fatal(err)
+				}
+				net.Settle()
+			}
+			err = consumer.Subscribe(SubSpec{
+				ID:     "loc",
+				Filter: filter.MustParse(`type = "quote" && sym = "$myloc"`),
+				Loc:    &LocSpec{Graph: "abc", Attr: "sym", Start: "A"},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			net.Settle()
+			if err := producer.Publish(stockNotif("A", 1)); err != nil {
+				t.Fatal(err)
+			}
+			net.Settle()
+			if got.len() != 1 {
+				t.Fatalf("pre-failure delivery missing: %d events", got.len())
+			}
+
+			if err := net.FailNow(ids[1]); err != nil { // kill b2 (transit)
+				t.Fatal(err)
+			}
+			net.Settle()
+			if err := producer.Publish(stockNotif("A", 2)); err != nil {
+				t.Fatal(err)
+			}
+			net.Settle()
+			if got.len() != 2 {
+				t.Fatalf("post-repair delivery missing: %d events (want 2)", got.len())
+			}
+		})
 	}
 }
 

@@ -41,7 +41,6 @@ type networkConfig struct {
 	strategy   routing.Strategy
 	defaultLat time.Duration
 	procDelay  time.Duration
-	maxBuffer  int
 
 	// Elastic-federation settings (see elastic.go).
 	healHeartbeat  time.Duration
@@ -66,11 +65,6 @@ func WithLinkLatency(d time.Duration) NetworkOption {
 // δ used by the logical-mobility adaptivity scheme.
 func WithProcDelay(d time.Duration) NetworkOption {
 	return func(c *networkConfig) { c.procDelay = d }
-}
-
-// WithMaxBufferPerSub caps the relocation and virtual-counterpart buffers.
-func WithMaxBufferPerSub(n int) NetworkOption {
-	return func(c *networkConfig) { c.maxBuffer = n }
 }
 
 // Network owns a set of in-process brokers, their links, the shared
@@ -132,12 +126,11 @@ func (n *Network) AddBroker(id wire.BrokerID) (*broker.Broker, error) {
 		return nil, fmt.Errorf("%w: %s", ErrDuplicateBroker, id)
 	}
 	b := broker.New(id, broker.Options{
-		Strategy:        n.cfg.strategy,
-		Registry:        n.registry,
-		ProcDelay:       n.cfg.procDelay,
-		Counter:         n.counter,
-		MaxBufferPerSub: n.cfg.maxBuffer,
-		RelocTimeout:    n.cfg.relocTimeout,
+		Strategy:     n.cfg.strategy,
+		Registry:     n.registry,
+		ProcDelay:    n.cfg.procDelay,
+		Counter:      n.counter,
+		RelocTimeout: n.cfg.relocTimeout,
 	})
 	b.Start()
 	n.brokers[id] = b

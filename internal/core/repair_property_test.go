@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/filter"
+	"repro/internal/location"
 	"repro/internal/routing"
 	"repro/internal/wire"
 )
@@ -92,13 +93,33 @@ func buildRepairFixture(rng *rand.Rand, seed int64) *repairFixture {
 			events: &collector{},
 		})
 	}
+	// One location-dependent consumer, drawn after the others so the
+	// earlier draws (and with them each seed's tree and placements) stay
+	// as they were.
+	fx.consumers = append(fx.consumers, repairConsumer{
+		id: wire.ClientID(fmt.Sprintf("c%d", consumers+1)),
+		at: pick(),
+		sub: SubSpec{
+			ID:     wire.SubID(fmt.Sprintf("s%d", consumers+1)),
+			Filter: filter.MustParse(`type = "quote" && sym = "$myloc"`),
+			Loc:    &LocSpec{Graph: repairGraph, Attr: "sym", Start: "A"},
+		},
+		events: &collector{},
+	})
 	_ = seed
 	return fx
 }
 
+// repairGraph names the movement graph of the fixture's location-dependent
+// consumer; populate registers it.
+const repairGraph = "abc"
+
 // populate attaches the fixture's clients and subscriptions to a network.
 func (fx *repairFixture) populate(t *testing.T, net *Network) (producer *Client) {
 	t.Helper()
+	if err := net.RegisterGraph(repairGraph, location.Complete("A", "B", "C")); err != nil {
+		t.Fatal(err)
+	}
 	producer, err := net.NewClient("producer", fx.producerAt, nil)
 	if err != nil {
 		t.Fatal(err)

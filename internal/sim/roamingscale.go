@@ -97,8 +97,8 @@ type RoamingScaleResult struct {
 	ReplayBatches   uint64
 	ReplayMeanItems float64
 	ReplayMaxItems  uint64
-	// RelocBufferDrops must be zero: the storm stays under the buffer cap.
-	RelocBufferDrops uint64
+	// BufferDrops must be zero: the storm stays under the buffer caps.
+	BufferDrops uint64
 	// TableEntries is the measured table size at the roamers' home broker
 	// after ballast injection (>= Config.TableEntries; the storm's own
 	// subscriptions ride on top).
@@ -117,7 +117,7 @@ func (r RoamingScaleResult) Render() string {
 	out += fmt.Sprintf("  delivery: %d delivered, %d lost, %d duplicates\n",
 		r.Delivered, r.Lost, r.Duplicates)
 	out += fmt.Sprintf("  replay: %d batches, mean %.2f items, max %d items, %d buffer drops\n",
-		r.ReplayBatches, r.ReplayMeanItems, r.ReplayMaxItems, r.RelocBufferDrops)
+		r.ReplayBatches, r.ReplayMeanItems, r.ReplayMaxItems, r.BufferDrops)
 	return out
 }
 
@@ -279,7 +279,7 @@ func RunRoamingScale(cfg RoamingScaleConfig) (RoamingScaleResult, error) {
 		if s.ReplayMaxItems > res.ReplayMaxItems {
 			res.ReplayMaxItems = s.ReplayMaxItems
 		}
-		res.RelocBufferDrops += s.RelocBufferDrops
+		res.BufferDrops += s.BufferDrops
 	}
 	return res, nil
 }

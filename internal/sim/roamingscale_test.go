@@ -33,8 +33,8 @@ func TestRoamingScaleRun(t *testing.T) {
 	if res.Relocations != cfg.Roamers*cfg.Moves {
 		t.Errorf("relocations = %d, want %d", res.Relocations, cfg.Roamers*cfg.Moves)
 	}
-	if res.RelocBufferDrops != 0 {
-		t.Errorf("relocation buffer drops = %d, want 0", res.RelocBufferDrops)
+	if res.BufferDrops != 0 {
+		t.Errorf("buffer drops = %d, want 0", res.BufferDrops)
 	}
 	if res.TableEntries < cfg.TableEntries {
 		t.Errorf("ballast table holds %d entries, want >= %d", res.TableEntries, cfg.TableEntries)
