@@ -511,33 +511,39 @@ func linearMatchingHops(all []routing.Entry, n message.Notification) []wire.Hop 
 // range, equality + narrow range — each row has one selective constraint
 // and the others are satisfied by an eighth to two fifths of all
 // notifications), 10 000 rows, notifications drawn from the same value
-// domains. Informational; bench/ is what claims are measured with.
+// domains, routed with EachRoute as the workload's two brokers route them:
+//
+//   - border: the subscriber's broker, every row a client subscription,
+//     notifications arriving from the upstream broker;
+//   - upstream: the publisher's broker, every row forwarded from one
+//     broker hop, plus the publisher's own subscription on an attribute
+//     no notification carries; notifications arrive from the publisher.
+//
+// Informational; bench/ is what claims are measured with.
 func BenchmarkMatchIndexSelective10k(b *testing.B) {
 	const subs = 10000
 	continents := []string{"eu-", "us-", "ap-", "sa-"}
 	rng := rand.New(rand.NewSource(1))
-	tbl := routing.NewTable()
-	for i := 0; i < subs; i++ {
-		var f filter.Filter
+	filters := make([]filter.Filter, subs)
+	for i := range filters {
 		switch i % 3 {
 		case 0:
 			lo := int64(rng.Intn(6000))
-			f = filter.MustNew(
+			filters[i] = filter.MustNew(
 				filter.EQ("sym", message.String(fmt.Sprintf("SYM%04d", rng.Intn(2000)))),
 				filter.Range("price", message.Int(lo), message.Int(lo+3999)))
 		case 1:
 			lo := int64(rng.Intn(1000000 - 6400))
-			f = filter.MustNew(
+			filters[i] = filter.MustNew(
 				filter.Prefix("region", continents[rng.Intn(4)]),
 				filter.EQ("kind", message.String(fmt.Sprintf("kind%d", rng.Intn(8)))),
 				filter.Range("volume", message.Int(lo), message.Int(lo+6399)))
 		default:
 			lo := int64(rng.Intn(10000 - 32))
-			f = filter.MustNew(
+			filters[i] = filter.MustNew(
 				filter.EQ("exchange", message.String(fmt.Sprintf("XCH%02d", rng.Intn(16)))),
 				filter.Range("price", message.Int(lo), message.Int(lo+31)))
 		}
-		tbl.Add(routing.Entry{Filter: f, Hop: wire.ClientHop("sub"), Client: "sub", SubID: wire.SubID(fmt.Sprint(i))})
 	}
 	pool := make([]message.Notification, 1024)
 	for i := range pool {
@@ -550,14 +556,31 @@ func BenchmarkMatchIndexSelective10k(b *testing.B) {
 			"volume":   message.Int(int64(rng.Intn(1000000))),
 		})
 	}
-	matched := 0
-	visit := func(*routing.Entry) { matched++ }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl.EachMatchingEntry(pool[i%len(pool)], wire.Hop{}, visit)
+	run := func(b *testing.B, tbl *routing.Table, from wire.Hop) {
+		matched := 0
+		visit := func(*routing.Entry, int) { matched++ }
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			tbl.EachRoute(pool[i%len(pool)], from, visit)
+		}
+		b.ReportMetric(float64(matched)/float64(b.N), "matches/op")
 	}
-	b.ReportMetric(float64(matched)/float64(b.N), "matches/op")
+	b.Run("border", func(b *testing.B) {
+		tbl := routing.NewTable()
+		for i, f := range filters {
+			tbl.Add(routing.Entry{Filter: f, Hop: wire.ClientHop("sub"), Client: "sub", SubID: wire.SubID(fmt.Sprint(i))})
+		}
+		run(b, tbl, wire.BrokerHop("up"))
+	})
+	b.Run("upstream", func(b *testing.B) {
+		tbl := routing.NewTable()
+		for _, f := range filters {
+			tbl.Add(routing.Entry{Filter: f, Hop: wire.BrokerHop("down")})
+		}
+		tbl.Add(routing.Entry{Filter: filter.MustNew(filter.Exists("fence")), Hop: wire.ClientHop("pub"), Client: "pub", SubID: "fence"})
+		run(b, tbl, wire.ClientHop("pub"))
+	})
 }
 
 // matchScaleEntries builds the n-entry shape mix of matchBenchTable as

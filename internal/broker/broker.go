@@ -122,7 +122,13 @@ type Broker struct {
 	// Per-client-subscription propagation state.
 	fwdSubs map[string]*fwdSub            // key -> mobile or location-dependent record
 	fetched map[string]uint64             // key -> last relocation epoch fetched
-	pending map[string]*relocationPending // key -> buffer at the NEW border broker
+	pending map[string]*relocationPending // key -> buffer at the NEW border broker (also clientSub.pending)
+
+	// owned finds a matched client-hop row's delivery state by the row's
+	// owner id in subs (see ownedAt); subsEpoch counts the local
+	// subscriptions dropped or replaced, which retires every entry.
+	owned     []ownedSub
+	subsEpoch uint64
 
 	// processed counts messages handled, by type (observability). An array
 	// instead of a map keeps the per-task bump off the allocator and the
@@ -131,7 +137,6 @@ type Broker struct {
 
 	// Batched-pipeline state (owned by the run goroutine).
 	out            outbox               // per-hop deferred link writes, flushed at batch boundaries
-	pubSeen        pubScratch           // epoch-stamped fan-out dedup, reused across publishes
 	pub            pubCtx               // per-publish routing context for the match visitor
 	encLinks       int                  // links that serialize frames (transport.FrameEncoder)
 	batchDepth     metrics.Distribution // tasks per mailbox drain
@@ -166,11 +171,6 @@ type Broker struct {
 // constant set so new message types are counted automatically.
 const processedTypes = int(wire.TypeCount)
 
-// pubScratchShedSize bounds the epoch-stamped dedup map: once churn has
-// grown it past this, its entries are cleared wholesale (stale entries
-// are otherwise only invalidated, never deleted).
-const pubScratchShedSize = 4096
-
 // outbox collects the messages a batch produces per neighbor, in first-use
 // order, so each link receives one FIFO burst per flush instead of a write
 // per message. All link traffic is deferred through it — deferring only
@@ -181,20 +181,13 @@ type outbox struct {
 	pending map[wire.BrokerID][]wire.Message
 }
 
-// pubScratch replaces the per-publish seen-subscription map allocation
-// with epoch-stamped entries: bumping the epoch invalidates every entry in
-// O(1), so the map is reused across all publishes of a batch — and across
-// batches — without clearing. Broker hops need no such map: the table's
-// EachRoute visits each at most once.
-type pubScratch struct {
-	epoch uint64
-	subs  map[subRef]uint64
-}
-
-// subRef identifies a client subscription without building a key string.
-type subRef struct {
-	client wire.ClientID
-	id     wire.SubID
+// ownedSub is the delivery state of the local subscription whose rows
+// have one owner id in the subscription table.
+type ownedSub struct {
+	cs    *clientState
+	st    *clientSub
+	epoch uint64 // Broker.subsEpoch when cs and st were looked up
+	seen  uint64 // pubCtx.mark of the last publish that queued st
 }
 
 // pubCtx carries one publish through the table's match visitor without a
@@ -202,16 +195,17 @@ type subRef struct {
 // reads the notification, arrival hop, and lazily built fan-out message
 // from here. Owned by the run goroutine.
 type pubCtx struct {
-	visit func(*routing.Entry)
+	visit func(*routing.Entry, int)
 	n     message.Notification
 	from  wire.Hop
 	msg   wire.Message // the shared fan-out envelope; zero until first broker hop
-	// deliveries collects the local subscriptions a publish matched; they
-	// are delivered after the match visit returns, so a delivery — and the
-	// client callback it runs, arbitrary user code — never executes while
-	// the match holds the subscription table's one scratch, which a visit
-	// must not re-enter. Reused across publishes.
-	deliveries []subRef
+	mark  uint64       // numbers the publishes: ownedSub.seen de-duplicates by it
+	// deliveries collects the owner ids of the local subscriptions a
+	// publish matched; they are delivered after the match visit returns,
+	// so a delivery — and the client callback it runs, arbitrary user code
+	// — never executes while the match holds the subscription table's one
+	// scratch, which a visit must not re-enter. Reused across publishes.
+	deliveries []int
 }
 
 // Stats is a snapshot of a broker's processed-message counters.
@@ -313,13 +307,24 @@ func (cs *clientState) clientFilter(id wire.SubID, st *clientSub) filter.Filter 
 	return st.sub.Filter
 }
 
-// clientSub is one subscription of a locally attached client, including
-// its delivery sequence numbering and — while the client is disconnected —
-// the virtual counterpart's buffer (Section 4.1).
+// clientSub is one subscription of a locally attached client: its delivery
+// sequence numbering, the virtual counterpart's buffer while the client is
+// disconnected (Section 4.1), and its Broker.pending entry while it
+// relocates here.
 type clientSub struct {
 	sub     wire.Subscription
 	nextSeq uint64
 	buffer  []wire.SeqNotification
+	pending *relocationPending
+}
+
+// dropSub removes a local subscription's delivery state, retiring every
+// cached owner id (see ownedAt).
+func (b *Broker) dropSub(cs *clientState, id wire.SubID) {
+	if _, ok := cs.subs[id]; ok {
+		delete(cs.subs, id)
+		b.subsEpoch++
+	}
 }
 
 // relocationPending buffers notifications arriving over the new path while
@@ -363,7 +368,6 @@ func New(id wire.BrokerID, opts Options) *Broker {
 		fetched: make(map[string]uint64),
 		pending: make(map[string]*relocationPending),
 		out:     outbox{pending: make(map[wire.BrokerID][]wire.Message)},
-		pubSeen: pubScratch{subs: make(map[subRef]uint64)},
 	}
 	b.pub.visit = b.visitPublishEntry
 	return b

@@ -210,7 +210,7 @@ func (b *Broker) localUnsubscribe(client wire.ClientID, id wire.SubID) error {
 	if !ok {
 		return fmt.Errorf("%w: %s/%s", ErrUnknownSub, client, id)
 	}
-	delete(cs.subs, id)
+	b.dropSub(cs, id)
 	delete(cs.locExact, id)
 	removed := b.subs.RemoveClient(client, id)
 	delete(b.pending, subKey(client, id))
@@ -539,26 +539,21 @@ func (b *Broker) handlePublish(from wire.Hop, n message.Notification, env wire.M
 		b.deliverFlooded(n)
 		return
 	}
-	// Deduplicate subscriptions with the broker's epoch-stamped scratch
-	// map instead of a fresh allocation per publish (EachRoute already
-	// visits each broker hop once), and build the forwarded wire message
-	// once: every neighbor link shares the same envelope (and, when any
-	// link serializes frames, the same encoding). The pre-bound visitor
-	// keeps the hot path free of closure and result slice allocations.
-	// Epochs invalidate scratch entries but never delete them; shed the
-	// map when client churn has grown it far beyond any live fan-out, so a
-	// long-running broker's dedup state stays bounded.
-	if len(b.pubSeen.subs) > pubScratchShedSize {
-		clear(b.pubSeen.subs)
-	}
-	b.pubSeen.epoch++
+	// Build the forwarded wire message once: every neighbor link shares
+	// the same envelope (and, when any link serializes frames, the same
+	// encoding). EachRoute visits each broker hop once; subscriptions are
+	// de-duplicated by the publish mark in their owner-id state. The
+	// pre-bound visitor keeps the hot path free of closure and result
+	// slice allocations.
+	b.pub.mark++
 	b.pub.n = n
 	b.pub.from = from
 	b.pub.msg = env
 	b.pub.deliveries = b.pub.deliveries[:0]
 	b.subs.EachRoute(n, from, b.pub.visit)
-	for _, ref := range b.pub.deliveries {
-		b.deliverTo(ref.client, ref.id, n)
+	for _, owner := range b.pub.deliveries {
+		o := &b.owned[owner]
+		b.deliverTo(o.cs, o.st, n)
 	}
 	if cap(b.pub.deliveries) > maxOutboxRetainCap {
 		b.pub.deliveries = nil // shed spike-sized buffers like the outbox does
@@ -576,15 +571,12 @@ func (b *Broker) handlePublish(from wire.Hop, n message.Notification, env wire.M
 // over a link, b.pub.msg is the inbound envelope (possibly carrying the
 // decoded frame for zero-copy forwarding); for local client publishes it
 // is built lazily at the first broker hop. Bound once as b.pub.visit.
-func (b *Broker) visitPublishEntry(e *routing.Entry) {
-	s := &b.pubSeen
+func (b *Broker) visitPublishEntry(e *routing.Entry, owner int) {
 	if e.Hop.IsClient() {
-		ref := subRef{client: e.Client, id: e.SubID}
-		if s.subs[ref] == s.epoch {
-			return
+		if o := b.ownedAt(e, owner); o != nil && o.seen != b.pub.mark {
+			o.seen = b.pub.mark
+			b.pub.deliveries = append(b.pub.deliveries, owner)
 		}
-		s.subs[ref] = s.epoch
-		b.pub.deliveries = append(b.pub.deliveries, ref)
 		return
 	}
 	if b.pub.msg.Type == wire.TypeInvalid {
@@ -594,13 +586,40 @@ func (b *Broker) visitPublishEntry(e *routing.Entry) {
 	b.send(e.Hop, b.pub.msg)
 }
 
+// ownedAt returns the delivery state of the local subscription owning a
+// matched client-hop row, found by the row's owner id: a cached entry
+// serves while no local subscription has been dropped or replaced since
+// it was looked up and it names the row's identity (the table gives a
+// freed owner id to the next new owner); otherwise the client and
+// subscription maps answer, and the answer is cached. Nil when the row has
+// no local subscription.
+func (b *Broker) ownedAt(e *routing.Entry, owner int) *ownedSub {
+	if owner >= len(b.owned) {
+		b.owned = append(b.owned, make([]ownedSub, owner+1-len(b.owned))...)
+	}
+	o := &b.owned[owner]
+	if o.st != nil && o.epoch == b.subsEpoch && o.st.sub.ID == e.SubID && o.cs.id == e.Client {
+		return o
+	}
+	cs, ok := b.clients[e.Client]
+	if !ok {
+		return nil
+	}
+	st, ok := cs.subs[e.SubID]
+	if !ok {
+		return nil
+	}
+	o.cs, o.st, o.epoch = cs, st, b.subsEpoch
+	return o
+}
+
 // deliverFlooded performs client-side filtering under the flooding
 // strategy: every attached client's subscriptions are evaluated locally.
 func (b *Broker) deliverFlooded(n message.Notification) {
 	for _, cs := range b.clients {
 		for id, st := range cs.subs {
 			if cs.clientFilter(id, st).Matches(n) {
-				b.deliverTo(cs.id, id, n)
+				b.deliverTo(cs, st, n)
 			}
 		}
 	}
@@ -617,22 +636,10 @@ func (b *Broker) deliverFlooded(n message.Notification) {
 // location-dependent subscriptions only ever point at broker hops — or,
 // under flooding, by evaluating it. Notifications buffered while a
 // relocation is pending were admitted the same way.
-func (b *Broker) deliverTo(client wire.ClientID, id wire.SubID, n message.Notification) {
-	cs, ok := b.clients[client]
-	if !ok {
+func (b *Broker) deliverTo(cs *clientState, st *clientSub, n message.Notification) {
+	if p := st.pending; p != nil {
+		p.notifs = appendCapped(b, p.notifs, n, b.opts.RelocBufferCap)
 		return
-	}
-	st, ok := cs.subs[id]
-	if !ok {
-		return
-	}
-	// len check first: no relocation in progress (the common case) must
-	// not pay the subKey concatenation per delivery.
-	if len(b.pending) != 0 {
-		if p, relocating := b.pending[subKey(client, id)]; relocating {
-			p.notifs = appendCapped(b, p.notifs, n, b.opts.RelocBufferCap)
-			return
-		}
 	}
 	item := wire.SeqNotification{Seq: st.nextSeq, Notif: n}
 	st.nextSeq++
@@ -640,7 +647,7 @@ func (b *Broker) deliverTo(client wire.ClientID, id wire.SubID, n message.Notifi
 		st.buffer = appendCapped(b, st.buffer, item, b.opts.MaxBufferPerSub)
 		return
 	}
-	b.handOver(cs, wire.Deliver{Client: client, ID: id, Item: item})
+	b.handOver(cs, wire.Deliver{Client: cs.id, ID: st.sub.ID, Item: item})
 }
 
 // handOver passes one item to a connected client and counts the delivery.

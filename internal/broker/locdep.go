@@ -46,6 +46,7 @@ func (b *Broker) localSubscribeLocDep(cs *clientState, sub wire.Subscription) er
 		return err
 	}
 	clientHop := wire.ClientHop(sub.Client)
+	b.dropSub(cs, sub.ID) // a relocating re-subscription replaces its state
 	cs.subs[sub.ID] = &clientSub{sub: sub, nextSeq: 1}
 	if cs.locExact == nil {
 		cs.locExact = make(map[wire.SubID]filter.Filter)

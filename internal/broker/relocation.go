@@ -48,13 +48,15 @@ func (b *Broker) localRelocateSubscribe(cs *clientState, sub wire.Subscription) 
 		return nil
 	}
 
-	cs.subs[sub.ID] = &clientSub{sub: sub, nextSeq: sub.LastSeq + 1}
+	st := &clientSub{sub: sub, nextSeq: sub.LastSeq + 1}
+	cs.subs[sub.ID] = st
 	rec := b.record(sub)
 
 	olds := b.oldEntries(sub.Client, sub.ID, clientHop)
 	b.subs.Add(routing.Entry{Filter: sub.Filter, Hop: clientHop, Client: sub.Client, SubID: sub.ID})
 	p := &relocationPending{client: sub.Client, id: sub.ID, epoch: sub.RelocEpoch}
 	b.pending[key] = p
+	st.pending = p
 	b.relocStarted++
 	if timeout := b.relocTimeout(); timeout > 0 {
 		epoch := sub.RelocEpoch
@@ -114,8 +116,19 @@ func (b *Broker) expireRelocation(key string, epoch uint64) {
 	delete(b.pending, key)
 	delete(b.fetched, key) // relocation over; allow future epochs to refetch
 	b.relocExpired++
+	cs, ok := b.clients[p.client]
+	if !ok {
+		return
+	}
+	st, ok := cs.subs[p.id]
+	if !ok {
+		return
+	}
+	if st.pending == p {
+		st.pending = nil
+	}
 	for _, n := range p.notifs {
-		b.deliverTo(p.client, p.id, n)
+		b.deliverTo(cs, st, n)
 	}
 }
 
@@ -210,7 +223,7 @@ func (b *Broker) replayFromCounterpart(f wire.Fetch, toward wire.Hop) {
 				}
 			}
 			replay.NextSeq = st.nextSeq
-			delete(cs.subs, f.ID)
+			b.dropSub(cs, f.ID)
 		}
 		if !cs.connected && len(cs.subs) == 0 && len(cs.advs) == 0 {
 			delete(b.clients, f.Client)
@@ -261,6 +274,7 @@ func (b *Broker) completeRelocation(r wire.Replay) {
 	}
 	p := b.pending[key]
 	delete(b.pending, key)
+	st.pending = nil
 	if p != nil && p.timer != nil {
 		p.timer.Stop()
 	}
@@ -283,7 +297,7 @@ func (b *Broker) completeRelocation(r wire.Replay) {
 	// fresh sequence numbers continuing the old broker's numbering).
 	if p != nil {
 		for _, n := range p.notifs {
-			b.deliverTo(r.Client, r.ID, n)
+			b.deliverTo(cs, st, n)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package broker
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/filter"
@@ -160,5 +161,40 @@ func TestClientRowsCarryExactFilter(t *testing.T) {
 				t.Errorf("walk too tame: %d entries checked, %d location moves, %d relocations", checked, moved, relocated)
 			}
 		})
+	}
+}
+
+// TestResubscribeGetsFreshDeliveryState: a subscription dropped and
+// subscribed again under the same identity gets the same owner id in the
+// routing table, which its deliveries are found by; they must reach the new
+// subscription's state (numbered afresh), not the dropped one.
+func TestResubscribeGetsFreshDeliveryState(t *testing.T) {
+	h := newHarness(t, Options{}, [][2]wire.BrokerID{{"b1", "b2"}})
+	b1 := h.brokers["b1"]
+	var rec recorder
+	if err := b1.AttachClient("c", rec.deliver); err != nil {
+		t.Fatal(err)
+	}
+	if err := b1.AttachClient("p", nil); err != nil {
+		t.Fatal(err)
+	}
+	sub := wire.Subscription{Filter: filter.MustParse(`k = "v"`), Client: "c", ID: "s"}
+	n := message.New(map[string]message.Value{"k": message.String("v")})
+	for round := 0; round < 2; round++ {
+		if err := b1.Subscribe(sub); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2; i++ {
+			if err := b1.Publish("p", n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b1.Unsubscribe("c", "s"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.settle()
+	if got, want := rec.seqs(), []uint64{1, 2, 1, 2}; !slices.Equal(got, want) {
+		t.Fatalf("delivered seqs %v, want %v", got, want)
 	}
 }

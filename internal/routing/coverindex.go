@@ -424,10 +424,10 @@ func (x *CoverIndex) drops(a, o int32) bool {
 func (ai *attrIndex) probeCoverers(d *filter.Constraint, s candSink) {
 	switch d.Op {
 	case filter.OpEQ, filter.OpPrefix:
-		ai.probe(d.Value, s)
+		ai.probe(nil, d.Value, s)
 		return
 	case filter.OpIn:
-		ai.probe(d.Values[0], s)
+		ai.probe(nil, d.Values[0], s)
 		return
 	}
 	ai.exists.probe(s)

@@ -70,6 +70,11 @@ type matchIndex struct {
 	attrs    []attrRef // per-attribute indexes, sorted by name
 	postings int       // live match-plane postings (see IndexStats.Postings)
 	liveRows int
+	// Live rows by hop kind, which bound a route-mode match (see
+	// openRoutes): the rows on client hops, and the broker hops holding at
+	// least one row (hopInfo.live counts each hop's).
+	clientRows int
+	brokerHops int
 
 	// Mutation-plane state: never read on the match path.
 	ident  identTable
@@ -117,8 +122,9 @@ type row struct {
 const maxAccess = 1<<15 - 1
 
 type hopInfo struct {
-	hop wire.Hop
-	key string // hop.String(), rendered once: hop-ordered outputs sort by it
+	hop  wire.Hop
+	key  string // hop.String(), rendered once: hop-ordered outputs sort by it
+	live int32  // live rows on the hop
 }
 
 // owner is one interned owner identity (client subscription) with the
@@ -330,6 +336,7 @@ func (x *matchIndex) insertEntry(e Entry) bool {
 	sg := slotGen{slot: slot, gen: gen}
 	x.hopPosts[hopID].add(sg)
 	x.hopPostLive++
+	x.countHopRow(hopID, 1)
 	if e.Client != "" {
 		x.owners[identID].posts.add(sg)
 		x.identPostLive++
@@ -531,6 +538,7 @@ func (x *matchIndex) removeSlot(slot int32) {
 	// postings; this is accounting plus amortized compaction.
 	x.hopPosts[hopID].removeLazy(x)
 	x.hopPostLive--
+	x.countHopRow(hopID, -1)
 	if x.owners[identID].c != "" {
 		x.owners[identID].posts.removeLazy(x)
 		x.identPostLive--
@@ -542,6 +550,21 @@ func (x *matchIndex) removeSlot(slot int32) {
 		x.postings -= unpostRow(x, f, access, pair)
 	}
 	x.free = append(x.free, slot)
+}
+
+// countHopRow adds d (±1) to hop hid's live rows and to the per-kind
+// totals.
+func (x *matchIndex) countHopRow(hid, d int32) {
+	hi := &x.hops[hid]
+	hi.live += d
+	switch {
+	case hi.hop.IsClient():
+		x.clientRows += int(d)
+	case d > 0 && hi.live == 1:
+		x.brokerHops++
+	case d < 0 && hi.live == 0:
+		x.brokerHops--
+	}
 }
 
 // isNaNValue reports whether v is a float NaN. NaN operands need special
@@ -914,9 +937,16 @@ type scratch struct {
 	route     bool
 	routed    []uint32
 	routeMark uint32
-	hopSeen   map[int32]struct{}
-	hopOut    []hopRef
-	entry     Entry // reused across visit calls; &entry escapes into the callback
+	// open counts the broker hops a route-mode match has still to find a
+	// verified row for; -1 when it cannot stop early (see openRoutes).
+	open int
+	// lastFrom is the intern id openRoutes last found an arrival hop
+	// under: a publish stream comes from one hop, and ids are never
+	// reassigned.
+	lastFrom int32
+	hopSeen  map[int32]struct{}
+	hopOut   []hopRef
+	entry    Entry // reused across visit calls; &entry escapes into the callback
 }
 
 type hopRef struct {
@@ -947,11 +977,15 @@ func (s *scratch) skip(hid int32) bool {
 	return s.route && h.Client == "" && s.routed[hid] == s.routeMark
 }
 
-// accept records a verified match.
+// accept records a verified match. With open > 0 every other live row is
+// on a broker hop, and skip lets each through once, so this is a new one.
 func (s *scratch) accept(slot, hid int32) {
 	s.matched = append(s.matched, slot)
 	if s.route {
 		s.routed[hid] = s.routeMark // client hops are never read back
+		if s.open > 0 {
+			s.open--
+		}
 	}
 }
 
@@ -1001,16 +1035,54 @@ func (s *scratch) scanned(sg slotGen) {
 // probe probes one attribute of the index with the notification's value v:
 // its single-key postings, then its pair postings.
 func (s *scratch) probe(ai *attrIndex, v message.Value) {
-	ai.probe(v, s)
+	ai.probe(s.x, v, s)
 	if ai.pairs.live > 0 && !isNaNValue(v) {
-		ai.pairs.probe(v, s.n, s)
+		ai.pairs.probe(s.x, v, s.n, s)
 	}
+}
+
+// openRoutes returns how many broker hops other than from hold a live row,
+// the verified matches after which a route-mode match can stop probing; or
+// -1 when a client hop other than from holds one, since every client-hop
+// match is visited.
+func (s *scratch) openRoutes(from wire.Hop) int {
+	x := s.x
+	if x.clientRows > 0 && !from.IsClient() {
+		return -1
+	}
+	open, clients := x.brokerHops, x.clientRows
+	if hid, ok := s.hopID(from); ok && x.hops[hid].live > 0 {
+		if from.IsClient() {
+			clients -= int(x.hops[hid].live)
+		} else {
+			open--
+		}
+	}
+	if clients > 0 {
+		return -1
+	}
+	return open
+}
+
+// hopID returns h's intern id, if it has one.
+func (s *scratch) hopID(h wire.Hop) (int32, bool) {
+	x := s.x
+	if int(s.lastFrom) < len(x.hops) && x.hops[s.lastFrom].hop == h {
+		return s.lastFrom, true
+	}
+	hid, ok := x.hopIDs[h]
+	if ok {
+		s.lastFrom = hid
+	}
+	return hid, ok
 }
 
 // match appends to s.matched the slot of every entry not on hop from whose
 // filter accepts n, and returns it; with route, only the first verified
-// entry of each broker hop (see eachMatching). The result aliases scratch
-// state and is only valid until the scratch is released.
+// entry of each broker hop (see eachMatching), and once every hop other
+// than from that holds a live row is a broker hop with a verified entry,
+// no further attribute is probed. The result aliases scratch state and is
+// only valid until the scratch is released.
 //
 // Both the notification's attributes and the index's attribute list are
 // sorted by name, so their intersection is found by a sorted merge: one
@@ -1020,7 +1092,11 @@ func (s *scratch) probe(ai *attrIndex, v message.Value) {
 // switches shape on a size ratio.
 func (x *matchIndex) match(n message.Notification, from wire.Hop, route bool, s *scratch) []int32 {
 	s.x, s.n, s.from, s.route, s.carryOK = x, n, from, route, false
+	s.open = -1
 	if route {
+		if s.open = s.openRoutes(from); s.open == 0 {
+			return s.matched // no row off the arrival hop
+		}
 		if len(s.routed) < len(x.hops) {
 			s.routed = make([]uint32, len(x.hops)+len(x.hops)/4)
 			s.routeMark = 0
@@ -1041,7 +1117,7 @@ func (x *matchIndex) match(n message.Notification, from wire.Hop, route bool, s 
 	case la == 0 || ln == 0:
 	case la <= 8*ln && ln <= 8*la:
 		i, j := 0, 0
-		for i < la && j < ln {
+		for i < la && j < ln && s.open != 0 {
 			a := n.At(j)
 			switch {
 			case attrs[i].name < a.Name:
@@ -1055,14 +1131,14 @@ func (x *matchIndex) match(n message.Notification, from wire.Hop, route bool, s 
 			}
 		}
 	case ln < la:
-		for j := 0; j < ln; j++ {
+		for j := 0; j < ln && s.open != 0; j++ {
 			a := n.At(j)
 			if i, ok := x.findAttr(a.Name); ok {
 				s.probe(attrs[i].ai, a.Value)
 			}
 		}
 	default:
-		for i := range attrs {
+		for i := 0; i < la && s.open != 0; i++ {
 			if v, ok := n.Get(attrs[i].name); ok {
 				s.probe(attrs[i].ai, v)
 			}
@@ -1072,14 +1148,15 @@ func (x *matchIndex) match(n message.Notification, from wire.Hop, route bool, s 
 }
 
 // probe reports the rows posted under a constraint v satisfies as
-// candidates, and the scan list's rows as scanned.
-func (ai *attrIndex) probe(v message.Value, s candSink) {
+// candidates, and the scan list's rows as scanned. x is as for
+// ivlist.probe.
+func (ai *attrIndex) probe(x postOwner, v message.Value, s candSink) {
 	ai.exists.probe(s)
 	if ai.eq.live > 0 && !isNaNValue(v) {
 		bits, str := eqPayload(v)
 		ai.eq.probe(v.Kind(), bits, str, s)
 	}
-	ai.iv.probe(v, s)
+	ai.iv.probe(x, v, s)
 	if v.Kind() == message.KindString {
 		str := v.Str()
 		ai.anyString.probe(s)
@@ -1145,11 +1222,12 @@ func (x *matchIndex) sortSlots(sl []int32) {
 // before verification. With route, a broker hop is visited once: after its
 // first verified match its remaining candidates are not verified — a
 // router sends one copy per neighbor whichever row asked for it — while
-// every client-hop match is still visited. The Entry pointer handed to
-// visit is reused across calls and only valid during each call. visit runs
-// while the index's one scratch holds this match, so it must not call back
-// into the table.
-func (x *matchIndex) eachMatching(n message.Notification, from wire.Hop, route bool, visit func(*Entry)) {
+// every client-hop match is still visited. visit also gets the row's owner
+// id (see Table.EachRoute). The Entry pointer handed to visit is reused
+// across calls and only valid during each call. visit runs while the
+// index's one scratch holds this match, so it must not call back into the
+// table.
+func (x *matchIndex) eachMatching(n message.Notification, from wire.Hop, route bool, visit func(e *Entry, owner int)) {
 	s := x.getScratch()
 	defer x.putScratch(s)
 	kept := x.match(n, from, route, s)
@@ -1163,7 +1241,7 @@ func (x *matchIndex) eachMatching(n message.Notification, from wire.Hop, route b
 	e := &s.entry
 	for _, slot := range kept {
 		x.fillEntry(slot, e)
-		visit(e)
+		visit(e, int(x.rows.at(slot).identID))
 	}
 }
 

@@ -19,8 +19,10 @@ import (
 // ivlist replaces it with the logarithmic method (Bentley–Saxe) over
 // static sorted runs:
 //
-//   - inserts buffer in a small pending slice (linear probe, bounded by
-//     ivPendCap);
+//   - inserts buffer in a small pending slice (bounded by ivPendCap); a
+//     match-plane probe promotes a non-empty buffer before it reads the
+//     list, so a list that has stopped changing is probed through its runs
+//     alone, while the cover index's probes scan the buffer as it is;
 //   - a full buffer is sorted into a new immutable run, which greedily
 //     merges with any existing run of comparable size, keeping O(log n)
 //     runs with geometrically increasing sizes at amortized O(log n)
@@ -46,8 +48,8 @@ const (
 	ivHiInc
 )
 
-// ivPendCap bounds the linearly-probed pending buffer and sets the base
-// run size for the logarithmic method.
+// ivPendCap bounds the pending buffer and sets the base run size for the
+// logarithmic method while inserts are not interleaved with match probes.
 const ivPendCap = 128
 
 type ivEntry[T ivOrd] struct {
@@ -112,30 +114,28 @@ func ivEntryLess[T ivOrd](a, b ivEntry[T]) bool {
 	return al && a.lo < b.lo
 }
 
+// buildRun builds a run of ents, which must be sorted by ivEntryLess. The
+// bounds and the tree share one allocation: a match probe promotes small
+// buffers too, so a run is often only a few entries long.
 func buildRun[T ivOrd](ents []ivEntry[T]) *ivRun[T] {
 	n := len(ents)
-	r := &ivRun[T]{
-		lo:    make([]T, n),
-		hi:    make([]T, n),
-		flags: make([]uint8, n),
-		sg:    make([]slotGen, n),
-	}
-	for i, e := range ents {
-		r.lo[i], r.hi[i], r.flags[i], r.sg[i] = e.lo, e.hi, e.flags, e.sg
-	}
-	r.buildTree()
-	return r
-}
-
-func (r *ivRun[T]) buildTree() {
-	n := len(r.sg)
 	w := 1
 	for w < n {
 		w *= 2
 	}
-	r.treeW = w
-	r.tree = make([]T, 2*w)
-	r.inf = make([]uint64, (2*w+63)/64)
+	vals := make([]T, 2*n+2*w)
+	r := &ivRun[T]{
+		lo:    vals[:n:n],
+		hi:    vals[n : 2*n : 2*n],
+		tree:  vals[2*n:],
+		flags: make([]uint8, n),
+		sg:    make([]slotGen, n),
+		inf:   make([]uint64, (2*w+63)/64),
+		treeW: w,
+	}
+	for i, e := range ents {
+		r.lo[i], r.hi[i], r.flags[i], r.sg[i] = e.lo, e.hi, e.flags, e.sg
+	}
 	for i := 0; i < n; i++ {
 		r.tree[w+i] = r.hi[i]
 		if r.flags[i]&ivHasHi == 0 {
@@ -152,6 +152,7 @@ func (r *ivRun[T]) buildTree() {
 			r.tree[i] = r.tree[2*i]
 		}
 	}
+	return r
 }
 
 func (r *ivRun[T]) entry(i int) ivEntry[T] {
@@ -212,12 +213,13 @@ func (l *ivlist[T]) removeLazy(x postOwner) {
 }
 
 // promote turns the pending buffer into a run and merges runs of
-// comparable size (the logarithmic method's amortization step).
+// comparable size (the logarithmic method's amortization step). The live
+// entries are sorted in the buffer itself, which buildRun copies out of.
 func (l *ivlist[T]) promote(x postOwner) {
-	ents := make([]ivEntry[T], 0, len(l.pend))
-	for i := range l.pend {
-		if x.rowLive(l.pend[i].sg) {
-			ents = append(ents, l.pend[i])
+	ents := l.pend[:0]
+	for _, e := range l.pend {
+		if x.rowLive(e.sg) {
+			ents = append(ents, e)
 		}
 	}
 	l.dead -= len(l.pend) - len(ents)
@@ -315,7 +317,11 @@ func (l *ivlist[T]) compact(x postOwner) {
 	l.runs = append(l.runs, buildRun(ents))
 }
 
-func (l *ivlist[T]) probe(v T, s candSink) {
+// probe reports the intervals that admit v. A match-plane probe passes
+// its index as x, which promotes a non-empty pending buffer into the runs
+// first; the cover index's witness plane passes nil and scans the buffer.
+func (l *ivlist[T]) probe(x postOwner, v T, s candSink) {
+	l.promoteOnProbe(x)
 	for _, r := range l.runs {
 		r.probe(v, s)
 	}
@@ -327,8 +333,15 @@ func (l *ivlist[T]) probe(v T, s candSink) {
 	}
 }
 
+func (l *ivlist[T]) promoteOnProbe(x postOwner) {
+	if x != nil && len(l.pend) > 0 {
+		l.promote(x)
+	}
+}
+
 // probeInclusive implements the NaN probe value path (see matchInclusive).
-func (l *ivlist[T]) probeInclusive(s candSink) {
+func (l *ivlist[T]) probeInclusive(x postOwner, s candSink) {
+	l.promoteOnProbe(x)
 	for _, r := range l.runs {
 		for i := range r.sg {
 			e := r.entry(i)
@@ -515,21 +528,22 @@ func (v *ivSet) insert(x postOwner, q ivShape, sg slotGen) {
 	}
 }
 
-// probe reports the intervals that admit val: those of its own kind.
-func (v *ivSet) probe(val message.Value, s candSink) {
+// probe reports the intervals that admit val: those of its own kind. x is
+// as for ivlist.probe.
+func (v *ivSet) probe(x postOwner, val message.Value, s candSink) {
 	switch val.Kind() {
 	case message.KindInt:
-		v.i.probe(val.IntVal(), s)
+		v.i.probe(x, val.IntVal(), s)
 	case message.KindFloat:
 		if isNaNValue(val) {
 			// Value.Compare orders NaN equal to everything, so NaN is
 			// admitted exactly by the inclusive bounds.
-			v.f.probeInclusive(s)
+			v.f.probeInclusive(x, s)
 		} else {
-			v.f.probe(val.FloatVal(), s)
+			v.f.probe(x, val.FloatVal(), s)
 		}
 	case message.KindString:
-		v.s.probe(val.Str(), s)
+		v.s.probe(x, val.Str(), s)
 	}
 }
 

@@ -198,7 +198,7 @@ func FuzzMatchIndexParity(f *testing.F) {
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("step %d: MatchingEntries(%s, %s)\nindex: %v\nbrute: %v", step, n, from, got, want)
 				}
-				checkRoute(t, step, n, from, collectRoute(tbl.EachRoute, n, from), want)
+				checkRoute(t, step, n, from, collectRoute(t, tbl.EachRoute, n, from), want)
 			}
 			if tbl.Len() != len(live) {
 				t.Fatalf("step %d: table has %d entries, shadow %d", step, tbl.Len(), len(live))

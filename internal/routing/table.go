@@ -159,16 +159,24 @@ func (t *Table) MatchingEntries(n message.Notification, from wire.Hop) []Entry {
 // valid during the call; visit must not retain it, modify it, or call
 // table methods (the match in progress holds the table's one scratch).
 func (t *Table) EachMatchingEntry(n message.Notification, from wire.Hop, visit func(*Entry)) {
-	t.idx.eachMatching(n, from, false, visit)
+	t.idx.eachMatching(n, from, false, func(e *Entry, _ int) { visit(e) })
 }
 
 // EachRoute is EachMatchingEntry for a router, which sends one copy of a
 // notification per neighbor broker and delivers it once per client
 // subscription: it visits every matching client-hop entry, but only one
 // matching entry per broker hop — once a broker hop has a verified match,
-// its other candidates are not verified. The visited entries are a subset
-// of EachMatchingEntry's, in the same order, and name the same hops.
-func (t *Table) EachRoute(n message.Notification, from wire.Hop, visit func(*Entry)) {
+// its other candidates are not verified, and once every hop other than
+// from that holds an entry is such a broker hop, the match stops. The
+// visited entries are a subset of EachMatchingEntry's, in the same order,
+// and name the same hops.
+//
+// visit also receives the entry's owner id: a small non-negative integer
+// the table gives the entry's (Client, SubID) identity, the same for every
+// entry of it. It is the table's while the table holds an entry of that
+// identity, and may name another identity once the last one is removed, so
+// a caller that indexes state by it checks the identity it recorded.
+func (t *Table) EachRoute(n message.Notification, from wire.Hop, visit func(e *Entry, owner int)) {
 	t.idx.eachMatching(n, from, true, visit)
 }
 

@@ -654,8 +654,10 @@ func (t *pairTable) rehash(newCap int32) {
 }
 
 // probe reports the rows of every bucket of v whose interval admits n's
-// value of the bucket's second attribute. v must not be NaN.
-func (t *pairTable) probe(v message.Value, n message.Notification, s candSink) {
+// value of the bucket's second attribute. v must not be NaN. Pairs are a
+// match-plane posting only, so x is always the match index (see
+// ivlist.probe).
+func (t *pairTable) probe(x postOwner, v message.Value, n message.Notification, s candSink) {
 	kind := v.Kind()
 	bits, str := eqPayload(v)
 	mask := t.cap() - 1
@@ -666,7 +668,7 @@ func (t *pairTable) probe(v message.Value, n message.Notification, s candSink) {
 		}
 		if sl.kind == kind && sl.bits == bits && sl.str == str && sl.list.live > 0 {
 			if w, ok := n.Get(sl.attr); ok {
-				sl.list.iv.probe(w, s)
+				sl.list.iv.probe(x, w, s)
 			}
 		}
 	}

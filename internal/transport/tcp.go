@@ -61,6 +61,8 @@ type TCPLink struct {
 	werr      error      // first write error; poisons subsequent Sends
 	closed    bool
 
+	drain time.Duration // Close's bound on draining accepted frames
+
 	writerDone chan struct{}
 	done       chan struct{}
 }
@@ -117,6 +119,9 @@ type TCPOption func(*tcpConfig)
 
 type tcpConfig struct {
 	ring flow.Options
+	// handshake and drain are handshakeTimeout and closeDrainTimeout; a
+	// test shortens them with a TCPOption of its own.
+	handshake, drain time.Duration
 }
 
 // WithSendWindow overrides the frame ring's capacity and overload policy
@@ -158,13 +163,17 @@ func AcceptTCP(conn net.Conn, self wire.BrokerID, recv Receiver, opts ...TCPOpti
 }
 
 func newTCPLink(conn net.Conn, self string, recv Receiver, opts []TCPOption) (*TCPLink, error) {
-	cfg := tcpConfig{ring: flow.Options{Capacity: DefaultSendWindow, Policy: flow.Block}}
+	cfg := tcpConfig{
+		ring:      flow.Options{Capacity: DefaultSendWindow, Policy: flow.Block},
+		handshake: handshakeTimeout,
+		drain:     closeDrainTimeout,
+	}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	// A conn without deadlines (none in this repository) keeps an
 	// unbounded handshake; nothing else changes for it.
-	_ = conn.SetDeadline(time.Now().Add(handshakeTimeout))
+	_ = conn.SetDeadline(time.Now().Add(cfg.handshake))
 	if err := writeFrame(conn, []byte(self)); err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("transport: handshake send: %w", err)
@@ -191,6 +200,7 @@ func newTCPLink(conn net.Conn, self string, recv Receiver, opts []TCPOption) (*T
 		sock:       newSocketIO(conn),
 		peerHop:    hop,
 		ring:       flow.NewQueue[tcpFrame](cfg.ring, frameClass),
+		drain:      cfg.drain,
 		writerDone: make(chan struct{}),
 		done:       make(chan struct{}),
 	}
@@ -407,7 +417,7 @@ func (l *TCPLink) Close() error {
 	l.flushCond.Broadcast()
 	l.mu.Unlock()
 	l.ring.Close()
-	_ = l.conn.SetWriteDeadline(time.Now().Add(closeDrainTimeout))
+	_ = l.conn.SetWriteDeadline(time.Now().Add(l.drain))
 	<-l.writerDone
 	err := l.conn.Close()
 	<-l.done

@@ -482,9 +482,10 @@ func TestTCPLinkCloseUnblocksReader(t *testing.T) {
 }
 
 // TestTCPHandshakeDeadline: a peer that accepts the connection and never
-// answers the handshake fails DialTCP once handshakeTimeout passes,
-// instead of holding the dialer for ever. The listener never calls
-// Accept; the kernel completes the connection on its own.
+// answers the handshake fails DialTCP once the handshake deadline
+// (handshakeTimeout, shortened here) passes, instead of holding the dialer
+// for ever. The listener never calls Accept; the kernel completes the
+// connection on its own.
 func TestTCPHandshakeDeadline(t *testing.T) {
 	t.Parallel()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -492,13 +493,14 @@ func TestTCPHandshakeDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	const deadline = 50 * time.Millisecond
 	start := time.Now()
-	_, err = DialTCP(ln.Addr().String(), "client", &sink{})
+	_, err = DialTCP(ln.Addr().String(), "client", &sink{}, func(c *tcpConfig) { c.handshake = deadline })
 	if !errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatalf("DialTCP to a silent peer = %v, want os.ErrDeadlineExceeded", err)
 	}
-	if elapsed := time.Since(start); elapsed > 2*handshakeTimeout {
-		t.Errorf("DialTCP took %v, deadline %v", elapsed, handshakeTimeout)
+	if elapsed := time.Since(start); elapsed > deadline+time.Second {
+		t.Errorf("DialTCP took %v, deadline %v", elapsed, deadline)
 	}
 }
 
@@ -770,7 +772,9 @@ func TestTCPLinkCloseRacesSend(t *testing.T) {
 
 // TestTCPLinkSendWindowShed: with a peer that never reads, the socket and
 // then the bounded ring fill up, and a ShedNewest ring starts refusing
-// notifications instead of growing without limit.
+// notifications instead of growing without limit. Close then gives up on
+// the accepted frames once its drain bound (closeDrainTimeout, shortened
+// here) passes: such a peer cannot wedge teardown.
 func TestTCPLinkSendWindowShed(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -789,15 +793,13 @@ func TestTCPLinkSendWindowShed(t *testing.T) {
 		<-stopRead // never read frames; keep the connection open
 		_ = conn.Close()
 	}()
+	const drain = 50 * time.Millisecond
 	cl, err := DialTCP(ln.Addr().String(), "client", &sink{},
-		WithSendWindow(flow.Options{Capacity: 4, Policy: flow.ShedNewest}))
+		WithSendWindow(flow.Options{Capacity: 4, Policy: flow.ShedNewest}),
+		func(c *tcpConfig) { c.drain = drain })
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	// Deferred last, so it runs before cl.Close: with the peer gone the
-	// writer's pending write fails at once, and Close does not wait out
-	// closeDrainTimeout against a peer that never reads.
 	defer func() {
 		close(stopRead)
 		<-peerClosed
@@ -818,6 +820,11 @@ func TestTCPLinkSendWindowShed(t *testing.T) {
 	}
 	if s.HighWater > 4 {
 		t.Errorf("ring high water %d exceeds capacity 4", s.HighWater)
+	}
+	start := time.Now()
+	_ = cl.Close() // reports the connection the failed drain already closed
+	if elapsed := time.Since(start); elapsed > drain+time.Second {
+		t.Errorf("Close against a peer that never reads took %v, drain bound %v", elapsed, drain)
 	}
 }
 
@@ -862,27 +869,20 @@ func TestTCPLinkFlushAfterCleanClose(t *testing.T) {
 // (a gap would skip client sequence numbers): with a stalled peer and a
 // ShedNewest ring, the sender stalls on credit, the ring depth stays at
 // capacity, and after the peer resumes every delivery arrives in order.
+// The link runs over net.Pipe, which buffers nothing, so the stalled peer
+// blocks the writer at the first frame.
 func TestTCPLinkDeliverLosslessBounded(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
+	near, far := net.Pipe()
 	resume := make(chan struct{})
 	seqs := make(chan uint64, 64)
 	go func() {
 		defer close(seqs)
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		_ = conn.(*net.TCPConn).SetReadBuffer(8 << 10)
-		_, _ = readFrame(conn, maxFrameSize)
-		_ = writeFrame(conn, []byte("server"))
+		defer far.Close()
+		_, _ = readFrame(far, maxFrameSize)
+		_ = writeFrame(far, []byte("server"))
 		<-resume
 		for {
-			frame, err := readFrame(conn, maxFrameSize)
+			frame, err := readFrame(far, maxFrameSize)
 			if err != nil {
 				return
 			}
@@ -894,15 +894,14 @@ func TestTCPLinkDeliverLosslessBounded(t *testing.T) {
 		}
 	}()
 	const capacity, total = 2, 16
-	cl, err := DialTCP(ln.Addr().String(), "client", &sink{},
+	cl, err := AcceptTCP(near, "client", &sink{},
 		WithSendWindow(flow.Options{Capacity: capacity, Policy: flow.ShedNewest}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = cl.conn.(*net.TCPConn).SetWriteBuffer(8 << 10)
 
 	pad := message.New(map[string]message.Value{
-		"pad": message.String(strings.Repeat("x", 1<<16)),
+		"pad": message.String(strings.Repeat("x", 1<<10)),
 	})
 	sendDone := make(chan error, 1)
 	go func() {
