@@ -40,7 +40,10 @@ type inbound = transport.Inbound
 
 // DeliverFunc receives notifications for an attached client. It is called
 // on the broker goroutine and must not block; client libraries queue
-// internally.
+// internally. A notification that arrived over TCP shares its storage
+// with its neighbours in the link reader's chunks (message.Chunks): a
+// client that keeps it keeps that chunk, and should keep its Clone
+// instead.
 type DeliverFunc func(wire.Deliver)
 
 // Options configures a broker.
@@ -198,8 +201,11 @@ type pubCtx struct {
 	visit func(*routing.Entry, int)
 	n     message.Notification
 	from  wire.Hop
-	msg   wire.Message // the shared fan-out envelope; zero until first broker hop
-	mark  uint64       // numbers the publishes: ownedSub.seen de-duplicates by it
+	// msg is the shared fan-out envelope: the inbound one, or own, built
+	// at a local publish's first broker hop; nil until then.
+	msg  *wire.Message
+	own  wire.Message
+	mark uint64 // numbers the publishes: ownedSub.seen de-duplicates by it
 	// deliveries collects the owner ids of the local subscriptions a
 	// publish matched; they are delivered after the match visit returns,
 	// so a delivery — and the client callback it runs, arbitrary user code
@@ -288,8 +294,11 @@ type Stats struct {
 
 // clientState tracks an attached (or roaming-away) client.
 type clientState struct {
-	id        wire.ClientID
-	deliver   DeliverFunc
+	id      wire.ClientID
+	deliver DeliverFunc
+	// link, when set, takes the deliveries instead of deliver: a remote
+	// client on a frame-encoding link (see AttachRemoteClient).
+	link      transport.DeliverySender
 	connected bool
 	subs      map[wire.SubID]*clientSub
 	advs      map[wire.SubID]filter.Filter
@@ -297,6 +306,12 @@ type clientState struct {
 	// subscription, instantiated at the client's current location; every
 	// other subscription's F0 is its own filter (see clientFilter).
 	locExact map[wire.SubID]filter.Filter
+}
+
+// reachable reports whether deliveries reach the client now; otherwise
+// the virtual counterpart buffers them.
+func (cs *clientState) reachable() bool {
+	return cs.connected && (cs.deliver != nil || cs.link != nil)
 }
 
 // clientFilter returns the subscription's client-side filter F0.
@@ -476,11 +491,13 @@ func (b *Broker) processBatch(batch []task) {
 		if int(t.in.Msg.Type) < processedTypes {
 			b.processed[t.in.Msg.Type]++
 		}
+		// The handlers get the envelope by pointer and keep none of it:
+		// recycle clears the batch.
 		if t.in.From.IsClient() {
-			b.clientInbound(t.in.From, t.in.Msg)
+			b.clientInbound(t.in.From, &t.in.Msg)
 			continue
 		}
-		b.dispatch(t.in)
+		b.dispatch(&t.in)
 	}
 	b.flushOutbox()
 }

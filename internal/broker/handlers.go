@@ -8,16 +8,17 @@ import (
 	"repro/internal/message"
 	"repro/internal/metrics"
 	"repro/internal/routing"
+	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
 // dispatch routes one inbound message to its handler. It runs on the
 // broker goroutine.
-func (b *Broker) dispatch(in inbound) {
+func (b *Broker) dispatch(in *inbound) {
 	switch in.Msg.Type {
 	case wire.TypePublish:
 		if in.Msg.Notif != nil {
-			b.handlePublish(in.From, *in.Msg.Notif, in.Msg)
+			b.handlePublish(in.From, in.Msg.Notif, &in.Msg)
 		}
 	case wire.TypeSubscribe:
 		if in.Msg.Sub != nil {
@@ -58,6 +59,12 @@ func (b *Broker) dispatch(in inbound) {
 // client reattaching elsewhere, the relocation is triggered by the
 // subsequent relocation re-subscriptions, not by attach itself.
 func (b *Broker) AttachClient(id wire.ClientID, deliver DeliverFunc) error {
+	return b.attach(id, deliver, nil)
+}
+
+// attach attaches a client whose deliveries go to deliver, or to link when
+// it is set.
+func (b *Broker) attach(id wire.ClientID, deliver DeliverFunc, link transport.DeliverySender) error {
 	var err error
 	execErr := b.exec(func() {
 		if cs, ok := b.clients[id]; ok && cs.connected {
@@ -74,7 +81,7 @@ func (b *Broker) AttachClient(id wire.ClientID, deliver DeliverFunc) error {
 			b.clients[id] = cs
 		}
 		cs.connected = true
-		cs.deliver = deliver
+		cs.deliver, cs.link = deliver, link
 	})
 	if execErr != nil {
 		return execErr
@@ -95,7 +102,7 @@ func (b *Broker) DetachClient(id wire.ClientID) error {
 			return
 		}
 		cs.connected = false
-		cs.deliver = nil
+		cs.deliver, cs.link = nil, nil
 	})
 	if execErr != nil {
 		return execErr
@@ -128,7 +135,8 @@ func (b *Broker) Unsubscribe(client wire.ClientID, id wire.SubID) error {
 // Publish injects a notification from a locally attached client.
 func (b *Broker) Publish(client wire.ClientID, n message.Notification) error {
 	return b.exec(func() {
-		b.handlePublish(wire.ClientHop(client), n, wire.Message{})
+		n := n // a copy of the closure's own: &n must not move it to the heap
+		b.handlePublish(wire.ClientHop(client), &n, nil)
 	})
 }
 
@@ -528,15 +536,20 @@ func (b *Broker) handleUnadvertise(from wire.Hop, adv wire.Subscription) {
 // handlePublish routes one publish. env is the inbound wire envelope when
 // the publish arrived over a link (it may carry a cached frame — the
 // decoded TCP frame or an upstream pre-encoding — which forwarding reuses
-// so a transit broker never re-serializes); local client publishes pass a
-// zero Message and the envelope is built lazily at the first broker hop.
-func (b *Broker) handlePublish(from wire.Hop, n message.Notification, env wire.Message) {
+// so a transit broker never re-serializes, and which deliveries to remote
+// clients splice in); local client publishes pass nil and the envelope is
+// built lazily at the first broker hop. n is the envelope's notification.
+// Neither pointer is kept past the call.
+func (b *Broker) handlePublish(from wire.Hop, n *message.Notification, env *wire.Message) {
 	if b.opts.Strategy == routing.Flooding {
-		if env.Type == wire.TypeInvalid {
-			env = wire.NewPublish(n)
+		var m wire.Message
+		if env != nil {
+			m = *env
+		} else {
+			m = wire.NewPublish(*n)
 		}
-		b.broadcast(env, from)
-		b.deliverFlooded(n)
+		b.broadcast(m, from)
+		b.deliverFlooded(*n, m.NotifBody())
 		return
 	}
 	// Build the forwarded wire message once: every neighbor link shares
@@ -546,21 +559,27 @@ func (b *Broker) handlePublish(from wire.Hop, n message.Notification, env wire.M
 	// pre-bound visitor keeps the hot path free of closure and result
 	// slice allocations.
 	b.pub.mark++
-	b.pub.n = n
+	b.pub.n = *n
 	b.pub.from = from
 	b.pub.msg = env
 	b.pub.deliveries = b.pub.deliveries[:0]
-	b.subs.EachRoute(n, from, b.pub.visit)
-	for _, owner := range b.pub.deliveries {
-		o := &b.owned[owner]
-		b.deliverTo(o.cs, o.st, n)
+	b.subs.EachRoute(*n, from, b.pub.visit)
+	if len(b.pub.deliveries) > 0 {
+		var body []byte
+		if b.pub.msg != nil {
+			body = b.pub.msg.NotifBody()
+		}
+		for _, owner := range b.pub.deliveries {
+			o := &b.owned[owner]
+			b.deliverTo(o.cs, o.st, *n, body)
+		}
 	}
 	if cap(b.pub.deliveries) > maxOutboxRetainCap {
 		b.pub.deliveries = nil // shed spike-sized buffers like the outbox does
 	} else {
 		b.pub.deliveries = b.pub.deliveries[:0]
 	}
-	b.pub.msg = wire.Message{}
+	b.pub.msg, b.pub.own = nil, wire.Message{}
 	b.pub.n = message.Notification{}
 }
 
@@ -579,11 +598,12 @@ func (b *Broker) visitPublishEntry(e *routing.Entry, owner int) {
 		}
 		return
 	}
-	if b.pub.msg.Type == wire.TypeInvalid {
-		b.pub.msg = wire.NewPublish(b.pub.n)
+	if b.pub.msg == nil {
+		b.pub.own = wire.NewPublish(b.pub.n)
+		b.pub.msg = &b.pub.own
 	}
-	b.maybePreencode(e.Hop.Broker, &b.pub.msg)
-	b.send(e.Hop, b.pub.msg)
+	b.maybePreencode(e.Hop.Broker, b.pub.msg)
+	b.send(e.Hop, *b.pub.msg)
 }
 
 // ownedAt returns the delivery state of the local subscription owning a
@@ -615,11 +635,11 @@ func (b *Broker) ownedAt(e *routing.Entry, owner int) *ownedSub {
 
 // deliverFlooded performs client-side filtering under the flooding
 // strategy: every attached client's subscriptions are evaluated locally.
-func (b *Broker) deliverFlooded(n message.Notification) {
+func (b *Broker) deliverFlooded(n message.Notification, body []byte) {
 	for _, cs := range b.clients {
 		for id, st := range cs.subs {
 			if cs.clientFilter(id, st).Matches(n) {
-				b.deliverTo(cs, st, n)
+				b.deliverTo(cs, st, n, body)
 			}
 		}
 	}
@@ -628,7 +648,11 @@ func (b *Broker) deliverFlooded(n message.Notification) {
 // deliverTo hands a notification to a local client subscription, assigning
 // the per-subscription sequence number; disconnected clients accumulate
 // into the virtual counterpart buffer, and relocating subscriptions (at
-// the new border broker) buffer until the replay arrives.
+// the new border broker) buffer until the replay arrives. Both buffers
+// keep n.Clone(): a notification decoded from a TCP link shares its
+// reader's chunks (message.Chunks), which a buffered copy must not pin.
+// body, when non-nil, is n's canonical encoding, which a remote client's
+// frame-encoding link splices into the delivery frame.
 //
 // The caller has established that n matches the subscription's exact
 // client-side filter F0 (clientState.clientFilter): by matching the client-hop
@@ -636,24 +660,36 @@ func (b *Broker) deliverFlooded(n message.Notification) {
 // location-dependent subscriptions only ever point at broker hops — or,
 // under flooding, by evaluating it. Notifications buffered while a
 // relocation is pending were admitted the same way.
-func (b *Broker) deliverTo(cs *clientState, st *clientSub, n message.Notification) {
+func (b *Broker) deliverTo(cs *clientState, st *clientSub, n message.Notification, body []byte) {
 	if p := st.pending; p != nil {
-		p.notifs = appendCapped(b, p.notifs, n, b.opts.RelocBufferCap)
+		p.notifs = appendCapped(b, p.notifs, n.Clone(), b.opts.RelocBufferCap)
 		return
 	}
 	item := wire.SeqNotification{Seq: st.nextSeq, Notif: n}
 	st.nextSeq++
-	if !cs.connected || cs.deliver == nil {
+	if !cs.reachable() {
+		item.Notif = n.Clone()
 		st.buffer = appendCapped(b, st.buffer, item, b.opts.MaxBufferPerSub)
 		return
 	}
-	b.handOver(cs, wire.Deliver{Client: cs.id, ID: st.sub.ID, Item: item})
+	b.handOver(cs, wire.Deliver{Client: cs.id, ID: st.sub.ID, Item: item}, body)
 }
 
 // handOver passes one item to a connected client and counts the delivery.
-func (b *Broker) handOver(cs *clientState, d wire.Deliver) {
+// body is as for deliverTo.
+func (b *Broker) handOver(cs *clientState, d wire.Deliver, body []byte) {
 	if b.opts.Counter != nil {
 		b.opts.Counter.Inc(metrics.CategoryDeliver)
+	}
+	if cs.link != nil {
+		// Send failures mean the link just died; the virtual counterpart
+		// takes over as soon as the owner detaches the client, but the
+		// failure is counted (and logged once) so a flapping client is
+		// visible.
+		if err := cs.link.SendDeliver(d, body); err != nil {
+			b.sendErrs.record(b.id, wire.ClientHop(cs.id), err)
+		}
+		return
 	}
 	cs.deliver(d)
 }

@@ -71,7 +71,7 @@ func (m *mailbox) pushBurst(from wire.Hop, ms []wire.Message) {
 	if len(ms) == 0 {
 		return
 	}
-	_ = m.q.PushBurst(len(ms), func(i int) task {
+	_, _ = m.q.PushBurst(len(ms), func(i int) task {
 		return task{in: inbound{From: from, Msg: ms[i]}}
 	})
 }

@@ -128,7 +128,7 @@ func (b *Broker) expireRelocation(key string, epoch uint64) {
 		st.pending = nil
 	}
 	for _, n := range p.notifs {
-		b.deliverTo(cs, st, n)
+		b.deliverTo(cs, st, n, nil)
 	}
 }
 
@@ -150,8 +150,8 @@ func (b *Broker) drainLocalBuffer(cs *clientState, st *clientSub, lastSeq uint64
 		if it.Seq <= lastSeq {
 			continue
 		}
-		if cs.connected && cs.deliver != nil {
-			b.handOver(cs, wire.Deliver{Client: cs.id, ID: st.sub.ID, Item: it, Replayed: true})
+		if cs.reachable() {
+			b.handOver(cs, wire.Deliver{Client: cs.id, ID: st.sub.ID, Item: it, Replayed: true}, nil)
 		}
 	}
 }
@@ -286,8 +286,8 @@ func (b *Broker) completeRelocation(r wire.Replay) {
 	}
 	// Old messages first …
 	for _, it := range r.Items {
-		if cs.connected && cs.deliver != nil {
-			b.handOver(cs, wire.Deliver{Client: r.Client, ID: r.ID, Item: it, Replayed: true})
+		if cs.reachable() {
+			b.handOver(cs, wire.Deliver{Client: r.Client, ID: r.ID, Item: it, Replayed: true}, nil)
 		} else {
 			st.buffer = appendCapped(b, st.buffer, it, b.opts.RelocBufferCap)
 		}
@@ -297,7 +297,7 @@ func (b *Broker) completeRelocation(r wire.Replay) {
 	// fresh sequence numbers continuing the old broker's numbering).
 	if p != nil {
 		for _, n := range p.notifs {
-			b.deliverTo(cs, st, n)
+			b.deliverTo(cs, st, n, nil)
 		}
 	}
 }

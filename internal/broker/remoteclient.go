@@ -14,31 +14,33 @@ import (
 
 // AttachRemoteClient attaches a client whose deliveries travel over the
 // given link. The caller owns the link's lifecycle and should call
-// DetachClient when the link dies.
+// DetachClient when the link dies. Deliveries are written on the broker
+// goroutine, inline like every neighbor link, so they reach the client in
+// handling order: a frame-encoding link (transport.DeliverySender) takes
+// each one through SendDeliver, splicing in the publish's bytes when it
+// arrived with them, any other link a wire.NewDeliver message.
 func (b *Broker) AttachRemoteClient(id wire.ClientID, link transport.Link) error {
+	if ds, ok := link.(transport.DeliverySender); ok {
+		return b.attach(id, nil, ds)
+	}
 	hop := wire.ClientHop(id)
-	return b.AttachClient(id, func(d wire.Deliver) {
-		// Runs on the broker goroutine (the DeliverFunc contract), which
-		// writes the client link inline like every neighbor link, so
-		// deliveries reach it in handling order. Send failures mean the
-		// link just died; the virtual counterpart takes over as soon as
-		// the owner detaches the client, but the failure is counted (and
-		// logged once) so a flapping client is visible.
+	return b.attach(id, func(d wire.Deliver) {
+		// A failed Send means the link just died; see handOver.
 		if err := link.Send(wire.NewDeliver(d)); err != nil {
 			b.sendErrs.record(b.id, hop, err)
 		}
-	})
+	}, nil)
 }
 
 // clientInbound handles wire messages arriving from an attached client's
 // link, mapping them onto the same handlers the in-process API uses. Runs
 // on the broker goroutine.
-func (b *Broker) clientInbound(from wire.Hop, msg wire.Message) {
+func (b *Broker) clientInbound(from wire.Hop, msg *wire.Message) {
 	client := from.Client
 	switch msg.Type {
 	case wire.TypePublish:
 		if msg.Notif != nil {
-			b.handlePublish(from, *msg.Notif, msg)
+			b.handlePublish(from, msg.Notif, msg)
 		}
 	case wire.TypeSubscribe:
 		if msg.Sub != nil {

@@ -213,15 +213,15 @@ func (q *Queue[T]) Push(v T) error {
 }
 
 // PushBurst enqueues n items produced by at(0..n-1) as one FIFO burst
-// under one lock acquisition (the receiving half of a link-level batch).
-// The policy applies per item — a control item inside a burst is admitted
-// even if data items around it are shed — so a burst never aborts on
-// overload; it returns ErrClosed only, when the queue closes before the
-// burst completes (remaining items are dropped, mirroring a closed link).
-// A Block stall inside a burst releases the lock, so bursts from
-// different producers may interleave at the stall point; per-producer
-// FIFO order is preserved regardless.
-func (q *Queue[T]) PushBurst(n int, at func(int) T) error {
+// under one lock acquisition (the receiving half of a link-level batch)
+// and returns how many it admitted. The policy applies per item — a
+// control item inside a burst is admitted even if data items around it
+// are shed — so a burst never aborts on overload; it returns ErrClosed
+// only, when the queue closes before the burst completes (remaining items
+// are dropped, mirroring a closed link). A Block stall inside a burst
+// releases the lock, so bursts from different producers may interleave
+// at the stall point; per-producer FIFO order is preserved regardless.
+func (q *Queue[T]) PushBurst(n int, at func(int) T) (admitted int, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for i := 0; i < n; i++ {
@@ -231,11 +231,12 @@ func (q *Queue[T]) PushBurst(n int, at func(int) T) error {
 		case ErrShed:
 			continue
 		default:
-			return err
+			return admitted, err
 		}
 		q.appendLocked(v)
+		admitted++
 	}
-	return nil
+	return admitted, nil
 }
 
 // admitLocked applies capacity and policy for one item; it may release

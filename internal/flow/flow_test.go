@@ -56,7 +56,7 @@ func TestQueueFIFO(t *testing.T) {
 
 func TestQueuePushBurstFIFO(t *testing.T) {
 	q := NewQueue[item](Options{}, classify)
-	if err := q.PushBurst(50, func(i int) item { return item{seq: i} }); err != nil {
+	if _, err := q.PushBurst(50, func(i int) item { return item{seq: i} }); err != nil {
 		t.Fatal(err)
 	}
 	got := drainAll(t, q)
@@ -91,6 +91,79 @@ func TestQueueShedNewest(t *testing.T) {
 	if s.ShedNewest != 3 || s.HighWater != 3 {
 		t.Errorf("stats = %+v, want shed=3 highwater=3", s)
 	}
+}
+
+// TestQueuePushBurstCountsAdmitted: PushBurst reports how many items
+// it admitted — under ShedNewest the shed data items are not counted,
+// while control items over capacity are — so a caller holding
+// per-item accounting (a link's flush slots) can give back the rest.
+func TestQueuePushBurstCountsAdmitted(t *testing.T) {
+	q := NewQueue[item](Options{Capacity: 3, Policy: ShedNewest}, classify)
+	classes := []Class{Data, Data, Lossless, Data, Control, Data, Control}
+	admitted, err := q.PushBurst(len(classes), func(i int) item { return item{seq: i, class: classes[i]} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two data and the lossless item fill the queue; the data items after
+	// them are shed, the control items admitted over capacity.
+	if admitted != 5 {
+		t.Errorf("PushBurst admitted %d, want 5", admitted)
+	}
+	s := q.Stats()
+	if s.ShedNewest != 2 || s.Pushed != uint64(admitted) || s.ControlOverflow != 2 {
+		t.Errorf("stats = %+v, want shed=2 pushed=%d controlOverflow=2", s, admitted)
+	}
+	var seqs []int
+	for _, v := range drainAll(t, q) {
+		seqs = append(seqs, v.seq)
+	}
+	if want := []int{0, 1, 2, 4, 6}; !equalInts(seqs, want) {
+		t.Errorf("queue holds %v, want %v", seqs, want)
+	}
+}
+
+// TestQueuePushBurstCountsAdmittedBeforeClose: a burst stalled on a full
+// Block queue fails with ErrClosed when the queue closes, reporting the
+// items it had admitted before the stall.
+func TestQueuePushBurstCountsAdmittedBeforeClose(t *testing.T) {
+	q := NewQueue[item](Options{Capacity: 2, Policy: Block}, classify)
+	type result struct {
+		admitted int
+		err      error
+	}
+	done := make(chan result, 1)
+	go func() {
+		n, err := q.PushBurst(5, func(i int) item { return item{seq: i} })
+		done <- result{n, err}
+	}()
+	deadline := time.Now().Add(2 * time.Second)
+	for q.Stats().CreditStalls == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	q.Close()
+	select {
+	case r := <-done:
+		if r.err != ErrClosed || r.admitted != 2 {
+			t.Errorf("PushBurst = (%d, %v), want (2, ErrClosed)", r.admitted, r.err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close did not unblock the stalled burst")
+	}
+	if _, err := q.PushBurst(1, func(int) item { return item{} }); err != ErrClosed {
+		t.Errorf("PushBurst after Close = %v, want ErrClosed", err)
+	}
+}
+
+func equalInts(a, b []int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestQueueControlNeverShed(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"unsafe"
 )
 
 // Binary codec for values and notifications. The format is a simple
@@ -138,6 +139,69 @@ func DecodeNotification(buf []byte) (Notification, int, error) {
 // later-duplicate-wins semantics — but is reported as such so it is never
 // passed through verbatim.
 func DecodeNotificationCanonical(buf []byte) (Notification, int, bool, error) {
+	return (*Chunks)(nil).DecodeNotificationCanonical(buf)
+}
+
+// ChunkSize bounds each chunk a Chunks carves from, in bytes.
+const ChunkSize = 4 << 10
+
+// Chunk capacities in elements: as many as fit ChunkSize.
+const (
+	attrChunkLen  = ChunkSize / int(unsafe.Sizeof(Attr{}))
+	notifChunkLen = ChunkSize / int(unsafe.Sizeof(Notification{}))
+)
+
+// Chunks carves the storage of decoded notifications — attribute slices
+// and boxed Notification headers — out of chunks of at most ChunkSize
+// bytes, so a reader decoding a stream of small notifications pays one
+// allocation per chunk instead of two per notification. A full chunk is
+// replaced by a new one and never reused: a carved piece stays valid for
+// as long as anything references it, and the GC frees a chunk once
+// nothing carved from it is. The price is that one retained notification
+// keeps its whole chunk alive, so code that keeps a decoded notification
+// past the handling of its message should keep n.Clone() instead.
+//
+// A nil *Chunks allocates every piece on its own (the package-level
+// decoders). A Chunks is not safe for concurrent use.
+type Chunks struct {
+	attrs  []Attr         // free tail of the current attribute chunk
+	notifs []Notification // free tail of the current header chunk
+}
+
+// attrSlice returns an empty slice with room for exactly n attributes.
+// The capacity is capped (a 3-index slice), so an append past n
+// reallocates instead of writing into the next carved slice.
+func (c *Chunks) attrSlice(n int) []Attr {
+	if c == nil || n > attrChunkLen {
+		return make([]Attr, 0, n)
+	}
+	if c.attrs == nil || cap(c.attrs) < n {
+		c.attrs = make([]Attr, attrChunkLen)
+	}
+	s := c.attrs[:0:n]
+	c.attrs = c.attrs[n:]
+	return s
+}
+
+// Box returns a pointer to a copy of n, carved from the header chunk.
+func (c *Chunks) Box(n Notification) *Notification {
+	if c == nil {
+		p := new(Notification) // not &n: that would move n to the heap on every path
+		*p = n
+		return p
+	}
+	if len(c.notifs) == 0 {
+		c.notifs = make([]Notification, notifChunkLen)
+	}
+	p := &c.notifs[0]
+	*p = n
+	c.notifs = c.notifs[1:]
+	return p
+}
+
+// DecodeNotificationCanonical is the package-level function of the same
+// name with the attribute slice carved from c.
+func (c *Chunks) DecodeNotificationCanonical(buf []byte) (Notification, int, bool, error) {
 	count, sz := binary.Uvarint(buf)
 	if sz <= 0 {
 		return Notification{}, 0, false, ErrTruncated
@@ -153,7 +217,7 @@ func DecodeNotificationCanonical(buf []byte) (Notification, int, bool, error) {
 	if count < uint64(capN) {
 		capN = int(count)
 	}
-	attrs := make([]Attr, 0, capN)
+	attrs := c.attrSlice(capN)
 	for i := uint64(0); i < count; i++ {
 		nameLen, nsz := binary.Uvarint(buf)
 		if nsz <= 0 {

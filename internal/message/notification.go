@@ -148,6 +148,17 @@ func (n Notification) With(name string, v Value) Notification {
 	return Notification{attrs: cp}
 }
 
+// Clone returns a copy of the notification with an attribute slice of its
+// own. Notifications are immutable, so sharing is always safe; Clone is
+// for keeping one without keeping the storage it was decoded into (see
+// Chunks).
+func (n Notification) Clone() Notification {
+	if n.attrs == nil {
+		return n
+	}
+	return Notification{attrs: append([]Attr(nil), n.attrs...)}
+}
+
 // Equal reports whether two notifications carry exactly the same
 // attributes. Both sides are canonical, so one ordered walk suffices.
 func (n Notification) Equal(m Notification) bool {

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/flow"
+	"repro/internal/message"
 	"repro/internal/wire"
 )
 
@@ -23,18 +24,24 @@ import (
 //
 // Sends do not write the socket directly: they encode (or reuse a cached
 // frame) and enqueue onto a bounded frame ring — a flow.Queue — drained
-// by a writer goroutine that flushes each drained batch with one vectored
-// write (writev), so a burst of N frames costs one syscall and a slow
-// socket never stalls the sender's run loop until the ring's policy says
-// so. The default ring Blocks at DefaultSendWindow frames,
-// preserving the old blocking-write backpressure while decoupling
-// syscalls from Send; WithSendWindow overrides capacity and policy.
-// Frames are admitted by wire.Type.FlowClass: publishes take the full
-// policy, deliveries are lossless (never dropped — that would skip
-// client sequence numbers — but they fill the ring and stall the sender
-// when it is full, so a stalled client pins at most a ring's worth of
-// frames), and control frames bypass the policy entirely, so routing
-// and relocation traffic is never shed by an overloaded ring.
+// by a writer goroutine, so a slow socket never stalls the sender's run
+// loop until the ring's policy says so. A SendBatch encodes its burst
+// before taking any lock and then enters the ring with one flush-slot
+// reservation and one PushBurst. The writer copies each drained frame of
+// at most coalesceMax bytes into one fixed coalesceSize buffer and hands
+// larger frames to the kernel as their own iovecs, so a drain of small
+// frames costs one write syscall per coalesceSize bytes. The default ring
+// Blocks at DefaultSendWindow frames, preserving the old blocking-write
+// backpressure while decoupling syscalls from Send; WithSendWindow
+// overrides capacity and policy. Frames are admitted by
+// wire.Type.FlowClass: publishes take the full policy, deliveries are
+// lossless (never dropped — that would skip client sequence numbers — but
+// they fill the ring and stall the sender when it is full, so a stalled
+// client pins at most a ring's worth of frames), and control frames
+// bypass the policy entirely, so routing and relocation traffic is never
+// shed by an overloaded ring. SendDeliver writes a client delivery
+// straight into a pooled frame buffer, splicing in the publish's
+// notification bytes when the broker has them.
 //
 // The receive side is batched the same way: the reader goroutine reads
 // the socket through a readBufferSize buffer, so one read syscall picks
@@ -43,7 +50,10 @@ import (
 // ReceiveBurst (a broker's mailbox takes its lock once per burst). A
 // burst is handed off as soon as the next frame is not fully buffered, so
 // no decoded frame waits behind a read that could block. Receivers that
-// are not batch-aware get one Receive per frame, in order.
+// are not batch-aware get one Receive per frame, in order. A publish's
+// notification and its pass-through frame are carved from chunks the
+// reader owns (frameReader), so a small publish costs a fraction of an
+// allocation.
 //
 // Both hot socket calls — the reader's read and the writer's writev — go
 // through socketIO: on Linux a raw non-blocking syscall that keeps the Go
@@ -54,6 +64,12 @@ type TCPLink struct {
 	sock    socketIO
 	peerHop wire.Hop
 	ring    *flow.Queue[tcpFrame]
+
+	// sendMu guards batch, SendBatch's encode scratch; it is held across
+	// a Block stall, so concurrent bursts queue behind it as they would
+	// behind the ring.
+	sendMu sync.Mutex
+	batch  []tcpFrame
 
 	mu        sync.Mutex
 	flushCond *sync.Cond // pending reaching 0, or a write error, or close
@@ -71,6 +87,7 @@ var _ Link = (*TCPLink)(nil)
 var _ BatchSender = (*TCPLink)(nil)
 var _ Flusher = (*TCPLink)(nil)
 var _ FrameEncoder = (*TCPLink)(nil)
+var _ DeliverySender = (*TCPLink)(nil)
 var _ flow.Reporter = (*TCPLink)(nil)
 
 // tcpFrame is one queued wire frame: the length prefix, the payload, and
@@ -96,6 +113,18 @@ const maxIdentitySize = 1 << 10
 // frame the kernel holds, up to this many bytes. Frames larger than it
 // are read into a buffer of their own.
 const readBufferSize = 64 << 10
+
+// maxChunkedFrame is the largest pass-through frame the reader copies
+// into a shared chunk; a larger one gets a buffer of its own.
+const maxChunkedFrame = 256
+
+// coalesceMax is the largest frame payload the writer copies into its
+// coalescing buffer; a larger frame is written from its own buffer.
+const coalesceMax = 512
+
+// coalesceSize is the writer's coalescing buffer. It never grows: a drain
+// of small frames that does not fit is written in several pieces.
+const coalesceSize = 64 << 10
 
 // maxReadBurst caps how many decoded frames one burst hands the receiver,
 // so a deep socket backlog reaches the mailbox in bounded slices.
@@ -217,85 +246,139 @@ func (l *TCPLink) Peer() wire.Hop { return l.peerHop }
 // for the writer goroutine. A full Block ring stalls here — the old
 // blocking-write backpressure, now at the ring instead of the socket.
 func (l *TCPLink) Send(m wire.Message) error {
-	return l.enqueue(m)
+	fr, err := encodeFrame(&m)
+	if err != nil {
+		return err
+	}
+	return l.admit([]tcpFrame{fr})
 }
 
-// SendBatch implements BatchSender. Frames are enqueued one by one — the
-// writer drains whatever has accumulated into a single vectored write, so
-// batching happens at the syscall boundary regardless. FIFO holds per
-// sending goroutine; concurrent senders' bursts may interleave, as their
-// Sends always could.
+// SendBatch implements BatchSender. The burst is encoded first, then
+// enters the ring under one flush-slot reservation and one PushBurst; an
+// encode error stops it at the failing message, the frames before it
+// still sent. FIFO holds per sending goroutine; concurrent senders'
+// bursts may interleave at a Block stall, as their Sends always could.
 func (l *TCPLink) SendBatch(ms []wire.Message) error {
+	l.sendMu.Lock()
+	defer l.sendMu.Unlock()
+	frames := l.batch[:0]
+	var encErr error
 	for i := range ms {
-		if err := l.enqueue(ms[i]); err != nil {
-			return err
+		fr, err := encodeFrame(&ms[i])
+		if err != nil {
+			encErr = err
+			break
 		}
+		frames = append(frames, fr)
+	}
+	err := l.admit(frames)
+	clear(frames) // the frames are the ring's now; keep no references
+	if cap(frames) > flow.MaxRecycledCap {
+		frames = nil // a spike's array goes to the GC, as the ring's does
+	}
+	l.batch = frames[:0]
+	if err != nil {
+		return err
+	}
+	return encErr
+}
+
+// SendDeliver implements DeliverySender: d is encoded straight into a
+// pooled frame buffer, with body (when non-nil, the canonical encoding of
+// d.Item.Notif) copied in instead of encoding the notification again.
+func (l *TCPLink) SendDeliver(d wire.Deliver, body []byte) error {
+	buf := wire.GetEncodeBuf()
+	*buf = wire.AppendDeliver(*buf, &d, body)
+	fr := tcpFrame{payload: *buf, pooled: buf, cls: flow.Lossless}
+	binary.BigEndian.PutUint32(fr.hdr[:], uint32(len(fr.payload)))
+	return l.admit([]tcpFrame{fr})
+}
+
+// encodeFrame builds m's ring entry: its cached frame, or an encoding
+// into a pooled buffer.
+func encodeFrame(m *wire.Message) (tcpFrame, error) {
+	fr := tcpFrame{cls: m.Type.FlowClass(), payload: m.Frame}
+	if fr.payload == nil {
+		buf := wire.GetEncodeBuf()
+		f, err := wire.AppendEncode(*buf, *m)
+		if err != nil {
+			wire.PutEncodeBuf(buf)
+			return tcpFrame{}, fmt.Errorf("transport: encode: %w", err)
+		}
+		*buf = f
+		fr.payload, fr.pooled = f, buf
+	}
+	binary.BigEndian.PutUint32(fr.hdr[:], uint32(len(fr.payload)))
+	return fr, nil
+}
+
+// reserve takes n flush slots, or reports why the link takes no frames.
+// The slots are taken before the frames reach the ring, so a concurrent
+// Flush cannot observe pending == 0 between a push and its accounting.
+func (l *TCPLink) reserve(n int) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed || l.werr != nil {
+		return l.refusalLocked()
+	}
+	l.pending += n
+	return nil
+}
+
+// refusalLocked is the error for frames the link no longer takes: the
+// write error that stopped it, or ErrLinkClosed. l.mu is held.
+func (l *TCPLink) refusalLocked() error {
+	if l.werr != nil {
+		return l.werr
+	}
+	return ErrLinkClosed
+}
+
+// admit enqueues encoded frames as one burst: one reservation, one
+// PushBurst. Frames the ring's policy sheds, or that a closing ring
+// refuses, give their slots back; a shed frame is a successful send,
+// accounted in FlowStats. When no frame got in, their pooled buffers go
+// back to the pool; a partly admitted burst's refused buffers go to the
+// GC, since the ring does not say which frames they were.
+func (l *TCPLink) admit(frames []tcpFrame) error {
+	n := len(frames)
+	if n == 0 {
+		return nil
+	}
+	if err := l.reserve(n); err != nil {
+		putFrames(frames)
+		return err
+	}
+	admitted, err := l.ring.PushBurst(n, func(i int) tcpFrame { return frames[i] })
+	if admitted < n {
+		l.unreserve(n - admitted)
+		if admitted == 0 {
+			putFrames(frames)
+		}
+	}
+	if err != nil { // flow.ErrClosed
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		return l.refusalLocked()
 	}
 	return nil
 }
 
-func (l *TCPLink) enqueue(m wire.Message) error {
-	l.mu.Lock()
-	if l.closed || l.werr != nil {
-		err := l.werr
-		l.mu.Unlock()
-		if err == nil {
-			err = ErrLinkClosed
+// putFrames returns the frames' pooled encode buffers.
+func putFrames(frames []tcpFrame) {
+	for i := range frames {
+		if frames[i].pooled != nil {
+			wire.PutEncodeBuf(frames[i].pooled)
+			frames[i].pooled = nil
 		}
-		return err
-	}
-	// Reserve the flush slot before pushing so a concurrent Flush cannot
-	// observe pending == 0 between our push and its accounting.
-	l.pending++
-	l.mu.Unlock()
-
-	fr := tcpFrame{cls: m.Type.FlowClass()}
-	fr.payload = m.Frame
-	if fr.payload == nil {
-		buf := wire.GetEncodeBuf()
-		f, err := wire.AppendEncode((*buf)[:0], m)
-		if err != nil {
-			wire.PutEncodeBuf(buf)
-			l.unreserve()
-			return fmt.Errorf("transport: encode: %w", err)
-		}
-		*buf = f
-		fr.payload = f
-		fr.pooled = buf
-	}
-	binary.BigEndian.PutUint32(fr.hdr[:], uint32(len(fr.payload)))
-
-	switch err := l.ring.Push(fr); err {
-	case nil:
-		return nil
-	case flow.ErrShed:
-		// The ring's policy consumed the frame; the Send succeeded and
-		// the drop is accounted in FlowStats.
-		if fr.pooled != nil {
-			wire.PutEncodeBuf(fr.pooled)
-		}
-		l.unreserve()
-		return nil
-	default: // flow.ErrClosed
-		if fr.pooled != nil {
-			wire.PutEncodeBuf(fr.pooled)
-		}
-		l.unreserve()
-		l.mu.Lock()
-		werr := l.werr
-		l.mu.Unlock()
-		if werr != nil {
-			return werr
-		}
-		return ErrLinkClosed
 	}
 }
 
-// unreserve gives back a flush slot for a frame that never reached the
-// ring (encode failure, shed, closed ring).
-func (l *TCPLink) unreserve() {
+// unreserve gives back n flush slots for frames that never reached the
+// ring (shed, or refused by a closed ring).
+func (l *TCPLink) unreserve(n int) {
 	l.mu.Lock()
-	l.pending--
+	l.pending -= n
 	if l.pending == 0 {
 		l.flushCond.Broadcast()
 	}
@@ -332,25 +415,19 @@ func (l *TCPLink) FlowStats() flow.Stats { return l.ring.Stats() }
 // messages (wire.Preencode) save this link a per-hop serialization.
 func (l *TCPLink) EncodesFrames() {}
 
-// writeLoop drains the frame ring and writes each drained batch with one
-// vectored write: N frames become one writev of 2N iovecs (split at the
-// kernel's IOV_MAX) instead of N buffered writes plus a flush. Pooled
-// encode buffers are returned after the write; a write error poisons the
-// link (subsequent Sends fail) and the rest of the ring is discarded.
+// writeLoop drains the frame ring and writes each drained batch
+// (frameWriter). Pooled encode buffers are returned after the write; a
+// write error poisons the link (subsequent Sends fail) and the rest of
+// the ring is discarded.
 func (l *TCPLink) writeLoop() {
 	defer close(l.writerDone)
-	var scratch net.Buffers
+	w := frameWriter{sock: l.sock, coal: make([]byte, 0, coalesceSize)}
 	for {
 		batch, ok := l.ring.PopBatch()
 		if !ok {
 			return
 		}
-		bufs := scratch[:0]
-		for i := range batch {
-			bufs = append(bufs, batch[i].hdr[:], batch[i].payload)
-		}
-		scratch = bufs // keep the backing array for the next batch
-		err := l.sock.writeBuffers(bufs)
+		err := w.write(batch)
 		l.releaseBatch(batch, err)
 		if err != nil {
 			// The stream may be torn mid-frame; no point keeping the
@@ -362,6 +439,58 @@ func (l *TCPLink) writeLoop() {
 			return
 		}
 	}
+}
+
+// frameWriter puts drained batches on the wire. Frames of at most
+// coalesceMax bytes are copied, header and payload, into coal, a fixed
+// coalesceSize buffer; each larger frame keeps two iovecs of its own,
+// {header, payload}, in order between the coalesced runs. A batch is one
+// vectored write (split at the kernel's IOV_MAX by the socket), or one
+// more each time coal fills.
+type frameWriter struct {
+	sock socketIO
+	coal []byte      // fixed capacity coalesceSize, never regrown
+	bufs net.Buffers // the pending write's iovecs; backing array kept
+}
+
+func (w *frameWriter) write(batch []tcpFrame) error {
+	bufs, coal := w.bufs[:0], w.coal[:0]
+	run := -1 // index in bufs of the coalesced run ending at len(coal)
+	runStart := 0
+	for i := range batch {
+		fr := &batch[i]
+		if len(fr.payload) > coalesceMax {
+			bufs = append(bufs, fr.hdr[:], fr.payload)
+			run = -1
+			continue
+		}
+		if len(coal)+len(fr.hdr)+len(fr.payload) > cap(coal) {
+			if err := w.flush(bufs); err != nil {
+				return err
+			}
+			bufs, coal, run = bufs[:0], coal[:0], -1
+		}
+		if run < 0 {
+			run, runStart = len(bufs), len(coal)
+			bufs = append(bufs, nil)
+		}
+		coal = append(coal, fr.hdr[:]...)
+		coal = append(coal, fr.payload...)
+		bufs[run] = coal[runStart:]
+	}
+	w.bufs = bufs[:0]
+	return w.flush(bufs)
+}
+
+// flush writes bufs and drops their references, so the kept backing
+// array does not pin large payloads until the next drain.
+func (w *frameWriter) flush(bufs net.Buffers) error {
+	if len(bufs) == 0 {
+		return nil
+	}
+	err := w.sock.writeBuffers(bufs)
+	clear(bufs)
+	return err
 }
 
 // releaseBatch returns pooled buffers, recycles the ring array, credits
@@ -406,7 +535,9 @@ const closeDrainTimeout = 5 * time.Second
 // and callers rely on send-then-Close being durable), then closes the
 // connection and waits for the reader to exit. A peer that has stopped
 // reading cannot wedge teardown: the write deadline fails the drain and
-// the remaining frames are discarded.
+// the remaining frames are discarded. Close returns nil once the writer
+// has failed — it closed the connection itself, and Send and Flush report
+// its error.
 func (l *TCPLink) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -421,6 +552,14 @@ func (l *TCPLink) Close() error {
 	<-l.writerDone
 	err := l.conn.Close()
 	<-l.done
+	l.mu.Lock()
+	failed := l.werr != nil
+	l.mu.Unlock()
+	if failed {
+		// The writer closed the connection when its write failed, so the
+		// teardown is complete; Send and Flush report that failure.
+		return nil
+	}
 	return err
 }
 
@@ -457,13 +596,13 @@ func (p plainIO) writeBuffers(bufs net.Buffers) error {
 // decoded and delivered as one burst (deliverBurst), at most maxReadBurst
 // frames at a time; a malformed frame is skipped, its neighbours kept.
 func readFrames(r io.Reader, from wire.Hop, recv Receiver) error {
-	br := bufio.NewReaderSize(r, readBufferSize)
+	fr := frameReader{br: bufio.NewReaderSize(r, readBufferSize)}
 	var burst []wire.Message
 	for {
 		// Decode the first frame even if it has to wait for the socket —
 		// nothing is in hand yet — then only frames already buffered.
-		for len(burst) == 0 || len(burst) < maxReadBurst && frameBuffered(br) {
-			m, ok, err := nextFrame(br)
+		for len(burst) == 0 || len(burst) < maxReadBurst && fr.buffered() {
+			m, ok, err := fr.next()
 			if err != nil {
 				if len(burst) > 0 {
 					deliverBurst(recv, from, burst)
@@ -480,9 +619,21 @@ func readFrames(r io.Reader, from wire.Hop, recv Receiver) error {
 	}
 }
 
-// frameBuffered reports whether the next frame is entirely in br's buffer,
-// so that reading it cannot block.
-func frameBuffered(br *bufio.Reader) bool {
+// frameReader is a link's receive side: its socket buffer, and the
+// chunks a publish's decoded notification (message.Chunks) and its
+// pass-through frame of at most maxChunkedFrame bytes are carved from.
+// Like message.Chunks it never reuses a chunk, so a frame held in a send
+// window pins at most one message.ChunkSize chunk.
+type frameReader struct {
+	br     *bufio.Reader
+	notifs message.Chunks
+	frames []byte // free tail of the current frame chunk
+}
+
+// buffered reports whether the next frame is entirely in the buffer, so
+// that reading it cannot block.
+func (fr *frameReader) buffered() bool {
+	br := fr.br
 	if br.Buffered() < 4 {
 		return false
 	}
@@ -490,11 +641,12 @@ func frameBuffered(br *bufio.Reader) bool {
 	return uint64(br.Buffered()-4) >= uint64(binary.BigEndian.Uint32(hdr))
 }
 
-// nextFrame reads and decodes one frame; ok is false for a malformed frame
-// that was skipped. A frame that fits the buffer is decoded in place, and
-// the only bytes the decoded message keeps — the pass-through Frame — are
+// next reads and decodes one frame; ok is false for a malformed frame that
+// was skipped. A frame that fits the buffer is decoded in place, and the
+// only bytes the decoded message keeps — the pass-through Frame — are
 // copied out, because the buffer is overwritten by the next read.
-func nextFrame(br *bufio.Reader) (m wire.Message, ok bool, err error) {
+func (fr *frameReader) next() (m wire.Message, ok bool, err error) {
+	br := fr.br
 	hdr, err := br.Peek(4)
 	if err != nil {
 		return wire.Message{}, false, err
@@ -510,22 +662,36 @@ func nextFrame(br *bufio.Reader) (m wire.Message, ok bool, err error) {
 		if _, err := io.ReadFull(br, buf); err != nil {
 			return wire.Message{}, false, err
 		}
-		m, err := wire.Decode(buf)
+		m, err := wire.DecodeChunked(buf, &fr.notifs)
 		return m, err == nil, nil
 	}
 	p, err := br.Peek(size)
 	if err != nil {
 		return wire.Message{}, false, err
 	}
-	m, err = wire.Decode(p[4:])
+	m, err = wire.DecodeChunked(p[4:], &fr.notifs)
+	if err == nil && m.Frame != nil {
+		m.Frame = fr.keep(m.Frame)
+	}
 	_, _ = br.Discard(size) // the frame is buffered
-	if err != nil {
-		return wire.Message{}, false, nil
+	return m, err == nil, nil
+}
+
+// keep copies a pass-through frame out of the read buffer: into the frame
+// chunk when it is at most maxChunkedFrame bytes, into a buffer of its own
+// otherwise. The copy's capacity is its length, so nothing appends into a
+// neighbour.
+func (fr *frameReader) keep(b []byte) []byte {
+	if len(b) > maxChunkedFrame {
+		return bytes.Clone(b)
 	}
-	if m.Frame != nil {
-		m.Frame = bytes.Clone(m.Frame)
+	if len(fr.frames) < len(b) {
+		fr.frames = make([]byte, message.ChunkSize)
 	}
-	return m, true, nil
+	k := fr.frames[:len(b):len(b)]
+	copy(k, b)
+	fr.frames = fr.frames[len(b):]
+	return k
 }
 
 func writeFrame(w io.Writer, payload []byte) error {

@@ -71,6 +71,16 @@ type FrameEncoder interface {
 	EncodesFrames()
 }
 
+// DeliverySender is an optional Link capability of links that serialize
+// frames (TCP): send one client delivery without boxing it in a
+// wire.Message. body, when non-nil, must be the canonical encoding of
+// d.Item.Notif (wire.Message.NotifBody of the publish that carried it);
+// the link copies it into the frame instead of encoding the notification
+// again, and does not retain it past the call.
+type DeliverySender interface {
+	SendDeliver(d wire.Deliver, body []byte) error
+}
+
 // BatchReceiver is an optional Receiver capability: accept a FIFO burst of
 // messages from a single hop with one handoff (e.g. one mailbox lock
 // acquisition). Implementations must not retain the slice past the call.
@@ -247,7 +257,7 @@ func (l *ChanLink) SendBatch(ms []wire.Message) error {
 	// The pump queue copies each message, so the caller is free to reuse
 	// ms once SendBatch returns.
 	due, burst := l.due(), l.pump.nextBurst()
-	err := l.pump.q.PushBurst(len(ms), func(i int) timedMsg {
+	_, err := l.pump.q.PushBurst(len(ms), func(i int) timedMsg {
 		return timedMsg{due: due, burst: burst, m: ms[i]}
 	})
 	if err == flow.ErrClosed {

@@ -822,7 +822,9 @@ func TestTCPLinkSendWindowShed(t *testing.T) {
 		t.Errorf("ring high water %d exceeds capacity 4", s.HighWater)
 	}
 	start := time.Now()
-	_ = cl.Close() // reports the connection the failed drain already closed
+	if err := cl.Close(); err != nil {
+		t.Errorf("Close after the drain failed = %v, want nil (the write error is Flush's to report)", err)
+	}
 	if elapsed := time.Since(start); elapsed > drain+time.Second {
 		t.Errorf("Close against a peer that never reads took %v, drain bound %v", elapsed, drain)
 	}

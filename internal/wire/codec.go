@@ -358,15 +358,46 @@ func AppendEncode(buf []byte, m Message) ([]byte, error) {
 		if m.Deliver == nil {
 			return nil, fmt.Errorf("%w: deliver without body", ErrBadFrame)
 		}
-		e.str(string(m.Deliver.Client))
-		e.str(string(m.Deliver.ID))
-		e.uv(m.Deliver.Item.Seq)
-		e.boolean(m.Deliver.Replayed)
-		e.buf = message.AppendNotification(e.buf, m.Deliver.Item.Notif)
+		e.buf = appendDeliverBody(e.buf, m.Deliver, nil)
 	default:
 		return nil, fmt.Errorf("%w: unknown type %s", ErrBadFrame, m.Type)
 	}
 	return e.buf, nil
+}
+
+// AppendDeliver appends the frame encoding of d to buf: the bytes
+// AppendEncode(buf, NewDeliver(*d)) appends, without boxing d. body, when
+// non-nil, must be the canonical encoding of d.Item.Notif — the
+// NotifBody of the publish that carried it — and is copied in instead of
+// encoding the notification again; the bytes are the same either way.
+func AppendDeliver(buf []byte, d *Deliver, body []byte) []byte {
+	encodeCalls.Add(1)
+	buf = append(buf, codecVersion, uint8(TypeDeliver))
+	return appendDeliverBody(buf, d, body)
+}
+
+// appendDeliverBody appends a deliver frame's fields after the two-byte
+// header.
+func appendDeliverBody(buf []byte, d *Deliver, body []byte) []byte {
+	e := encoder{buf: buf}
+	e.str(string(d.Client))
+	e.str(string(d.ID))
+	e.uv(d.Item.Seq)
+	e.boolean(d.Replayed)
+	if body != nil {
+		return append(e.buf, body...)
+	}
+	return message.AppendNotification(e.buf, d.Item.Notif)
+}
+
+// NotifBody returns the canonical encoding of a publish's notification
+// when the message carries its frame — Frame without its two-byte
+// version and type header — and nil otherwise.
+func (m *Message) NotifBody() []byte {
+	if m.Type != TypePublish || len(m.Frame) < 2 {
+		return nil
+	}
+	return m.Frame[2:]
 }
 
 // Preencode serializes the message once and caches the frame in m.Frame,
@@ -395,6 +426,14 @@ func Preencode(m *Message) error {
 // therefore treat the frame buffer as owned by the returned message and
 // not reuse it.
 func Decode(frame []byte) (Message, error) {
+	return DecodeChunked(frame, nil)
+}
+
+// DecodeChunked is Decode with a publish's notification — its attribute
+// slice and its boxed header — carved from c instead of allocated on its
+// own (see message.Chunks for what that means for retention). A nil c is
+// Decode.
+func DecodeChunked(frame []byte, c *message.Chunks) (Message, error) {
 	d := &decoder{buf: frame}
 	if v := d.u8(); v != codecVersion {
 		return Message{}, fmt.Errorf("%w: version %d (want %d)", ErrBadFrame, v, codecVersion)
@@ -402,12 +441,12 @@ func Decode(frame []byte) (Message, error) {
 	m := Message{Type: Type(d.u8())}
 	switch m.Type {
 	case TypePublish:
-		n, used, canonical, err := message.DecodeNotificationCanonical(d.buf[d.pos:])
+		n, used, canonical, err := c.DecodeNotificationCanonical(d.buf[d.pos:])
 		if err != nil {
 			return Message{}, fmt.Errorf("%w: %v", ErrBadFrame, err)
 		}
 		d.pos += used
-		m.Notif = &n
+		m.Notif = c.Box(n)
 		if canonical && d.pos == len(frame) {
 			// Byte-identical to the re-encoding (canonical body, no
 			// trailing garbage): the inbound frame doubles as the cached
